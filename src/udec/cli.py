@@ -14,9 +14,10 @@ pass`` followed by the provenance columns ``config_hash, seed``; two-user
 runs append the per-type error counts.  The other subcommands emit
 mode-specific columns, always ending with the same provenance pair.
 
-Config schema (JSON object; unknown keys rejected):
+Config schema (JSON object; top-level keys outside a subcommand's list
+below, plus the common ones, are rejected):
 
-  common        seed (int), out (str)
+  common        seed (non-negative int), out (str)
   simulate      n, rate (or rate1+rate2 for a mac_xor channel), trials,
                 ensemble, channel, family, decoders, ties_as_errors (bool,
                 default true)
@@ -43,8 +44,7 @@ Family descriptors: {"kind": "additive" | "mac_xor_additive",
 Decoder descriptors: {"kind": "universal" | "ml" | "lz"} |
 {"kind": "metric", "theta": 2x2 matrix, "label": str}.
 
-``--threads`` is accepted as a scheduling hint only; results never depend
-on it.  Set UDEC_LOG=debug|info|warning for diagnostics on stderr.
+Set UDEC_LOG=debug|info|warning for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -90,7 +90,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         config, config_hash = _load_config(args.config)
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        unknown = sorted(set(config) - _COMMON_KEYS - _KEYS[args.subcommand])
+        if unknown:
+            raise ConfigError(f"unknown config keys for {args.subcommand}: {unknown}")
+        seed = args.seed if args.seed is not None else config.get("seed", 0)
+        if not _is_int(seed) or seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         out = args.out or config.get("out") or "results.csv"
         handler = _HANDLERS[args.subcommand]
         return handler(config, config_hash, seed, out)
@@ -118,10 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="scheduling hint; results are independent of it",
-        )
     return parser
 
 
@@ -146,9 +147,13 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _positive_int(config, key):
     v = _require(config, key)
-    if not isinstance(v, int) or v < 1:
+    if not _is_int(v) or v < 1:
         raise ConfigError(f"{key!r} must be a positive integer")
     return v
 
@@ -247,7 +252,7 @@ def _theta_grid(config, channel, seed):
             raise ConfigError("'theta_grid' must be nonempty")
         return grid
     size = config.get("theta_grid_size", 25)
-    if not isinstance(size, int) or size < 1:
+    if not _is_int(size) or size < 1:
         raise ConfigError("'theta_grid_size' must be a positive integer")
     return simulator.default_theta_grid(size, channel, seed)
 
@@ -400,7 +405,7 @@ def _audit_mc(config, config_hash, seed, out) -> int:
     family = _build_family(_require(config, "family"))
     grid = _theta_grid(config, channel, seed)
     shifted_trials = config.get("shifted_trials", 4000)
-    if not isinstance(shifted_trials, int) or shifted_trials < 1:
+    if not _is_int(shifted_trials) or shifted_trials < 1:
         raise ConfigError("'shifted_trials' must be a positive integer")
     report = simulator.monte_carlo_audit(
         channel, family, grid, rate, n, trials, seed,
@@ -435,7 +440,7 @@ def _cmd_count_classes(config, config_hash, seed, out) -> int:
     family = _build_family(_require(config, "family"))
     n_values = _require(config, "n_values")
     if not isinstance(n_values, list) or not all(
-        isinstance(v, int) and v >= 1 for v in n_values
+        _is_int(v) and v >= 1 for v in n_values
     ):
         raise ConfigError("'n_values' must be a list of positive integers")
     strategy = config.get("strategy", "auto")
@@ -458,31 +463,9 @@ def _cmd_count_classes(config, config_hash, seed, out) -> int:
 
 
 def _cmd_shulman(config, config_hash, seed, out) -> int:
-    specs = []
-    for desc in config.get("families", []):
-        kind = desc.get("kind")
-        if kind == "xor_parity":
-            specs.append(
-                simulator.xor_parity_family(
-                    int(desc["num_bits"]),
-                    desc.get("subsets"),
-                    desc.get("targets"),
-                    desc.get("label", ""),
-                )
-            )
-        elif kind == "projective_lines":
-            specs.append(
-                simulator.projective_line_family(
-                    int(desc["q"]),
-                    desc.get("num_events"),
-                    desc.get("shifts"),
-                    desc.get("label", ""),
-                )
-            )
-        else:
-            raise ConfigError(f"unknown event family kind: {kind!r}")
+    specs = [_build_event_family(desc) for desc in config.get("families", [])]
     count = config.get("random_families", 0)
-    if not isinstance(count, int) or count < 0:
+    if not _is_int(count) or count < 0:
         raise ConfigError("'random_families' must be a non-negative integer")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5A)))
     for _ in range(count):
@@ -510,14 +493,29 @@ def _cmd_shulman(config, config_hash, seed, out) -> int:
     return 0 if all_ok else 1
 
 
+def _build_event_family(desc) -> simulator.EventFamilySpec:
+    builders = {
+        "xor_parity": (simulator.xor_parity_family, "num_bits", "subsets", "targets"),
+        "projective_lines": (simulator.projective_line_family, "q", "num_events", "shifts"),
+    }
+    if not isinstance(desc, dict) or desc.get("kind") not in builders:
+        raise ConfigError(f"unknown event family descriptor: {desc!r}")
+    build, size_key, *optional = builders[desc["kind"]]
+    if size_key not in desc:
+        raise ConfigError(f"{desc['kind']} event family needs {size_key!r}")
+    return build(
+        int(desc[size_key]), *(desc.get(k) for k in optional), desc.get("label", "")
+    )
+
+
 def _cmd_surrogate(config, config_hash, seed, out) -> int:
     n_values = _require(config, "n_values")
     if not isinstance(n_values, list) or not all(
-        isinstance(v, int) and v >= 1 for v in n_values
+        _is_int(v) and v >= 1 for v in n_values
     ):
         raise ConfigError("'n_values' must be a list of positive integers")
     samples = config.get("samples_per_y", 20)
-    if not isinstance(samples, int) or samples < 1:
+    if not _is_int(samples) or samples < 1:
         raise ConfigError("'samples_per_y' must be a positive integer")
     desc = config.get("ensemble", {"kind": "uniform", "alphabet_size": 2})
     report = simulator.surrogate_condition_check(
@@ -535,6 +533,18 @@ def _cmd_surrogate(config, config_hash, seed, out) -> int:
     _write_manifest(out, "surrogate-check", config_hash, seed)
     return 0 if report.non_increasing else 1
 
+
+_COMMON_KEYS = {"seed", "out"}
+#: top-level config keys each subcommand reads
+_KEYS = {
+    "simulate": {"n", "rate", "rate1", "rate2", "trials", "ensemble", "channel",
+                 "family", "decoders", "ties_as_errors"},
+    "audit": {"audit_mode", "n", "rate", "trials", "channel", "family", "ensemble",
+              "theta_grid", "theta_grid_size", "shifted_trials"},
+    "count-classes": {"family", "n_values", "strategy"},
+    "shulman": {"random_families", "families"},
+    "surrogate-check": {"n_values", "samples_per_y", "ensemble"},
+}
 
 _HANDLERS = {
     "simulate": _cmd_simulate,

@@ -184,24 +184,7 @@ def class_probability(
         row_sums = tuple(
             sum(key.discriminant[a * ya + b] for b in range(ya)) for a in range(xa)
         )
-        n = sum(key.discriminant)
-        if ensemble.kind in (UNIFORM, LINEAR_DITHERED):
-            return math.log2(size) - n * math.log2(ensemble.alphabet_size)
-        if ensemble.kind == IID:
-            lp = 0.0
-            for a, c in enumerate(row_sums):
-                if c == 0:
-                    continue
-                if ensemble.probs[a] == 0.0:
-                    return -math.inf
-                lp += c * math.log2(ensemble.probs[a])
-            return lp + math.log2(size)
-        # uniform over a type: the whole class shares the x-composition
-        if row_sums != ensemble.composition:
-            return -math.inf
-        return math.log2(size) - math.log2(
-            typeclasses.type_class_size(ensemble.composition)
-        )
+        return _type_class_log_mass(ensemble, row_sums, size)
     # exhaustive fallback (finite-state keys, feedback ensembles)
     total = 0.0
     found = False
@@ -214,6 +197,31 @@ def class_probability(
     if not found or total == 0.0:
         return -math.inf
     return math.log2(total)
+
+
+def _type_class_log_mass(
+    ensemble: CodingEnsemble, row_sums: tuple[int, ...], size: int
+) -> float:
+    """log2 mass of a class of ``size`` words with symbol counts
+    ``row_sums``, for ensembles invariant within it (all but feedback)."""
+    n = sum(row_sums)
+    if ensemble.kind in (UNIFORM, LINEAR_DITHERED):
+        return math.log2(size) - n * math.log2(ensemble.alphabet_size)
+    if ensemble.kind == IID:
+        lp = 0.0
+        for a, c in enumerate(row_sums):
+            if c == 0:
+                continue
+            if ensemble.probs[a] == 0.0:
+                return -math.inf
+            lp += c * math.log2(ensemble.probs[a])
+        return lp + math.log2(size)
+    # uniform over a type: the whole class shares the x-composition
+    if row_sums != ensemble.composition:
+        return -math.inf
+    return math.log2(size) - math.log2(
+        typeclasses.type_class_size(ensemble.composition)
+    )
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ trial index) so results are reproducible and order-independent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -175,9 +176,7 @@ def exact_bound_audit(
     violations: list[str] = []
     cases = []
     for y in typeclasses.all_sequences(ya, n):
-        q = np.array(
-            [2.0 ** _safe_log_prob(ensemble, x, y) for x in xs]
-        )
+        q = np.array([2.0 ** ensembles.log_prob(ensemble, x, y) for x in xs])
         if q.sum() == 0.0:
             continue
         keys = [typeclasses.class_key(family, x, y) for x in xs]
@@ -206,10 +205,7 @@ def exact_bound_audit(
         mass_u = ((u_vals[None, :] >= u_vals[:, None]) * q[None, :]).sum(axis=1)
 
         for ix, x in enumerate(xs):
-            w = q[ix] * 2.0 ** _safe_ll(channel, x, y)
-            if w == 0.0 and not collect_cases:
-                # pointwise checks still run on zero-weight pairs with mass
-                pass
+            w = q[ix] * 2.0 ** channels.log_likelihood(channel, x, y)
             class_mass = 2.0 ** (-n * u_vals[ix]) if u_vals[ix] != math.inf else 0.0
             for it in range(len(thetas)):
                 if mass_theta[it, ix] < class_mass - tol:
@@ -249,17 +245,6 @@ def exact_bound_audit(
         violations=tuple(violations),
         cases=tuple(cases),
     )
-
-
-def _safe_log_prob(ensemble, x, y):
-    if ensemble.kind == ensembles.FEEDBACK_TREE:
-        return ensembles.log_prob(ensemble, x, y)
-    return ensembles.log_prob(ensemble, x)
-
-
-def _safe_ll(channel, x, y):
-    ll = channels.log_likelihood(channel, x, y)
-    return ll
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +475,7 @@ def run_experiment(
     configured decoder.  Deterministic given the master seed."""
     if trials < 1:
         raise InputError("at least one trial required")
+    _check_alphabets(ensemble.alphabet_size, family, channel)
     n = ensemble.n
     m = ensembles.message_count(n, rate)
     if (
@@ -497,172 +483,191 @@ def run_experiment(
         and m > 2**ensemble.message_bits
     ):
         raise InputError("more codewords than linear messages available")
-    if _fast_path_ok(ensemble, channel, family, decoder_specs):
-        errors = _run_fast(
-            ensemble, channel, decoder_specs, n, m, trials, seed, ties_as_errors
-        )
-    else:
-        errors = _run_slow(
-            ensemble, channel, family, decoder_specs, n, m, trials, seed,
-            ties_as_errors,
-        )
-    out = []
-    for spec, err in zip(decoder_specs, errors):
-        lo, hi = wilson_interval(err, trials)
-        out.append(
-            ErrorEstimate(
-                decoder=spec.name,
-                n=n,
-                rate=rate,
-                trials=trials,
-                errors=err,
-                estimate=err / trials,
-                ci_lo=lo,
-                ci_hi=hi,
-                seed=seed,
-            )
-        )
-    return out
+    run = _run_fast if _fast_path_ok(ensemble, channel, family, decoder_specs) else _run_slow
+    errors = run(ensemble, channel, family, decoder_specs, m, trials, seed, ties_as_errors)
+    return [
+        ErrorEstimate(spec.name, n, rate, trials, err, err / trials, *wilson_interval(err, trials), seed)
+        for spec, err in zip(decoder_specs, errors.sum(axis=0).tolist())
+    ]
+
+
+def _check_alphabets(x_alphabet_size, family, channel) -> None:
+    """Codewords, family and channel must agree on both alphabets."""
+    sizes = (x_alphabet_size, family.x_alphabet_size, channel.x_alphabet_size)
+    if len(set(sizes)) > 1:
+        raise InputError(f"input alphabets of codewords, family, channel differ: {sizes}")
+    if family.y_alphabet_size != channel.y_alphabet_size:
+        raise InputError("output alphabets of family and channel differ")
 
 
 def _fast_path_ok(ensemble, channel, family, decoder_specs) -> bool:
-    if family.kind != families.ADDITIVE:
-        return False
-    if family.x_alphabet_size != 2 or family.y_alphabet_size != 2:
-        return False
-    if ensemble.n > 64:
-        return False
-    if ensemble.kind == ensembles.IID and ensemble.probs != (0.5, 0.5):
-        return False
-    if ensemble.kind not in (
-        ensembles.UNIFORM,
-        ensembles.IID,
-        ensembles.LINEAR_DITHERED,
-    ):
-        return False
-    if channel.kind == channels.DMC and channel.x_alphabet_size == 2:
-        pass
-    elif channel.kind == channels.MOD_ADDITIVE and channel.x_alphabet_size == 2:
-        pass
-    else:
-        return False
-    for spec in decoder_specs:
-        if spec.kind not in ("universal", "ml", "metric"):
-            return False
-        if spec.kind == "ml" and channel.kind == channels.MOD_ADDITIVE and channel.noise_word:
-            return False
-    return True
-
-
-def _log_binom_table(n: int) -> np.ndarray:
-    table = np.full((n + 1, n + 1), -np.inf)
-    for m in range(n + 1):
-        for k in range(m + 1):
-            table[m, k] = math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
-    return table / math.log(2.0)
-
-
-def _additive_coeffs(theta) -> tuple[float, float]:
-    # score = t00*a00 + t01*a01 + t10*a10 + t11*a11 rewritten via the
-    # codeword weight and the overlap with y; per-trial constants dropped
-    (t00, t01), (t10, t11) = theta
-    return (t00 - t01 - t10 + t11, t10 - t00)
-
-
-def _ml_theta(channel) -> tuple[tuple[float, float], tuple[float, float]]:
-    floor = 1e-300
-    if channel.kind == channels.DMC:
-        w = channel.matrix
-    else:
-        p = channel.noise_probs
-        w = ((p[0], p[1]), (p[1], p[0]))
-    return tuple(
-        tuple(math.log2(max(p, floor)) for p in row) for row in w
+    """The bit-packed kernel runs only where it provably matches the scalar
+    reference: binary additive family, uniform codewords of at most 64 bits,
+    a memoryless or fixed-noise binary channel, and decoders whose scores
+    depend on a codeword only through its joint type with y (the ML score
+    of a fixed-noise channel does not)."""
+    fixed_noise = channel.kind == channels.MOD_ADDITIVE and bool(channel.noise_word)
+    return (
+        family.kind == families.ADDITIVE
+        and ensemble.alphabet_size == family.y_alphabet_size == 2
+        and ensemble.n <= 64
+        and (
+            ensemble.kind in (ensembles.UNIFORM, ensembles.LINEAR_DITHERED)
+            or (ensemble.kind == ensembles.IID and ensemble.probs == (0.5, 0.5))
+        )
+        and channel.kind in (channels.DMC, channels.MOD_ADDITIVE)
+        and all(
+            spec.kind in ("universal", "metric") or (spec.kind == "ml" and not fixed_noise)
+            for spec in decoder_specs
+        )
     )
 
 
-def _pack_bits(bits: np.ndarray) -> np.uint64:
-    return np.uint64(
-        int.from_bytes(np.packbits(bits.astype(np.uint8), bitorder="little").tobytes(), "little")
-    )
+# ---------------------------------------------------------------------------
+# exact joint-type scoring core (binary additive family).  Given y of weight
+# ny, a codeword's joint type is (a11, a10), its ones over y's ones and over
+# y's zeros; each decoder scores it through one table per ny, at flat index
+# a11 * (n - ny + 1) + a10 = a11 * (n - ny) + popcount.
+# ---------------------------------------------------------------------------
 
 
-def _run_fast(ensemble, channel, decoder_specs, n, m, trials, seed, ties_as_errors):
-    mask = np.uint64((1 << n) - 1 if n < 64 else 0xFFFFFFFFFFFFFFFF)
-    lbinom = _log_binom_table(n)
-    if channel.kind == channels.DMC:
-        p0, p1 = channel.matrix[0][1], channel.matrix[1][0]
-        fixed_noise = None
+def _channel_matrix(channel) -> tuple:
+    """W(y|x) of a memoryless binary channel."""
+    if channel.x_alphabet_size == channel.y_alphabet_size == 2:
+        if channel.kind == channels.DMC:
+            return channel.matrix
+        if channel.kind == channels.MOD_ADDITIVE and channel.noise_probs:
+            p = channel.noise_probs
+            return ((p[0], p[1]), (p[1], p[0]))
+    raise UnsupportedCombinationError("needs a memoryless binary channel")
+
+
+def _type_rule(spec: DecoderSpec, ensemble, channel):
+    """What one decoder's per-type score needs: the ensemble for
+    ``universal``, otherwise the 2x2 per-letter scores (log2 W for ``ml``,
+    with -inf where W is 0)."""
+    if spec.kind == "universal":
+        return ensemble
+    if spec.kind == "ml":
+        return tuple(
+            tuple(math.log2(p) if p > 0.0 else -math.inf for p in row)
+            for row in _channel_matrix(channel)
+        )
+    return MetricIndex.additive(spec.theta).values
+
+
+def _type_score(rule, n: int, ny: int, a11: int, a10: int) -> float:
+    """Score of every binary x of joint type (a11, a10) with a y of weight
+    ny; bit-identical to decoders.universal_score, ml_score and
+    metric_score on any such pair."""
+    a01, a00 = ny - a11, n - ny - a10
+    if isinstance(rule, ensembles.CodingEnsemble):
+        size = math.comb(ny, a11) * math.comb(n - ny, a10)
+        lp = ensembles._type_class_log_mass(rule, (a00 + a01, a10 + a11), size)
+        return math.inf if lp == -math.inf else -lp / n
+    (t00, t01), (t10, t11) = rule
+    return math.fsum([t00] * a00 + [t01] * a01 + [t10] * a10 + [t11] * a11)
+
+
+def _type_grid(n: int, ny: int):
+    return ((a11, a10) for a11 in range(ny + 1) for a10 in range(n - ny + 1))
+
+
+def _type_tables(rules, n: int):
+    """ny -> one flat score table per rule, each built on first use."""
+
+    @functools.cache
+    def tables(ny):
+        return [
+            np.array([_type_score(rule, n, ny, a11, a10) for a11, a10 in _type_grid(n, ny)])
+            for rule in rules
+        ]
+
+    return tables
+
+
+def _joint_types(words: np.ndarray, y, n: int, ny: int) -> np.ndarray:
+    """Flat table index of each packed word's joint type with y."""
+    a11 = np.bitwise_count(words & y).astype(np.intp)
+    return a11 * (n - ny) + np.bitwise_count(words)
+
+
+# ---------------------------------------------------------------------------
+# bit-packed realizations (n <= 64, bit i of a word is symbol i)
+# ---------------------------------------------------------------------------
+
+
+def _packed_words(rng, count: int, n: int) -> np.ndarray:
+    """``count`` uniform n-bit words."""
+    mask = np.uint64((1 << n) - 1)
+    halves = rng.integers(0, 1 << 32, size=(count, 2), dtype=np.uint64)
+    return ((halves[:, 0] << np.uint64(32)) | halves[:, 1]) & mask
+
+
+def _pack_bits(bits) -> np.uint64:
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
+    return np.uint64(int.from_bytes(packed.tobytes(), "little"))
+
+
+def _flip_noise(rng, x_bits: np.ndarray, channel) -> np.ndarray:
+    """Noise bits of one block through a memoryless binary channel."""
+    w = _channel_matrix(channel)
+    return rng.random(len(x_bits)) < np.where(x_bits, w[1][0], w[0][1])
+
+
+def _transmit_packed(rng, word, n: int, channel):
+    """Packed output for a packed input word; a fixed noise word draws
+    nothing from ``rng``."""
+    if channel.kind == channels.MOD_ADDITIVE and channel.noise_word:
+        if len(channel.noise_word) != n:
+            raise InputError("fixed noise word length mismatch")
+        return word ^ _pack_bits(channel.noise_word)
+    x_bits = ((word >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(bool)
+    return word ^ _pack_bits(_flip_noise(rng, x_bits, channel))
+
+
+def _packed_trial(ensemble, channel, m: int, seed: int, t: int):
+    """Codebook, sent index and output of trial t of the bit-packed kernel."""
+    n = ensemble.n
+    rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
+    if ensemble.kind == ensembles.LINEAR_DITHERED:
+        rows = _packed_words(rng, ensemble.message_bits, n)
+        code = np.full(m, _packed_words(rng, 1, n)[0], dtype=np.uint64)
+        msgs = np.arange(m, dtype=np.uint64)
+        for j, row in enumerate(rows):
+            code[((msgs >> np.uint64(j)) & np.uint64(1)).astype(bool)] ^= row
     else:
-        if channel.noise_word:
-            fixed_noise = _pack_bits(np.asarray(channel.noise_word))
-            p0 = p1 = 0.0
-        else:
-            fixed_noise = None
-            p0 = p1 = channel.noise_probs[1]
+        code = _packed_words(rng, m, n)
+    true_idx = int(rng.integers(m))
+    return code, true_idx, _transmit_packed(rng, code[true_idx], n, channel)
 
-    coeffs = []
-    for spec in decoder_specs:
-        if spec.kind == "metric":
-            coeffs.append(("metric",) + _additive_coeffs(spec.theta))
-        elif spec.kind == "ml":
-            coeffs.append(("metric",) + _additive_coeffs(_ml_theta(channel)))
-        else:
-            coeffs.append(("universal", 0.0, 0.0))
 
-    errors = [0] * len(decoder_specs)
-    bitpos = np.arange(n, dtype=np.uint64)
+def _run_fast(ensemble, channel, family, decoder_specs, m, trials, seed, ties_as_errors):
+    """Per-trial error indicators (trials x decoders) from a histogram of
+    the codewords' joint types with y, read against exact score tables."""
+    n = ensemble.n
+    tables = _type_tables([_type_rule(s, ensemble, channel) for s in decoder_specs], n)
+    errors = np.zeros((trials, len(decoder_specs)), dtype=bool)
     for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        if ensemble.kind == ensembles.LINEAR_DITHERED:
-            k = ensemble.message_bits
-            rows = (
-                rng.integers(0, 1 << 32, size=(k, 2), dtype=np.uint64)
-            )
-            rows = ((rows[:, 0] << np.uint64(32)) | rows[:, 1]) & mask
-            dither = rng.integers(0, 1 << 32, size=2, dtype=np.uint64)
-            dither = ((dither[0] << np.uint64(32)) | dither[1]) & mask
-            msgs = np.arange(m, dtype=np.uint64)
-            code = np.full(m, dither, dtype=np.uint64)
-            for j in range(k):
-                sel = ((msgs >> np.uint64(j)) & np.uint64(1)).astype(bool)
-                code[sel] ^= rows[j]
-        else:
-            halves = rng.integers(0, 1 << 32, size=(m, 2), dtype=np.uint64)
-            code = ((halves[:, 0] << np.uint64(32)) | halves[:, 1]) & mask
-        true_idx = int(rng.integers(m))
-        x_word = code[true_idx]
-        if fixed_noise is not None:
-            y_word = x_word ^ fixed_noise
-        else:
-            x_bits = ((x_word >> bitpos) & np.uint64(1)).astype(bool)
-            flip_p = np.where(x_bits, p1, p0)
-            noise_bits = rng.random(n) < flip_p
-            y_word = x_word ^ _pack_bits(noise_bits)
-        ny = int(np.bitwise_count(y_word))
-        pc = np.bitwise_count(code).astype(np.int64)
-        a11 = np.bitwise_count(code & y_word).astype(np.int64)
-        for d, (kind, ca, cb) in enumerate(coeffs):
-            if kind == "metric":
-                scores = ca * a11 + cb * pc
-            else:
-                scores = -(lbinom[n - ny, pc - a11] + lbinom[ny, a11])
-            s_true = scores[true_idx]
+        code, true_idx, y = _packed_trial(ensemble, channel, m, seed, t)
+        ny = int(np.bitwise_count(y))
+        types = _joint_types(code, y, n, ny)
+        bins = (ny + 1) * (n - ny + 1)
+        hist = np.bincount(types, minlength=bins)
+        if not ties_as_errors:
+            # the decoder breaks ties toward the lowest index
+            earlier = np.bincount(types[:true_idx], minlength=bins)
+        for d, table in enumerate(tables(ny)):
+            s_true = table[types[true_idx]]
             if ties_as_errors:
-                err = int(np.count_nonzero(scores >= s_true) > 1)
+                errors[t, d] = hist[table >= s_true].sum() > 1
             else:
-                best = scores.max()
-                err = int(
-                    s_true < best
-                    or (scores[:true_idx] == best).any()
-                )
-            errors[d] += err
+                errors[t, d] = hist[table > s_true].any() or earlier[table == s_true].any()
     return errors
 
 
-def _run_slow(
-    ensemble, channel, family, decoder_specs, n, m, trials, seed, ties_as_errors
-):
+def _run_slow(ensemble, channel, family, decoder_specs, m, trials, seed, ties_as_errors):
+    """Scalar reference: per-trial error indicators from decoders.decode."""
     scorers = []
     for spec in decoder_specs:
         if spec.kind == "universal":
@@ -675,7 +680,7 @@ def _run_slow(
             scorers.append(decoders.lz_scorer(ensemble))
         else:
             raise InputError(f"unknown decoder kind: {spec.kind!r}")
-    errors = [0] * len(decoder_specs)
+    errors = np.zeros((trials, len(decoder_specs)), dtype=bool)
     for t in range(trials):
         trial_rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
         book_seed = int(trial_rng.integers(1 << 62))
@@ -684,16 +689,11 @@ def _run_slow(
         true_idx = int(trial_rng.integers(m))
         y = channels.transmit(channel, book.codewords[true_idx], channel_seed)
         for d, scorer in enumerate(scorers):
-            scores = [_score(scorer, w, y) for w in book.codewords]
-            s_true = scores[true_idx]
+            result = decoders.decode(book, y, scorer)
             if ties_as_errors:
-                err = sum(1 for s in scores if s >= s_true) > 1
+                errors[t, d] = result.tied != (true_idx + 1,)
             else:
-                best = max(scores)
-                err = s_true < best or any(
-                    s == best for s in scores[:true_idx]
-                )
-            errors[d] += int(err)
+                errors[t, d] = result.chosen != true_idx + 1
     return errors
 
 
@@ -708,7 +708,9 @@ def default_theta_grid(size: int = 25, channel=None, seed: int = 0) -> list:
     """
     grid = [((1.0, 0.0), (0.0, 1.0))]
     if channel is not None:
-        grid.append(_ml_theta(channel))
+        # the ML metric, floored to stay finite
+        w = _channel_matrix(channel)
+        grid.append(tuple(tuple(math.log2(max(p, 1e-300)) for p in row) for row in w))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7E7A)))
     while len(grid) < size:
         m = rng.uniform(-1.0, 1.0, size=(2, 2))
@@ -780,11 +782,8 @@ def monte_carlo_audit(
 
     shifted_rate = rate + delta_n
     shifted_m = ensembles.message_count(n, shifted_rate)
-    theta_list = [_ml_theta(channel)] + [
-        tuple(tuple(float(v) for v in row) for row in th) for th in metric_thetas
-    ]
     shifted = _analytic_error_estimates(
-        channel, theta_list, n, shifted_m, shifted_rate, shifted_trials, seed + 1
+        channel, specs[1:], n, shifted_m, shifted_rate, shifted_trials, seed + 1
     )
     ineq_rate_ok = est_u.ci_hi <= 2.0 * min(e.ci_lo for e in shifted)
     est_ml = estimates[1]
@@ -805,68 +804,55 @@ def monte_carlo_audit(
 
 
 def _analytic_error_estimates(
-    channel, theta_list, n, m, rate, trials, seed
+    channel, decoder_specs, n, m, rate, trials, seed
 ) -> list[ErrorEstimate]:
     """Error probability of additive-metric decoders over the uniform binary
     ensemble, exact over the codebook randomness: per sampled (input,
-    output) pair the competitor mass is a closed-form binomial sum and the
-    conditional error is 1-(1-mass)^(M-1)."""
-    lbinom = _log_binom_table(n)
-    if channel.kind == channels.DMC:
-        p0, p1 = channel.matrix[0][1], channel.matrix[1][0]
-    elif channel.kind == channels.MOD_ADDITIVE and not channel.noise_word:
-        p0 = p1 = channel.noise_probs[1]
-    else:
-        raise UnsupportedCombinationError(
-            "analytic estimator supports memoryless binary channels only"
-        )
-    coeffs = [_additive_coeffs(th) for th in theta_list]
-    sums = [0.0] * len(theta_list)
-    sq_sums = [0.0] * len(theta_list)
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, t, 2)))
-        x_bits = rng.integers(0, 2, size=n).astype(bool)
-        flip_p = np.where(x_bits, p1, p0)
-        y_bits = x_bits ^ (rng.random(n) < flip_p)
-        ny = int(y_bits.sum())
-        a11_true = int((x_bits & y_bits).sum())
-        pc_true = int(x_bits.sum())
-        a11g, a10g = np.meshgrid(
-            np.arange(ny + 1), np.arange(n - ny + 1), indexing="ij"
-        )
-        log_counts = lbinom[ny, a11g] + lbinom[n - ny, a10g]
-        counts = 2.0**log_counts
-        for d, (ca, cb) in enumerate(coeffs):
-            s = ca * a11g + cb * (a11g + a10g)
-            s_true = ca * a11_true + cb * pc_true
-            mass = counts[s >= s_true].sum() / 2.0**n
-            mass = min(mass, 1.0)
-            if mass >= 1.0:
-                cond = 1.0
-            else:
-                cond = -math.expm1((m - 1) * math.log1p(-mass))
-            sums[d] += cond
-            sq_sums[d] += cond * cond
+    output) pair the competitor mass is exact and the conditional error is
+    1-(1-mass)^(M-1)."""
+    masses = _competitor_masses(channel, decoder_specs, n, trials, seed)
+    with np.errstate(divide="ignore"):  # mass 1: log1p(-1) = -inf, error 1
+        cond = -np.expm1(float(m - 1) * np.log1p(-masses))
     out = []
-    for d in range(len(theta_list)):
-        mean = sums[d] / trials
-        var = max(sq_sums[d] / trials - mean * mean, 0.0)
+    for spec, col in zip(decoder_specs, cond.T):
+        mean = float(col.mean())
+        var = max(float((col * col).mean()) - mean * mean, 0.0)
         half = _Z95 * math.sqrt(var / trials)
-        label = "ml" if d == 0 else f"metric{d-1}"
-        out.append(
-            ErrorEstimate(
-                decoder=f"{label}@shifted",
-                n=n,
-                rate=rate,
-                trials=trials,
-                errors=-1,
-                estimate=mean,
-                ci_lo=max(0.0, mean - half),
-                ci_hi=min(1.0, mean + half),
-                seed=seed,
-            )
-        )
+        lo, hi = max(0.0, mean - half), min(1.0, mean + half)
+        out.append(ErrorEstimate(f"{spec.name}@shifted", n, rate, trials, -1, mean, lo, hi, seed))
     return out
+
+
+def _shifted_pair(channel, n: int, seed: int, t: int):
+    """Input and output bits of trial t of the shifted-rate arm."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, t, 2)))
+    x_bits = rng.integers(0, 2, size=n).astype(bool)
+    return x_bits, x_bits ^ _flip_noise(rng, x_bits, channel)
+
+
+def _competitor_masses(channel, decoder_specs, n, trials, seed) -> np.ndarray:
+    """Per trial (rows) and decoder (columns) of the shifted-rate arm, the
+    probability that one uniform codeword scores at least as high as the
+    sent one: the exact count of words whose joint type scores at least
+    the sent type's, over 2^n."""
+    ensemble = ensembles.uniform_ensemble(2, n)
+    tables = _type_tables([_type_rule(s, ensemble, channel) for s in decoder_specs], n)
+
+    @functools.cache
+    def class_sizes(ny):
+        return np.array(
+            [math.comb(ny, a11) * math.comb(n - ny, a10) for a11, a10 in _type_grid(n, ny)],
+            dtype=object,
+        )
+
+    masses = np.empty((trials, len(decoder_specs)))
+    for t in range(trials):
+        x_bits, y_bits = _shifted_pair(channel, n, seed, t)
+        ny = int(y_bits.sum())
+        true_type = int((x_bits & y_bits).sum()) * (n - ny) + int(x_bits.sum())
+        for d, table in enumerate(tables(ny)):
+            masses[t, d] = class_sizes(ny)[table >= table[true_type]].sum() / 2**n
+    return masses
 
 
 # ---------------------------------------------------------------------------
@@ -970,102 +956,81 @@ def mac_run_experiment(
 ) -> list[MacErrorEstimate]:
     """Paired two-user trials over uniform binary user ensembles.
 
-    Decoder kinds: ``universal`` (composite class-mass score), ``ml``
-    (inner-channel likelihood of the modulo-sum), ``metric`` (additive theta
-    over (modulo-sum, output) pairs).  Ties count as errors.  Error types
-    are attributed to the best competitor pair: both messages wrong, or
-    only one user's message wrong.
+    Decoder kinds: ``universal`` (composite class-mass score at the two
+    rates), ``ml`` (inner-channel likelihood of the modulo-sum), ``metric``
+    (additive theta over (modulo-sum, output) pairs).  Ties count as errors.
+    Error types are attributed to the best competitor pair: both messages
+    wrong, or only one user's message wrong.
     """
     if channel.kind != channels.MAC_XOR:
         raise InputError("two-user experiment needs a mac_xor channel")
+    _check_alphabets(2, family, channel.inner)
+    _channel_matrix(channel.inner)  # a memoryless binary inner channel
     if n > 64:
         raise InstanceTooLargeError("bit-packed path supports n <= 64")
-    m1 = ensembles.message_count(n, rate1)
-    m2 = ensembles.message_count(n, rate2)
-    mask = np.uint64((1 << n) - 1 if n < 64 else 0xFFFFFFFFFFFFFFFF)
-    lbinom = _log_binom_table(n)
-    inner = channel.inner
-    if inner.kind == channels.DMC:
-        p0, p1 = inner.matrix[0][1], inner.matrix[1][0]
-    elif inner.kind == channels.MOD_ADDITIVE and not inner.noise_word:
-        p0 = p1 = inner.noise_probs[1]
-    else:
-        raise UnsupportedCombinationError("inner channel not supported in MC mode")
-
-    coeffs = []
     for spec in decoder_specs:
-        if spec.kind == "metric":
-            coeffs.append(("metric",) + _additive_coeffs(spec.theta))
-        elif spec.kind == "ml":
-            coeffs.append(("metric",) + _additive_coeffs(_ml_theta(inner)))
-        elif spec.kind == "universal":
-            coeffs.append(("universal", 0.0, 0.0))
-        else:
+        if spec.kind not in ("universal", "ml", "metric"):
             raise InputError(f"unsupported decoder kind for two users: {spec.kind!r}")
-
-    bitpos = np.arange(n, dtype=np.uint64)
-    errors = [0] * len(decoder_specs)
-    by_type = [[0, 0, 0] for _ in decoder_specs]
-    flat_i, flat_j = np.divmod(np.arange(m1 * m2), m2)
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        h1 = rng.integers(0, 1 << 32, size=(m1, 2), dtype=np.uint64)
-        book1 = ((h1[:, 0] << np.uint64(32)) | h1[:, 1]) & mask
-        h2 = rng.integers(0, 1 << 32, size=(m2, 2), dtype=np.uint64)
-        book2 = ((h2[:, 0] << np.uint64(32)) | h2[:, 1]) & mask
-        i_true = int(rng.integers(m1))
-        j_true = int(rng.integers(m2))
-        z_true = book1[i_true] ^ book2[j_true]
-        x_bits = ((z_true >> bitpos) & np.uint64(1)).astype(bool)
-        flip_p = np.where(x_bits, p1, p0)
-        y_word = z_true ^ _pack_bits(rng.random(n) < flip_p)
-        ny = int(np.bitwise_count(y_word))
-        z = (book1[:, None] ^ book2[None, :]).reshape(-1)
-        pc = np.bitwise_count(z).astype(np.int64)
-        a11 = np.bitwise_count(z & y_word).astype(np.int64)
-        true_flat = i_true * m2 + j_true
-        for d, (kind, ca, cb) in enumerate(coeffs):
-            if kind == "metric":
-                scores = ca * a11 + cb * pc
-            else:
-                # uniform users: all three components equal the modulo-sum
-                # class score, so the composite is a constant rate shift
-                scores = -(lbinom[n - ny, pc - a11] + lbinom[ny, a11])
-            s_true = scores[true_flat]
-            at_least = scores >= s_true
-            at_least[true_flat] = False
-            if at_least.any():
-                errors[d] += 1
-                cand = np.flatnonzero(at_least)
-                best = cand[np.argmax(scores[cand])]
-                bi, bj = int(flat_i[best]), int(flat_j[best])
-                if bi != i_true and bj != j_true:
-                    by_type[d][0] += 1
-                elif bj == j_true:
-                    by_type[d][1] += 1
-                else:
-                    by_type[d][2] += 1
+    kinds = _mac_trials(channel, decoder_specs, rate1, rate2, n, trials, seed)
     out = []
-    for spec, err, types in zip(decoder_specs, errors, by_type):
+    for spec, col in zip(decoder_specs, kinds.T):
+        err = int(np.count_nonzero(col))
+        by_type = [int(np.count_nonzero(col == k)) for k in (1, 2, 3)]
         lo, hi = wilson_interval(err, trials)
         out.append(
             MacErrorEstimate(
-                decoder=spec.name,
-                n=n,
-                rate1=rate1,
-                rate2=rate2,
-                trials=trials,
-                errors=err,
-                errors_both=types[0],
-                errors_user1=types[1],
-                errors_user2=types[2],
-                estimate=err / trials,
-                ci_lo=lo,
-                ci_hi=hi,
-                seed=seed,
+                spec.name, n, rate1, rate2, trials, err, *by_type, err / trials, lo, hi, seed
             )
         )
     return out
+
+
+def _mac_trial(inner, m1: int, m2: int, n: int, seed: int, t: int):
+    """User codebooks, sent indices and output of two-user trial t."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
+    book1 = _packed_words(rng, m1, n)
+    book2 = _packed_words(rng, m2, n)
+    i_true = int(rng.integers(m1))
+    j_true = int(rng.integers(m2))
+    y = _transmit_packed(rng, book1[i_true] ^ book2[j_true], n, inner)
+    return book1, book2, i_true, j_true, y
+
+
+def _mac_trials(channel, decoder_specs, rate1, rate2, n, trials, seed) -> np.ndarray:
+    """Per trial (rows) and decoder (columns): 0 for a correct decision,
+    else the type of the best competitor pair (lowest flat index i*M2+j
+    among equals): 1 both messages wrong, 2 only user 1's, 3 only user 2's."""
+    m1 = ensembles.message_count(n, rate1)
+    m2 = ensembles.message_count(n, rate2)
+    inner = channel.inner
+    users = ensembles.uniform_ensemble(2, n)
+    base = _type_tables([_type_rule(s, users, inner) for s in decoder_specs], n)
+
+    @functools.cache
+    def tables(ny):
+        # uniform users: the three class masses of decoders.mac_universal_score
+        # all equal the single-user class mass of the modulo-sum
+        return [
+            np.minimum(np.minimum(u - rate1 - rate2, u - rate1), u - rate2)
+            if spec.kind == "universal" else u
+            for spec, u in zip(decoder_specs, base(ny))
+        ]
+
+    kinds = np.zeros((trials, len(decoder_specs)), dtype=np.int8)
+    for t in range(trials):
+        book1, book2, i_true, j_true, y = _mac_trial(inner, m1, m2, n, seed, t)
+        ny = int(np.bitwise_count(y))
+        types = _joint_types((book1[:, None] ^ book2[None, :]).reshape(-1), y, n, ny)
+        true_flat = i_true * m2 + j_true
+        for d, table in enumerate(tables(ny)):
+            scores = table[types]
+            s_true = scores[true_flat]
+            scores[true_flat] = -np.inf
+            best = int(np.argmax(scores))
+            if scores[best] >= s_true:
+                bi, bj = divmod(best, m2)
+                kinds[t, d] = 1 if bi != i_true and bj != j_true else 2 if bj == j_true else 3
+    return kinds
 
 
 @dataclass(frozen=True)

@@ -170,3 +170,23 @@ class TestErrorHandling:
     def test_config_round_trip(self, tmp_path):
         text = json.dumps(SIMULATE, sort_keys=True)
         assert json.dumps(json.loads(text), sort_keys=True) == text
+
+    @pytest.mark.parametrize(
+        "subcommand, payload, extra",
+        [
+            ("simulate", dict(SIMULATE, trials=True), []),
+            ("simulate", SIMULATE, ["--seed", "-3"]),
+            ("shulman", {"families": [{"kind": "xor_parity"}]}, []),
+            ("shulman", {"families": [{"kind": "projective_lines", "num_events": 3}]}, []),
+            ("simulate", dict(SIMULATE, trails=200), []),
+        ],
+        ids=["bool-trials", "negative-seed", "parity-no-num_bits", "lines-no-q", "unknown-key"],
+    )
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, subcommand, payload, extra):
+        cfg = write_config(tmp_path, "c.json", payload)
+        out = str(tmp_path / "x.csv")
+        assert main([subcommand, "--config", cfg, "--out", out] + extra) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+

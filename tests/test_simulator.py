@@ -2,19 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from udec import (
     InputError,
     MetricIndex,
     additive_family,
     bsc,
+    dmc,
     iid_ensemble,
+    linear_dithered_ensemble,
     mac_xor,
     mac_xor_additive_family,
+    mod_additive_iid,
     seq,
     uniform_ensemble,
 )
-from udec import decoders, simulator
+from udec import channels, decoders, simulator
+from udec.typeclasses import all_sequences
 from udec.simulator import (
     DecoderSpec,
     EventFamilySpec,
@@ -36,6 +42,93 @@ from udec.simulator import (
 
 FAM = additive_family(2, 2)
 MATCH = MetricIndex.additive(((1, 0), (0, 1)))
+
+
+def _unpack(word, n):
+    return seq([(int(word) >> i) & 1 for i in range(n)])
+
+
+def _scalar_scorer(spec, ens, ch, fam=FAM):
+    if spec.kind == "universal":
+        return decoders.universal_scorer(fam, ens)
+    if spec.kind == "ml":
+        return decoders.ml_scorer(ch)
+    return decoders.metric_scorer(fam, MetricIndex.additive(spec.theta))
+
+
+def _packed_realization(ens, ch, m, seed):
+    """Trial t of the bit-packed kernel, unpacked into sequences."""
+
+    def realize(t):
+        code, true_idx, y = simulator._packed_trial(ens, ch, m, seed, t)
+        return [_unpack(w, ens.n) for w in code], true_idx, _unpack(y, ens.n)
+
+    return realize
+
+
+def _sampled_realization(ens, ch, m, seed):
+    """Trial t of the scalar path: the same draws it makes."""
+
+    def realize(t):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
+        book = simulator.ensembles.sample_codebook(ens, m, int(rng.integers(1 << 62)))
+        true_idx = int(rng.integers(m))
+        return book.codewords, true_idx, channels.transmit(ch, book.codewords[true_idx], (seed, t, 1))
+
+    return realize
+
+
+def _scalar_errors(ens, ch, specs, trials, realize, ties_as_errors, fam=FAM):
+    """Per-trial error indicators of the scalar scores on given realizations."""
+    scorers = [_scalar_scorer(spec, ens, ch, fam) for spec in specs]
+    errors = np.zeros((trials, len(specs)), dtype=bool)
+    for t in range(trials):
+        words, true_idx, y = realize(t)
+        for d, scorer in enumerate(scorers):
+            scores = [scorer(w, y).value for w in words]
+            s_true = scores[true_idx]
+            if ties_as_errors:
+                errors[t, d] = sum(s >= s_true for s in scores) > 1
+            else:
+                best = max(scores)
+                errors[t, d] = s_true < best or best in scores[:true_idx]
+    return errors
+
+
+probs = st.floats(0.0, 1.0)
+letters = st.floats(-8.0, 8.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bits=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=24),
+    theta=st.tuples(letters, letters, letters, letters),
+    p0=probs,
+    p1=probs,
+)
+@example(bits=[(0, 1), (1, 1), (1, 0)], theta=(0.1, -0.2, 0.3, 0.7), p0=0.0, p1=1.0)
+def test_type_tables_equal_scalar_scores(bits, theta, p0, p1):
+    x, y = seq([a for a, _ in bits]), seq([b for _, b in bits])
+    n, ny = len(bits), sum(y)
+    k = sum(a & b for a, b in bits) * (n - ny) + sum(x)
+    specs, want = [], []
+    for ens in (
+        uniform_ensemble(2, n),
+        linear_dithered_ensemble(n, 3),
+        iid_ensemble((0.5, 0.5), n),
+    ):
+        specs.append((DecoderSpec("universal"), ens, None))
+        want.append(decoders.universal_score(FAM, ens, x, y).value)
+    # p0 or p1 of 0 or 1 puts zeros in W, so some ML entries are -inf
+    for ch in (bsc(p0), dmc(((1.0 - p0, p0), (p1, 1.0 - p1))), mod_additive_iid((1.0 - p1, p1))):
+        specs.append((DecoderSpec("ml"), None, ch))
+        want.append(decoders.ml_score(ch, x, y).value)
+    th = (theta[:2], theta[2:])
+    specs.append((DecoderSpec("metric", theta=th), None, None))
+    want.append(decoders.metric_score(FAM, MetricIndex.additive(th), x, y).value)
+    rules = [simulator._type_rule(spec, ens, ch) for spec, ens, ch in specs]
+    got = [table[k] for table in simulator._type_tables(rules, n)(ny)]
+    assert got == want
 
 
 class TestWilson:
@@ -171,17 +264,51 @@ class TestRunExperiment:
         b = run_experiment(uniform_ensemble(2, 10), bsc(0.1), FAM, specs, 0.3, 400, 11)
         assert [(e.errors, e.estimate) for e in a] == [(e.errors, e.estimate) for e in b]
 
-    def test_fast_and_slow_paths_agree_statistically(self):
-        specs = [DecoderSpec("ml")]
-        fast = run_experiment(
-            uniform_ensemble(2, 8), bsc(0.15), FAM, specs, 0.25, 3000, 21
-        )[0]
-        # the lz decoder kind forces the generic path; drop it from scoring
-        slow = simulator._run_slow(
-            uniform_ensemble(2, 8), bsc(0.15), FAM, specs, 8, 4, 3000, 22, True
-        )[0]
+    def test_fast_path_matches_scalar_scorers_per_trial(self):
+        # identical realizations, decoded by the bit-packed core and by the
+        # scalar decoders.* scores: the per-trial error indicators agree
+        specs = [
+            DecoderSpec("universal"),
+            DecoderSpec("ml"),
+            DecoderSpec("metric", theta=((1.0, 0.0), (0.0, 1.0))),
+            DecoderSpec("metric", theta=((0.3, -0.7), (0.1, 0.9))),
+        ]
+        cases = [
+            (uniform_ensemble(2, 8), bsc(0.15), 0.5),
+            (iid_ensemble((0.5, 0.5), 16), dmc(((0.9, 0.1), (0.2, 0.8))), 0.25),
+            (uniform_ensemble(2, 16), mod_additive_iid((0.85, 0.15)), 0.25),
+            (linear_dithered_ensemble(32, 6), bsc(0.25), 0.125),
+            (uniform_ensemble(2, 32), dmc(((1.0, 0.0), (0.5, 0.5))), 0.125),
+        ]
+        for ens, ch, rate in cases:
+            m = simulator.ensembles.message_count(ens.n, rate)
+            assert simulator._fast_path_ok(ens, ch, FAM, specs)
+            realize = _packed_realization(ens, ch, m, 21)
+            for ties in (True, False):
+                fast = simulator._run_fast(ens, ch, FAM, specs, m, 150, 21, ties)
+                assert fast.shape == (150, len(specs))
+                assert (fast == _scalar_errors(ens, ch, specs, 150, realize, ties)).all()
+        # the scalar path, the only one for non-binary runs, on its own draws
+        fam3 = additive_family(3, 3)
+        ens, ch = uniform_ensemble(3, 4), mod_additive_iid((0.7, 0.2, 0.1))
+        specs3 = specs[:2] + [DecoderSpec("metric", theta=np.eye(3).tolist())]
+        realize = _sampled_realization(ens, ch, 8, 5)
+        for ties in (True, False):
+            slow = simulator._run_slow(ens, ch, fam3, specs3, 8, 100, 5, ties)
+            assert (slow == _scalar_errors(ens, ch, specs3, 100, realize, ties, fam3)).all()
+        # and the two paths agree in distribution on a binary run
+        ens, ch = uniform_ensemble(2, 8), bsc(0.15)
+        fast = run_experiment(ens, ch, FAM, specs[1:2], 0.25, 3000, 21)[0]
+        slow = int(simulator._run_slow(ens, ch, FAM, specs[1:2], 4, 3000, 22, True).sum())
         lo, hi = wilson_interval(slow, 3000)
         assert fast.ci_lo <= hi and lo <= fast.ci_hi
+
+    def test_exact_ties_are_counted(self):
+        # the scalar scores give these counts on the same realizations; the
+        # float class-size ranking once reported 169 and 60
+        specs = [DecoderSpec("universal"), DecoderSpec("ml")]
+        est = run_experiment(uniform_ensemble(2, 32), bsc(0.1), FAM, specs, 0.25, 3000, 11)
+        assert [e.errors for e in est] == [172, 68]
 
     def test_calibration_against_exhaustive_truth(self):
         # M=2, n=2: enumerate codebooks, messages and outputs for the exact
@@ -233,6 +360,16 @@ class TestRunExperiment:
         est = run_experiment(ens, bsc(0.1), FAM, specs, 0.25, 500, 9)
         assert all(0.0 <= e.estimate <= 1.0 for e in est)
 
+    def test_alphabet_mismatch_rejected(self):
+        specs = [DecoderSpec("universal"), DecoderSpec("ml")]
+        with pytest.raises(InputError, match="input alphabets"):
+            run_experiment(uniform_ensemble(3, 8), bsc(0.1), FAM, specs, 0.25, 10, 0)
+        ternary_out = dmc(((0.8, 0.1, 0.1), (0.1, 0.1, 0.8)))
+        with pytest.raises(InputError, match="output alphabets"):
+            run_experiment(uniform_ensemble(2, 8), ternary_out, FAM, specs, 0.25, 10, 0)
+        with pytest.raises(InputError, match="output alphabets"):
+            mac_run_experiment(mac_xor(ternary_out), mac_xor_additive_family(2, 2), specs, 0.2, 0.2, 8, 10, 0)
+
     def test_trials_required(self):
         with pytest.raises(InputError):
             run_experiment(uniform_ensemble(2, 4), bsc(0.1), FAM, [DecoderSpec("ml")], 0.25, 0, 0)
@@ -248,8 +385,64 @@ class TestMonteCarloAudit:
         assert report.estimates[0].decoder == "universal"
 
 
+    def test_shifted_masses_equal_exhaustive_sums(self):
+        specs = [
+            DecoderSpec("ml"),
+            DecoderSpec("metric", theta=((1.0, 0.0), (0.0, 1.0))),
+            DecoderSpec("metric", theta=((0.3, -0.7), (0.1, 0.9))),
+        ]
+        for n, ch in ((10, bsc(0.1)), (7, dmc(((1.0, 0.0), (0.3, 0.7))))):
+            masses = simulator._competitor_masses(ch, specs, n, 12, 5)
+            words = list(all_sequences(2, n))
+            for t in range(12):
+                x_bits, y_bits = simulator._shifted_pair(ch, n, 5, t)
+                x, y = seq(x_bits.astype(int)), seq(y_bits.astype(int))
+                for d, spec in enumerate(specs):
+                    scorer = _scalar_scorer(spec, None, ch)
+                    s0 = scorer(x, y).value
+                    exhaustive = math.fsum(2.0**-n for w in words if scorer(w, y).value >= s0)
+                    assert masses[t, d] == pytest.approx(exhaustive, rel=1e-12)
+
+
 class TestMacSimulator:
     FAM2 = mac_xor_additive_family(2, 2)
+
+    def test_matches_scalar_replay_per_trial(self):
+        n, r1, r2, trials = 8, 0.25, 0.25, 200
+        q = uniform_ensemble(2, n)
+        inner = bsc(0.2)
+        specs = [
+            DecoderSpec("universal"),
+            DecoderSpec("ml"),
+            DecoderSpec("metric", theta=((1.0, 0.0), (0.0, 1.0))),
+            DecoderSpec("metric", theta=((0.3, -0.7), (0.1, 0.9))),
+        ]
+        scorers = [
+            lambda a, b, y: decoders.mac_universal_score(self.FAM2, q, q, a, b, y, r1, r2).value,
+            lambda a, b, y: channels.mac_log_likelihood(mac_xor(inner), a, b, y),
+        ] + [
+            lambda a, b, y, th=MetricIndex.additive(spec.theta): decoders.mac_metric_score(
+                self.FAM2, th, a, b, y
+            ).value
+            for spec in specs[2:]
+        ]
+        kinds = simulator._mac_trials(mac_xor(inner), specs, r1, r2, n, trials, 4)
+        for t in range(trials):
+            book1, book2, i_true, j_true, y_word = simulator._mac_trial(inner, 4, 4, n, 4, t)
+            y = _unpack(y_word, n)
+            pairs = [(i, j) for i in range(4) for j in range(4)]
+            for d, scorer in enumerate(scorers):
+                scores = [scorer(_unpack(book1[i], n), _unpack(book2[j], n), y) for i, j in pairs]
+                s_true = scores[i_true * 4 + j_true]
+                rivals = [(s, -k) for k, s in enumerate(scores) if k != i_true * 4 + j_true]
+                best, neg_k = max(rivals)
+                want = 0
+                if best >= s_true:
+                    bi, bj = pairs[-neg_k]
+                    want = 1 if bi != i_true and bj != j_true else 2 if bj == j_true else 3
+                assert kinds[t, d] == want
+        est = mac_run_experiment(mac_xor(inner), self.FAM2, specs, r1, r2, n, trials, 4)
+        assert [e.errors for e in est] == np.count_nonzero(kinds, axis=0).tolist()
 
     def test_exact_three_way_sandwich(self):
         q = uniform_ensemble(2, 6)
