@@ -97,6 +97,7 @@ def main(argv=None) -> int:
         if not _is_int(seed) or seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         out = args.out or config.get("out") or "results.csv"
+        _check_writable(out)
         handler = _HANDLERS[args.subcommand]
         return handler(config, config_hash, seed, out)
     except ConfigError as exc:
@@ -151,11 +152,31 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _positive_int(config, key):
     v = _require(config, key)
     if not _is_int(v) or v < 1:
         raise ConfigError(f"{key!r} must be a positive integer")
     return v
+
+
+def _check_writable(out: str) -> None:
+    """Fail before the run, not after it, when the output cannot be written."""
+    directory = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(directory) or os.path.isdir(out) or not os.access(directory, os.W_OK):
+        raise ConfigError(f"cannot write output {out!r}: not a file in a writable directory")
+
+
+def _matrix(value, what: str) -> tuple:
+    """A metric parameter matrix: a list of rows of JSON numbers."""
+    if not isinstance(value, list) or not all(
+        isinstance(row, list) and all(_is_number(v) for v in row) for row in value
+    ):
+        raise ConfigError(f"{what} must be a list of rows of numbers, got {value!r}")
+    return tuple(tuple(float(v) for v in row) for row in value)
 
 
 def _rate(config, key):
@@ -235,7 +256,7 @@ def _build_decoders(descs) -> list[simulator.DecoderSpec]:
         if kind == "metric":
             if "theta" not in d:
                 raise ConfigError("metric decoder needs a 'theta' matrix")
-            theta = tuple(tuple(float(v) for v in row) for row in d["theta"])
+            theta = _matrix(d["theta"], "metric decoder 'theta'")
         specs.append(
             simulator.DecoderSpec(kind, label=d.get("label", ""), theta=theta)
         )
@@ -244,13 +265,10 @@ def _build_decoders(descs) -> list[simulator.DecoderSpec]:
 
 def _theta_grid(config, channel, seed):
     if "theta_grid" in config:
-        grid = [
-            tuple(tuple(float(v) for v in row) for row in m)
-            for m in config["theta_grid"]
-        ]
-        if not grid:
-            raise ConfigError("'theta_grid' must be nonempty")
-        return grid
+        grid = config["theta_grid"]
+        if not isinstance(grid, list) or not grid:
+            raise ConfigError("'theta_grid' must be a nonempty list of matrices")
+        return [_matrix(m, "each 'theta_grid' entry") for m in grid]
     size = config.get("theta_grid_size", 25)
     if not _is_int(size) or size < 1:
         raise ConfigError("'theta_grid_size' must be a positive integer")

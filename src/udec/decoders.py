@@ -30,16 +30,22 @@ class MetricIndex:
 
     @classmethod
     def additive(cls, matrix) -> "MetricIndex":
-        return cls(tuple(tuple(float(v) for v in row) for row in matrix))
+        return cls(_finite_floats(matrix, 2))
 
     @classmethod
     def finite_state(cls, tensor) -> "MetricIndex":
-        return cls(
-            tuple(
-                tuple(tuple(float(v) for v in col) for col in row)
-                for row in tensor
-            )
-        )
+        return cls(_finite_floats(tensor, 3))
+
+
+def _finite_floats(nested, depth: int):
+    """Nested tuples of floats, ``depth`` levels deep; a non-finite entry
+    would make every score NaN or infinite, so it is rejected."""
+    if depth == 0:
+        v = float(nested)
+        if not math.isfinite(v):
+            raise InputError(f"metric parameters must be finite, got {v}")
+        return v
+    return tuple(_finite_floats(item, depth - 1) for item in nested)
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,7 @@ def exact_bound_audit(
     ensembles: class masses are computed by grouping the enumerated inputs
     by class key, which is exact by construction.
     """
+    _check_metrics(family, thetas)
     xa = family.x_alphabet_size
     ya = family.y_alphabet_size
     if n * (math.log2(xa) + math.log2(ya)) > typeclasses.EXHAUSTIVE_BITS:
@@ -476,6 +477,7 @@ def run_experiment(
     if trials < 1:
         raise InputError("at least one trial required")
     _check_alphabets(ensemble.alphabet_size, family, channel)
+    _check_metrics(family, [MetricIndex.additive(s.theta) for s in decoder_specs if s.kind == "metric"])
     n = ensemble.n
     m = ensembles.message_count(n, rate)
     if (
@@ -498,6 +500,17 @@ def _check_alphabets(x_alphabet_size, family, channel) -> None:
         raise InputError(f"input alphabets of codewords, family, channel differ: {sizes}")
     if family.y_alphabet_size != channel.y_alphabet_size:
         raise InputError("output alphabets of family and channel differ")
+
+
+def _check_metrics(family, thetas) -> None:
+    """Every metric parameter tensor has the family's shape: |X| x |Y|,
+    times the number of states for a finite-state family."""
+    shape = (family.x_alphabet_size, family.y_alphabet_size)
+    if family.kind == families.FINITE_STATE:
+        shape += (family.num_states,)
+    for theta in thetas:
+        if np.array(theta.values, dtype=object).shape != shape:
+            raise InputError(f"metric parameters must be {' x '.join(map(str, shape))} for this family")
 
 
 def _fast_path_ok(ensemble, channel, family, decoder_specs) -> bool:
@@ -544,29 +557,46 @@ def _channel_matrix(channel) -> tuple:
 
 def _type_rule(spec: DecoderSpec, ensemble, channel):
     """What one decoder's per-type score needs: the ensemble for
-    ``universal``, otherwise the 2x2 per-letter scores (log2 W for ``ml``,
-    with -inf where W is 0)."""
+    ``universal``, otherwise the 2x2 per-letter scores (log2 W for ``ml``)
+    as integer numerators over one power-of-two denominator, in the order
+    00, 01, 10, 11, with None for a -inf letter (W is 0)."""
     if spec.kind == "universal":
         return ensemble
     if spec.kind == "ml":
-        return tuple(
+        rows = tuple(
             tuple(math.log2(p) if p > 0.0 else -math.inf for p in row)
             for row in _channel_matrix(channel)
         )
-    return MetricIndex.additive(spec.theta).values
+    else:
+        rows = MetricIndex.additive(spec.theta).values
+    ratios = [None if v == -math.inf else v.as_integer_ratio() for row in rows for v in row]
+    den = max((r[1] for r in ratios if r is not None), default=1)
+    return tuple(None if r is None else r[0] * (den // r[1]) for r in ratios), den
 
 
-def _type_score(rule, n: int, ny: int, a11: int, a10: int) -> float:
-    """Score of every binary x of joint type (a11, a10) with a y of weight
-    ny; bit-identical to decoders.universal_score, ml_score and
-    metric_score on any such pair."""
-    a01, a00 = ny - a11, n - ny - a10
+def _type_table(rule, n: int, ny: int) -> np.ndarray:
+    """Flat score table of the joint types (a11, a10) with a y of weight ny;
+    each entry is bit-identical to decoders.universal_score, ml_score or
+    metric_score on any pair of that type."""
     if isinstance(rule, ensembles.CodingEnsemble):
-        size = math.comb(ny, a11) * math.comb(n - ny, a10)
-        lp = ensembles._type_class_log_mass(rule, (a00 + a01, a10 + a11), size)
-        return math.inf if lp == -math.inf else -lp / n
-    (t00, t01), (t10, t11) = rule
-    return math.fsum([t00] * a00 + [t01] * a01 + [t10] * a10 + [t11] * a11)
+        table = []
+        for a11, a10 in _type_grid(n, ny):
+            size = math.comb(ny, a11) * math.comb(n - ny, a10)
+            lp = ensembles._type_class_log_mass(rule, (n - a10 - a11, a10 + a11), size)
+            table.append(math.inf if lp == -math.inf else -lp / n)
+        return np.array(table)
+    # a letter sum is one integer numerator, affine in (a11, a10), over the
+    # rule's denominator; int / int rounds half to even, as math.fsum does
+    nums, den = rule
+    c00, c01, c10, c11 = (v or 0 for v in nums)
+    a11 = np.arange(ny + 1, dtype=object)[:, None]
+    a10 = np.arange(n - ny + 1, dtype=object)
+    num = c00 * (n - ny) + c01 * ny + a11 * (c11 - c01) + a10 * (c10 - c00)
+    table = (num / den).astype(float)
+    for count, v in zip((n - ny - a10, ny - a11, a10, a11), nums):
+        if v is None:  # a -inf letter that occurs
+            table[np.broadcast_to(count > 0, table.shape)] = -math.inf
+    return table.reshape(-1)
 
 
 def _type_grid(n: int, ny: int):
@@ -578,30 +608,39 @@ def _type_tables(rules, n: int):
 
     @functools.cache
     def tables(ny):
-        return [
-            np.array([_type_score(rule, n, ny, a11, a10) for a11, a10 in _type_grid(n, ny)])
-            for rule in rules
-        ]
+        return [_type_table(rule, n, ny) for rule in rules]
 
     return tables
 
 
 def _joint_types(words: np.ndarray, y, n: int, ny: int) -> np.ndarray:
-    """Flat table index of each packed word's joint type with y."""
-    a11 = np.bitwise_count(words & y).astype(np.intp)
-    return a11 * (n - ny) + np.bitwise_count(words)
+    """Flat table index of each packed word's joint type with y, below
+    65**2 so in uint16; words and y must share one bit order."""
+    return np.bitwise_count(words & y) * np.uint16(n - ny) + np.bitwise_count(words)
 
 
 # ---------------------------------------------------------------------------
-# bit-packed realizations (n <= 64, bit i of a word is symbol i)
+# bit-packed realizations (n <= 64).  Words are kept in draw order, the raw
+# 64-bit generator outputs, where symbol i is bit (i + 32) mod 64; joint
+# types, modulo-sums and XORs of words do not depend on the bit order, so
+# only the one sent word is converted to symbol order, by _rot32.
 # ---------------------------------------------------------------------------
+
+
+def _rot32(words):
+    """Swap the 32-bit halves of packed words: draw order to symbol order
+    and back."""
+    return (words << np.uint64(32)) | (words >> np.uint64(32))
 
 
 def _packed_words(rng, count: int, n: int) -> np.ndarray:
-    """``count`` uniform n-bit words."""
-    mask = np.uint64((1 << n) - 1)
-    halves = rng.integers(0, 1 << 32, size=(count, 2), dtype=np.uint64)
-    return ((halves[:, 0] << np.uint64(32)) | halves[:, 1]) & mask
+    """``count`` uniform n-bit words in draw order.  Under _rot32 they are
+    the words ``rng.integers(0, 1 << 32, size=(count, 2), dtype=np.uint64)``
+    gives as (high, low) halves in symbol order, and later draws match too:
+    that call reads each raw output low half first."""
+    words = rng.bit_generator.random_raw(count)
+    words &= _rot32(np.uint64((1 << n) - 1))
+    return words
 
 
 def _pack_bits(bits) -> np.uint64:
@@ -616,26 +655,33 @@ def _flip_noise(rng, x_bits: np.ndarray, channel) -> np.ndarray:
 
 
 def _transmit_packed(rng, word, n: int, channel):
-    """Packed output for a packed input word; a fixed noise word draws
-    nothing from ``rng``."""
+    """Packed output for a packed input word, both in draw order; a fixed
+    noise word draws nothing from ``rng``."""
     if channel.kind == channels.MOD_ADDITIVE and channel.noise_word:
         if len(channel.noise_word) != n:
             raise InputError("fixed noise word length mismatch")
-        return word ^ _pack_bits(channel.noise_word)
-    x_bits = ((word >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(bool)
-    return word ^ _pack_bits(_flip_noise(rng, x_bits, channel))
+        noise = channel.noise_word
+    else:
+        x_bits = ((_rot32(word) >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(bool)
+        noise = _flip_noise(rng, x_bits, channel)
+    return word ^ _rot32(_pack_bits(noise))
 
 
 def _packed_trial(ensemble, channel, m: int, seed: int, t: int):
-    """Codebook, sent index and output of trial t of the bit-packed kernel."""
+    """Codebook, sent index and output of trial t of the bit-packed kernel,
+    words in draw order."""
     n = ensemble.n
     rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
     if ensemble.kind == ensembles.LINEAR_DITHERED:
+        # message i's word is the dither XOR the rows at i's one bits; all
+        # rows are drawn, but only those below m's bit length are used
         rows = _packed_words(rng, ensemble.message_bits, n)
-        code = np.full(m, _packed_words(rng, 1, n)[0], dtype=np.uint64)
-        msgs = np.arange(m, dtype=np.uint64)
-        for j, row in enumerate(rows):
-            code[((msgs >> np.uint64(j)) & np.uint64(1)).astype(bool)] ^= row
+        dither = _packed_words(rng, 1, n)[0]
+        bits = (m - 1).bit_length()
+        span = np.zeros(1 << bits, dtype=np.uint64)
+        for j in range(bits):
+            span[1 << j : 2 << j] = span[: 1 << j] ^ rows[j]
+        code = span[:m] ^ dither
     else:
         code = _packed_words(rng, m, n)
     true_idx = int(rng.integers(m))
@@ -965,6 +1011,7 @@ def mac_run_experiment(
     if channel.kind != channels.MAC_XOR:
         raise InputError("two-user experiment needs a mac_xor channel")
     _check_alphabets(2, family, channel.inner)
+    _check_metrics(family, [MetricIndex.additive(s.theta) for s in decoder_specs if s.kind == "metric"])
     _channel_matrix(channel.inner)  # a memoryless binary inner channel
     if n > 64:
         raise InstanceTooLargeError("bit-packed path supports n <= 64")

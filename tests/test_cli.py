@@ -27,6 +27,19 @@ SIMULATE = {
 }
 
 
+NAN = float("nan")  # json.dumps writes it as NaN, which json.loads reads back
+
+AUDIT_MC = {
+    "audit_mode": "mc",
+    "n": 8,
+    "rate": 0.25,
+    "trials": 50,
+    "shifted_trials": 20,
+    "channel": {"kind": "bsc", "p": 0.1},
+    "family": {"kind": "additive"},
+}
+
+
 class TestSimulate:
     def test_exit_code_and_output(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", SIMULATE)
@@ -179,14 +192,23 @@ class TestErrorHandling:
             ("shulman", {"families": [{"kind": "xor_parity"}]}, []),
             ("shulman", {"families": [{"kind": "projective_lines", "num_events": 3}]}, []),
             ("simulate", dict(SIMULATE, trails=200), []),
+            ("simulate", dict(SIMULATE, decoders=[{"kind": "metric", "theta": [["a", 0], [0, 1]]}]), []),
+            ("audit", dict(AUDIT_MC, theta_grid=[[[1, 0], [0, "b"]]]), []),
+            ("simulate", SIMULATE, ["--out", "{tmp}/missing/x.csv"]),
+            ("simulate", dict(SIMULATE, decoders=[{"kind": "metric", "theta": [[NAN, 0], [0, 1]]}]), []),
+            ("audit", dict(AUDIT_MC, theta_grid=[[[1, 0, 0], [0, 1, 0]]]), []),
+            ("audit", dict(AUDIT_MC, audit_mode="exact", n=4, ensemble={"kind": "uniform"},
+                           theta_grid=[[[1, 0, 0], [0, 1, 0]]]), []),
         ],
-        ids=["bool-trials", "negative-seed", "parity-no-num_bits", "lines-no-q", "unknown-key"],
+        ids=["bool-trials", "negative-seed", "parity-no-num_bits", "lines-no-q", "unknown-key",
+             "non-numeric-theta", "non-numeric-theta_grid", "unwritable-out", "nan-theta",
+             "2x3-theta_grid-mc", "2x3-theta_grid-exact"],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, subcommand, payload, extra):
         cfg = write_config(tmp_path, "c.json", payload)
         out = str(tmp_path / "x.csv")
+        extra = [e.format(tmp=tmp_path) for e in extra]
         assert main([subcommand, "--config", cfg, "--out", out] + extra) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
-

@@ -15,6 +15,7 @@ from udec import (
     linear_dithered_ensemble,
     mac_xor,
     mac_xor_additive_family,
+    mod_additive_fixed,
     mod_additive_iid,
     seq,
     uniform_ensemble,
@@ -45,7 +46,9 @@ MATCH = MetricIndex.additive(((1, 0), (0, 1)))
 
 
 def _unpack(word, n):
-    return seq([(int(word) >> i) & 1 for i in range(n)])
+    """Symbols of a bit-packed word kept in draw order."""
+    word = int(simulator._rot32(np.uint64(word)))
+    return seq([(word >> i) & 1 for i in range(n)])
 
 
 def _scalar_scorer(spec, ens, ch, fam=FAM):
@@ -107,6 +110,14 @@ letters = st.floats(-8.0, 8.0, allow_nan=False)
     p1=probs,
 )
 @example(bits=[(0, 1), (1, 1), (1, 0)], theta=(0.1, -0.2, 0.3, 0.7), p0=0.0, p1=1.0)
+# subnormal and wide-exponent letters: the exact numerators span 2^1074
+@example(
+    bits=[(0, 0), (0, 1), (1, 0), (1, 1), (1, 1), (0, 0)],
+    theta=(5e-324, 2.0**-1000, 7.5, -(2.0**-1070)),
+    p0=1e-300,
+    p1=0.5,
+)
+@example(bits=[(1, 1)] * 3 + [(0, 0)] * 20, theta=(2.0**-60, 0.1, -(2.0**-53), 1.0), p0=0.3, p1=0.0)
 def test_type_tables_equal_scalar_scores(bits, theta, p0, p1):
     x, y = seq([a for a, _ in bits]), seq([b for _, b in bits])
     n, ny = len(bits), sum(y)
@@ -129,6 +140,51 @@ def test_type_tables_equal_scalar_scores(bits, theta, p0, p1):
     rules = [simulator._type_rule(spec, ens, ch) for spec, ens, ch in specs]
     got = [table[k] for table in simulator._type_tables(rules, n)(ny)]
     assert got == want
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 63, 64])
+def test_packed_words_are_the_halves_draw(n):
+    # kept in draw order, the words are the symbol-order words drawn as two
+    # 32-bit halves (high, low), with the halves swapped; later draws match
+    for count in (1, 7, 4097):
+        a = np.random.default_rng(np.random.SeedSequence((n, count)))
+        b = np.random.default_rng(np.random.SeedSequence((n, count)))
+        halves = a.integers(0, 1 << 32, size=(count, 2), dtype=np.uint64)
+        want = ((halves[:, 0] << np.uint64(32)) | halves[:, 1]) & np.uint64((1 << n) - 1)
+        assert (simulator._rot32(simulator._packed_words(b, count, n)) == want).all()
+        assert a.integers(count) == b.integers(count)
+        assert (a.random(n) == b.random(n)).all()
+        assert (a.integers(0, 1 << 32, size=5, dtype=np.uint64) == b.integers(0, 1 << 32, size=5, dtype=np.uint64)).all()
+    # the output flips the sent symbols, each through W(.|its own symbol)
+    ch, fixed = dmc(((0.9, 0.1), (0.4, 0.6))), [1, 0, 1] * 22
+    for t in range(20):
+        a = np.random.default_rng(t)
+        b = np.random.default_rng(t)
+        word = simulator._packed_words(a, 1, n)[0]
+        simulator._packed_words(b, 1, n)
+        x = np.array(_unpack(word, n).symbols)
+        noise = b.random(n) < np.where(x == 1, 0.4, 0.1)
+        assert _unpack(simulator._transmit_packed(a, word, n, ch), n).symbols == tuple(x ^ noise)
+        y = simulator._transmit_packed(a, word, n, mod_additive_fixed(fixed[:n]))
+        assert _unpack(y, n).symbols == tuple(x ^ fixed[:n])
+
+
+def test_linear_codebook_words_are_dither_plus_rows():
+    # message i's word is the dither XOR the generator rows at i's one bits
+    for n, k, m in ((32, 6, 64), (20, 9, 300), (64, 16, 1 << 16), (8, 3, 1)):
+        ens = linear_dithered_ensemble(n, k)
+        for t in range(3):
+            code, _, _ = simulator._packed_trial(ens, bsc(0.1), m, 4, t)
+            rng = np.random.default_rng(np.random.SeedSequence((4, t)))
+            rows = simulator._packed_words(rng, k, n)
+            dither = simulator._packed_words(rng, 1, n)[0]
+            assert len(code) == m
+            for i in list(range(min(m, 70))) + [m - 1]:
+                want = dither
+                for j in range(k):
+                    if i >> j & 1:
+                        want ^= rows[j]
+                assert code[i] == want
 
 
 class TestWilson:
@@ -369,6 +425,28 @@ class TestRunExperiment:
             run_experiment(uniform_ensemble(2, 8), ternary_out, FAM, specs, 0.25, 10, 0)
         with pytest.raises(InputError, match="output alphabets"):
             mac_run_experiment(mac_xor(ternary_out), mac_xor_additive_family(2, 2), specs, 0.2, 0.2, 8, 10, 0)
+        # metrics the kernels cannot score: non-finite entries, wrong shapes
+        for bad in (float("nan"), math.inf, -math.inf):
+            with pytest.raises(InputError, match="finite"):
+                MetricIndex.additive(((bad, 0.0), (0.0, 1.0)))
+            with pytest.raises(InputError, match="finite"):
+                MetricIndex.finite_state((((1.0,), (0.0,)), ((0.0,), (bad,))))
+            nan_spec = [DecoderSpec("metric", theta=((bad, 0.0), (0.0, 1.0)))]
+            with pytest.raises(InputError, match="finite"):
+                run_experiment(uniform_ensemble(2, 8), bsc(0.1), FAM, nan_spec, 0.25, 10, 0)
+        wide = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+        wide_spec = specs + [DecoderSpec("metric", theta=wide)]
+        for ens in (uniform_ensemble(2, 8), uniform_ensemble(2, 70)):  # fast and scalar paths
+            with pytest.raises(InputError, match="2 x 2"):
+                run_experiment(ens, bsc(0.1), FAM, wide_spec, 0.25, 10, 0)
+        with pytest.raises(InputError, match="2 x 2"):
+            mac_run_experiment(mac_xor(bsc(0.1)), mac_xor_additive_family(2, 2), wide_spec, 0.2, 0.2, 8, 10, 0)
+        with pytest.raises(InputError, match="2 x 2"):
+            monte_carlo_audit(bsc(0.1), FAM, [wide], 0.25, 8, 10, 0)
+        with pytest.raises(InputError, match="2 x 2"):
+            monte_carlo_audit(bsc(0.1), FAM, [((1.0,), (0.0, 1.0))], 0.25, 8, 10, 0)
+        with pytest.raises(InputError, match="2 x 2"):
+            exact_bound_audit(uniform_ensemble(2, 4), bsc(0.1), FAM, [MATCH, MetricIndex.additive(wide)], 0.25, 4)
 
     def test_trials_required(self):
         with pytest.raises(InputError):
