@@ -55,6 +55,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import sys
 
@@ -181,8 +182,8 @@ def _matrix(value, what: str) -> tuple:
 
 def _rate(config, key):
     v = _require(config, key)
-    if not isinstance(v, (int, float)) or v < 0:
-        raise ConfigError(f"{key!r} must be a non-negative rate")
+    if not _is_number(v) or not 0 <= v < math.inf:
+        raise ConfigError(f"{key!r} must be a non-negative finite rate, got {v!r}")
     return float(v)
 
 
@@ -210,6 +211,8 @@ def _build_channel(desc) -> channels.ChannelModel:
     kind = desc["kind"]
     try:
         if kind == "bsc":
+            if not _is_number(desc["p"]):
+                raise ConfigError(f"bsc 'p' must be a number, got {desc['p']!r}")
             return channels.bsc(float(desc["p"]))
         if kind == "dmc":
             return channels.dmc(desc["matrix"])
@@ -351,9 +354,10 @@ def _cmd_simulate(config, config_hash, seed, out) -> int:
         rate = _rate(config, "rate")
         ensemble = _build_ensemble(_require(config, "ensemble"), n)
         ties = config.get("ties_as_errors", True)
+        if not isinstance(ties, bool):
+            raise ConfigError(f"'ties_as_errors' must be true or false, got {ties!r}")
         estimates = simulator.run_experiment(
-            ensemble, channel, family, specs, rate, trials, seed,
-            ties_as_errors=bool(ties),
+            ensemble, channel, family, specs, rate, trials, seed, ties_as_errors=ties
         )
         columns = RESULT_COLUMNS + PROVENANCE_COLUMNS
         for e in estimates:

@@ -485,8 +485,12 @@ def run_experiment(
         and m > 2**ensemble.message_bits
     ):
         raise InputError("more codewords than linear messages available")
-    run = _run_fast if _fast_path_ok(ensemble, channel, family, decoder_specs) else _run_slow
-    errors = run(ensemble, channel, family, decoder_specs, m, trials, seed, ties_as_errors)
+    path = _select_path(ensemble, channel, family, decoder_specs)
+    if path == "scalar":
+        errors = _run_slow(ensemble, channel, family, decoder_specs, m, trials, seed, ties_as_errors)
+    else:
+        source = _drawn_histograms if path == "types" else _packed_histograms
+        errors = _run_fast(ensemble, channel, decoder_specs, m, trials, seed, ties_as_errors, source)
     return [
         ErrorEstimate(spec.name, n, rate, trials, err, err / trials, *wilson_interval(err, trials), seed)
         for spec, err in zip(decoder_specs, errors.sum(axis=0).tolist())
@@ -513,27 +517,37 @@ def _check_metrics(family, thetas) -> None:
             raise InputError(f"metric parameters must be {' x '.join(map(str, shape))} for this family")
 
 
-def _fast_path_ok(ensemble, channel, family, decoder_specs) -> bool:
-    """The bit-packed kernel runs only where it provably matches the scalar
+def _select_path(ensemble, channel, family, decoder_specs) -> str:
+    """Which Monte Carlo path a run takes.
+
+    The joint-type paths run only where they provably match the scalar
     reference: binary additive family, uniform codewords of at most 64 bits,
     a memoryless or fixed-noise binary channel, and decoders whose scores
     depend on a codeword only through its joint type with y (the ML score
-    of a fixed-noise channel does not)."""
+    of a fixed-noise channel does not).  There, ``"types"`` draws each
+    trial's competitor histogram directly, which needs independent
+    codewords (``uniform``, fair ``iid``); ``"packed"`` builds it from a
+    bit-packed codebook, for ``linear_dithered`` codewords, which are only
+    pairwise independent.  Everything else is ``"scalar"``."""
     fixed_noise = channel.kind == channels.MOD_ADDITIVE and bool(channel.noise_word)
-    return (
+    if not (
         family.kind == families.ADDITIVE
         and ensemble.alphabet_size == family.y_alphabet_size == 2
         and ensemble.n <= 64
-        and (
-            ensemble.kind in (ensembles.UNIFORM, ensembles.LINEAR_DITHERED)
-            or (ensemble.kind == ensembles.IID and ensemble.probs == (0.5, 0.5))
-        )
         and channel.kind in (channels.DMC, channels.MOD_ADDITIVE)
         and all(
             spec.kind in ("universal", "metric") or (spec.kind == "ml" and not fixed_noise)
             for spec in decoder_specs
         )
-    )
+    ):
+        return "scalar"
+    if ensemble.kind == ensembles.UNIFORM or (
+        ensemble.kind == ensembles.IID and ensemble.probs == (0.5, 0.5)
+    ):
+        return "types"
+    if ensemble.kind == ensembles.LINEAR_DITHERED:
+        return "packed"
+    return "scalar"
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +594,7 @@ def _type_table(rule, n: int, ny: int) -> np.ndarray:
     metric_score on any pair of that type."""
     if isinstance(rule, ensembles.CodingEnsemble):
         table = []
-        for a11, a10 in _type_grid(n, ny):
-            size = math.comb(ny, a11) * math.comb(n - ny, a10)
+        for (a11, a10), size in zip(_type_grid(n, ny), _class_sizes(n, ny)):
             lp = ensembles._type_class_log_mass(rule, (n - a10 - a11, a10 + a11), size)
             table.append(math.inf if lp == -math.inf else -lp / n)
         return np.array(table)
@@ -603,14 +616,75 @@ def _type_grid(n: int, ny: int):
     return ((a11, a10) for a11 in range(ny + 1) for a10 in range(n - ny + 1))
 
 
+def _class_sizes(n: int, ny: int) -> list[int]:
+    """Exact class sizes C(ny, a11) * C(n - ny, a10), in flat order."""
+    zeros = [math.comb(n - ny, a10) for a10 in range(n - ny + 1)]
+    return [math.comb(ny, a11) * c for a11 in range(ny + 1) for c in zeros]
+
+
+class _Types:
+    """The joint types of binary words with a y of weight ny, in flat
+    order, and what the paths read off them; each part is built on first
+    use."""
+
+    def __init__(self, rules, n: int, ny: int):
+        self.rules, self.n, self.ny = rules, n, ny
+
+    @functools.cached_property
+    def scores(self) -> np.ndarray:
+        """(decoders x types) exact scores, one row per rule."""
+        rows = [_type_table(rule, self.n, self.ny) for rule in self.rules]
+        return np.array(rows, dtype=float).reshape(len(rows), -1)
+
+    @functools.cached_property
+    def sampler(self) -> tuple:
+        """(rank, pmf): the joint type of a uniform word, in increasing
+        probability.  Each probability is its exact class size over 2^n,
+        correctly rounded: the int-to-float conversion rounds once and the
+        power-of-two scaling is exact.  numpy's multinomial gives the last
+        category the leftover mass, so that lands on the heaviest type,
+        where float rounding is negligible; draws[rank] is a histogram in
+        flat order."""
+        pmf = np.array(_class_sizes(self.n, self.ny), dtype=float) * 2.0**-self.n
+        order = np.argsort(pmf, kind="stable")
+        return np.argsort(order), pmf[order]
+
+    @functools.cached_property
+    def tails(self) -> list[tuple]:
+        """Per decoder, its scores in increasing order and, at each
+        position, the exact count of words scoring below that score; in
+        uint64, since the types below the top one hold under 2^64 words."""
+        sizes = np.array(_class_sizes(self.n, self.ny), dtype=np.uint64)
+        out = []
+        for row in self.scores:
+            order = np.argsort(row, kind="stable")
+            below = np.zeros(len(order), dtype=np.uint64)
+            np.cumsum(sizes[order[:-1]], out=below[1:])
+            out.append((row[order], below))
+        return out
+
+
 def _type_tables(rules, n: int):
-    """ny -> one flat score table per rule, each built on first use."""
+    """ny -> the _Types of these rules at block length n, built on first
+    use."""
+    return functools.cache(lambda ny: _Types(rules, n, ny))
 
-    @functools.cache
-    def tables(ny):
-        return [_type_table(rule, n, ny) for rule in rules]
 
-    return tables
+def _flat_type(x_bits: np.ndarray, y_bits: np.ndarray, ny: int) -> int:
+    """Flat table index of the joint type of x with y, from their bits."""
+    return int(np.count_nonzero(x_bits & y_bits)) * (len(y_bits) - ny) + int(np.count_nonzero(x_bits))
+
+
+def _read(scores: np.ndarray, true_type: int, others: np.ndarray, earlier) -> np.ndarray:
+    """Error indicator per decoder (row of ``scores``) from ``others``, the
+    histogram of the competitors' joint types.  An error is a competitor
+    scoring at least the sent word; with ``earlier``, the histogram of the
+    competitors indexed below the sent word, ties go to the lowest index
+    instead, so an equal score errs only there."""
+    s = scores[:, true_type, None]
+    if earlier is None:
+        return (scores >= s) @ others > 0
+    return ((scores > s) @ others > 0) | ((scores == s) @ earlier > 0)
 
 
 def _joint_types(words: np.ndarray, y, n: int, ny: int) -> np.ndarray:
@@ -649,35 +723,56 @@ def _pack_bits(bits) -> np.uint64:
 
 
 def _flip_noise(rng, x_bits: np.ndarray, channel) -> np.ndarray:
-    """Noise bits of one block through a memoryless binary channel."""
+    """Noise bits of one block through a binary channel: a fixed noise
+    word draws nothing from ``rng``, a memoryless channel flips each
+    symbol through its own row of W."""
+    if channel.kind == channels.MOD_ADDITIVE and channel.noise_word:
+        if len(channel.noise_word) != len(x_bits):
+            raise InputError("fixed noise word length mismatch")
+        return np.array(channel.noise_word, dtype=bool)
     w = _channel_matrix(channel)
     return rng.random(len(x_bits)) < np.where(x_bits, w[1][0], w[0][1])
 
 
+def _sent_pair(rng, channel, n: int):
+    """Input and output bits of one block: a uniform word through the
+    channel."""
+    x_bits = rng.integers(0, 2, size=n).astype(bool)
+    return x_bits, x_bits ^ _flip_noise(rng, x_bits, channel)
+
+
 def _transmit_packed(rng, word, n: int, channel):
-    """Packed output for a packed input word, both in draw order; a fixed
-    noise word draws nothing from ``rng``."""
-    if channel.kind == channels.MOD_ADDITIVE and channel.noise_word:
-        if len(channel.noise_word) != n:
-            raise InputError("fixed noise word length mismatch")
-        noise = channel.noise_word
-    else:
-        x_bits = ((_rot32(word) >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(bool)
-        noise = _flip_noise(rng, x_bits, channel)
-    return word ^ _rot32(_pack_bits(noise))
+    """Packed output for a packed input word, both in draw order."""
+    x_bits = ((_rot32(word) >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(bool)
+    return word ^ _rot32(_pack_bits(_flip_noise(rng, x_bits, channel)))
+
+
+#: the most memory one trial's materialized codebook may take
+_CODEBOOK_BYTES = 1 << 28
+
+
+def _check_codebook(words: int, bytes_per_word: int) -> None:
+    """Refuse, before allocating it, a codebook over _CODEBOOK_BYTES."""
+    if words * bytes_per_word > _CODEBOOK_BYTES:
+        raise InstanceTooLargeError(
+            f"one trial's codebook of {words} words would take {words * bytes_per_word} "
+            f"bytes, over the {_CODEBOOK_BYTES}-byte limit"
+        )
 
 
 def _packed_trial(ensemble, channel, m: int, seed: int, t: int):
     """Codebook, sent index and output of trial t of the bit-packed kernel,
     words in draw order."""
     n = ensemble.n
+    linear = ensemble.kind == ensembles.LINEAR_DITHERED
+    bits = (m - 1).bit_length()
+    _check_codebook(1 << bits if linear else m, 8)
     rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-    if ensemble.kind == ensembles.LINEAR_DITHERED:
+    if linear:
         # message i's word is the dither XOR the rows at i's one bits; all
         # rows are drawn, but only those below m's bit length are used
         rows = _packed_words(rng, ensemble.message_bits, n)
         dither = _packed_words(rng, 1, n)[0]
-        bits = (m - 1).bit_length()
         span = np.zeros(1 << bits, dtype=np.uint64)
         for j in range(bits):
             span[1 << j : 2 << j] = span[: 1 << j] ^ rows[j]
@@ -688,32 +783,71 @@ def _packed_trial(ensemble, channel, m: int, seed: int, t: int):
     return code, true_idx, _transmit_packed(rng, code[true_idx], n, channel)
 
 
-def _run_fast(ensemble, channel, family, decoder_specs, m, trials, seed, ties_as_errors):
-    """Per-trial error indicators (trials x decoders) from a histogram of
-    the codewords' joint types with y, read against exact score tables."""
+# ---------------------------------------------------------------------------
+# joint-type paths.  A source yields each trial as (ny, sent type, competitor
+# histogram, histogram of the competitors indexed below the sent word or
+# None when ties count as errors); _run_fast reads every source the same way.
+# ---------------------------------------------------------------------------
+
+
+def _packed_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_of):
+    """Each trial's histograms, counted from its bit-packed codebook.  A
+    trial's arrays are released only once the next trial's exist, so the
+    allocator keeps their pages instead of returning them to the system
+    and faulting them in again every trial."""
     n = ensemble.n
-    tables = _type_tables([_type_rule(s, ensemble, channel) for s in decoder_specs], n)
-    errors = np.zeros((trials, len(decoder_specs)), dtype=bool)
     for t in range(trials):
         code, true_idx, y = _packed_trial(ensemble, channel, m, seed, t)
         ny = int(np.bitwise_count(y))
         types = _joint_types(code, y, n, ny)
         bins = (ny + 1) * (n - ny + 1)
-        hist = np.bincount(types, minlength=bins)
-        if not ties_as_errors:
-            # the decoder breaks ties toward the lowest index
-            earlier = np.bincount(types[:true_idx], minlength=bins)
-        for d, table in enumerate(tables(ny)):
-            s_true = table[types[true_idx]]
-            if ties_as_errors:
-                errors[t, d] = hist[table >= s_true].sum() > 1
-            else:
-                errors[t, d] = hist[table > s_true].any() or earlier[table == s_true].any()
+        true_type = int(types[true_idx])
+        others = np.bincount(types, minlength=bins)
+        others[true_type] -= 1
+        earlier = None if ties_as_errors else np.bincount(types[:true_idx], minlength=bins)
+        yield ny, true_type, others, earlier
+
+
+def _drawn_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_of):
+    """Each trial's histograms drawn in the type domain: given the sent
+    pair, the M - 1 independent uniform competitors' joint types with y are
+    iid with the sampler's pmf, so their histogram is one multinomial draw;
+    the sent index i is uniform, and the i competitors below it are a
+    multinomial of their own."""
+    if m - 1 >= 1 << 63:
+        raise InstanceTooLargeError("type-domain draws need M - 1 < 2^63 codewords")
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
+        x_bits, y_bits = _sent_pair(rng, channel, ensemble.n)
+        ny = int(np.count_nonzero(y_bits))
+        true_type = _flat_type(x_bits, y_bits, ny)
+        rank, pmf = types_of(ny).sampler
+        if ties_as_errors:
+            others, earlier = rng.multinomial(m - 1, pmf), None
+        else:
+            i = int(rng.integers(m))
+            earlier = rng.multinomial(i, pmf)
+            others = earlier + rng.multinomial(m - 1 - i, pmf)
+            earlier = earlier[rank]
+        yield ny, true_type, others[rank], earlier
+
+
+def _run_fast(ensemble, channel, decoder_specs, m, trials, seed, ties_as_errors, source):
+    """Per-trial error indicators (trials x decoders) from each trial's
+    joint-type histograms, yielded by ``source``, read against exact score
+    tables."""
+    types_of = _type_tables([_type_rule(s, ensemble, channel) for s in decoder_specs], ensemble.n)
+    errors = np.zeros((trials, len(decoder_specs)), dtype=bool)
+    histograms = source(ensemble, channel, m, seed, trials, ties_as_errors, types_of)
+    for t, (ny, true_type, others, earlier) in enumerate(histograms):
+        errors[t] = _read(types_of(ny).scores, true_type, others, earlier)
     return errors
 
 
 def _run_slow(ensemble, channel, family, decoder_specs, m, trials, seed, ties_as_errors):
     """Scalar reference: per-trial error indicators from decoders.decode."""
+    # a Sequence of n symbols: n tuple slots plus the objects' overhead
+    _check_codebook(m, 8 * ensemble.n + 400)
     scorers = []
     for spec in decoder_specs:
         if spec.kind == "universal":
@@ -869,35 +1003,22 @@ def _analytic_error_estimates(
     return out
 
 
-def _shifted_pair(channel, n: int, seed: int, t: int):
-    """Input and output bits of trial t of the shifted-rate arm."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, t, 2)))
-    x_bits = rng.integers(0, 2, size=n).astype(bool)
-    return x_bits, x_bits ^ _flip_noise(rng, x_bits, channel)
-
-
 def _competitor_masses(channel, decoder_specs, n, trials, seed) -> np.ndarray:
     """Per trial (rows) and decoder (columns) of the shifted-rate arm, the
     probability that one uniform codeword scores at least as high as the
     sent one: the exact count of words whose joint type scores at least
     the sent type's, over 2^n."""
     ensemble = ensembles.uniform_ensemble(2, n)
-    tables = _type_tables([_type_rule(s, ensemble, channel) for s in decoder_specs], n)
-
-    @functools.cache
-    def class_sizes(ny):
-        return np.array(
-            [math.comb(ny, a11) * math.comb(n - ny, a10) for a11, a10 in _type_grid(n, ny)],
-            dtype=object,
-        )
-
+    types_of = _type_tables([_type_rule(s, ensemble, channel) for s in decoder_specs], n)
     masses = np.empty((trials, len(decoder_specs)))
     for t in range(trials):
-        x_bits, y_bits = _shifted_pair(channel, n, seed, t)
-        ny = int(y_bits.sum())
-        true_type = int((x_bits & y_bits).sum()) * (n - ny) + int(x_bits.sum())
-        for d, table in enumerate(tables(ny)):
-            masses[t, d] = class_sizes(ny)[table >= table[true_type]].sum() / 2**n
+        rng = np.random.default_rng(np.random.SeedSequence((seed, t, 2)))
+        x_bits, y_bits = _sent_pair(rng, channel, n)
+        ny = int(np.count_nonzero(y_bits))
+        types = types_of(ny)
+        sent = types.scores[:, _flat_type(x_bits, y_bits, ny)]
+        for d, (ascending, below) in enumerate(types.tails):
+            masses[t, d] = (2**n - int(below[np.searchsorted(ascending, sent[d])])) / 2**n
     return masses
 
 
@@ -1051,6 +1172,7 @@ def _mac_trials(channel, decoder_specs, rate1, rate2, n, trials, seed) -> np.nda
     m2 = ensembles.message_count(n, rate2)
     inner = channel.inner
     users = ensembles.uniform_ensemble(2, n)
+    _check_codebook(m1 * m2, 8)
     base = _type_tables([_type_rule(s, users, inner) for s in decoder_specs], n)
 
     @functools.cache
@@ -1060,7 +1182,7 @@ def _mac_trials(channel, decoder_specs, rate1, rate2, n, trials, seed) -> np.nda
         return [
             np.minimum(np.minimum(u - rate1 - rate2, u - rate1), u - rate2)
             if spec.kind == "universal" else u
-            for spec, u in zip(decoder_specs, base(ny))
+            for spec, u in zip(decoder_specs, base(ny).scores)
         ]
 
     kinds = np.zeros((trials, len(decoder_specs)), dtype=np.int8)

@@ -199,10 +199,16 @@ class TestErrorHandling:
             ("audit", dict(AUDIT_MC, theta_grid=[[[1, 0, 0], [0, 1, 0]]]), []),
             ("audit", dict(AUDIT_MC, audit_mode="exact", n=4, ensemble={"kind": "uniform"},
                            theta_grid=[[[1, 0, 0], [0, 1, 0]]]), []),
+            ("simulate", dict(SIMULATE, rate=True), []),
+            ("simulate", dict(SIMULATE, channel={"kind": "bsc", "p": True}), []),
+            ("simulate", dict(SIMULATE, ties_as_errors="false"), []),
+            ("audit", dict(AUDIT_MC, rate=NAN), []),
+            ("simulate", dict(SIMULATE, n=64, rate=1.0), []),
         ],
         ids=["bool-trials", "negative-seed", "parity-no-num_bits", "lines-no-q", "unknown-key",
              "non-numeric-theta", "non-numeric-theta_grid", "unwritable-out", "nan-theta",
-             "2x3-theta_grid-mc", "2x3-theta_grid-exact"],
+             "2x3-theta_grid-mc", "2x3-theta_grid-exact", "bool-rate", "bool-p",
+             "string-ties_as_errors", "nan-rate", "over-2^63-codewords"],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, subcommand, payload, extra):
         cfg = write_config(tmp_path, "c.json", payload)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from udec import (
     InputError,
+    InstanceTooLargeError,
     MetricIndex,
     additive_family,
     bsc,
@@ -43,12 +45,45 @@ from udec.simulator import (
 
 FAM = additive_family(2, 2)
 MATCH = MetricIndex.additive(((1, 0), (0, 1)))
+SPECS = [
+    DecoderSpec("universal"),
+    DecoderSpec("ml"),
+    DecoderSpec("metric", theta=((1.0, 0.0), (0.0, 1.0))),
+    DecoderSpec("metric", theta=((0.3, -0.7), (0.1, 0.9))),
+]
+#: (ensemble, channel, rate, decoders) runs that the joint-type paths take;
+#: ML is not a joint-type score on a fixed noise word
+JOINT_TYPE_CASES = [
+    (uniform_ensemble(2, 8), bsc(0.15), 0.5, SPECS),
+    (iid_ensemble((0.5, 0.5), 16), dmc(((0.9, 0.1), (0.2, 0.8))), 0.25, SPECS),
+    (uniform_ensemble(2, 16), mod_additive_iid((0.85, 0.15)), 0.25, SPECS),
+    (linear_dithered_ensemble(32, 6), bsc(0.25), 0.125, SPECS),
+    (uniform_ensemble(2, 32), dmc(((1.0, 0.0), (0.5, 0.5))), 0.125, SPECS),
+    (uniform_ensemble(2, 16), mod_additive_fixed([1, 0, 0, 0] * 3 + [0, 1, 0, 0]), 0.25, [SPECS[0]] + SPECS[2:]),
+]
 
 
 def _unpack(word, n):
     """Symbols of a bit-packed word kept in draw order."""
     word = int(simulator._rot32(np.uint64(word)))
     return seq([(word >> i) & 1 for i in range(n)])
+
+
+def _fisher_p(a: int, b: int, trials: int) -> float:
+    """Two-sided p-value of Fisher's exact test that a and b errors, each
+    in ``trials`` trials, share one error probability: the hypergeometric
+    mass of the splits of a + b no likelier than (a, b)."""
+
+    def log_weight(i):  # log C(trials, i) C(trials, k - i), up to a constant
+        return -sum(math.lgamma(v + 1) for v in (i, trials - i, k - i, trials - k + i))
+
+    k = a + b
+    seen = log_weight(a)
+    logs = [log_weight(i) for i in range(max(0, k - trials), min(k, trials) + 1)]
+    top = max(logs)
+    return math.fsum(math.exp(v - top) for v in logs if v <= seen + 1e-7) / math.fsum(
+        math.exp(v - top) for v in logs
+    )
 
 
 def _scalar_scorer(spec, ens, ch, fam=FAM):
@@ -138,7 +173,7 @@ def test_type_tables_equal_scalar_scores(bits, theta, p0, p1):
     specs.append((DecoderSpec("metric", theta=th), None, None))
     want.append(decoders.metric_score(FAM, MetricIndex.additive(th), x, y).value)
     rules = [simulator._type_rule(spec, ens, ch) for spec, ens, ch in specs]
-    got = [table[k] for table in simulator._type_tables(rules, n)(ny)]
+    got = [table[k] for table in simulator._type_tables(rules, n)(ny).scores]
     assert got == want
 
 
@@ -323,70 +358,105 @@ class TestRunExperiment:
     def test_fast_path_matches_scalar_scorers_per_trial(self):
         # identical realizations, decoded by the bit-packed core and by the
         # scalar decoders.* scores: the per-trial error indicators agree
-        specs = [
-            DecoderSpec("universal"),
-            DecoderSpec("ml"),
-            DecoderSpec("metric", theta=((1.0, 0.0), (0.0, 1.0))),
-            DecoderSpec("metric", theta=((0.3, -0.7), (0.1, 0.9))),
-        ]
-        cases = [
-            (uniform_ensemble(2, 8), bsc(0.15), 0.5),
-            (iid_ensemble((0.5, 0.5), 16), dmc(((0.9, 0.1), (0.2, 0.8))), 0.25),
-            (uniform_ensemble(2, 16), mod_additive_iid((0.85, 0.15)), 0.25),
-            (linear_dithered_ensemble(32, 6), bsc(0.25), 0.125),
-            (uniform_ensemble(2, 32), dmc(((1.0, 0.0), (0.5, 0.5))), 0.125),
-        ]
-        for ens, ch, rate in cases:
+        for ens, ch, rate, specs in JOINT_TYPE_CASES:
             m = simulator.ensembles.message_count(ens.n, rate)
-            assert simulator._fast_path_ok(ens, ch, FAM, specs)
+            assert simulator._select_path(ens, ch, FAM, specs) != "scalar"
             realize = _packed_realization(ens, ch, m, 21)
             for ties in (True, False):
-                fast = simulator._run_fast(ens, ch, FAM, specs, m, 150, 21, ties)
+                fast = simulator._run_fast(ens, ch, specs, m, 150, 21, ties, simulator._packed_histograms)
                 assert fast.shape == (150, len(specs))
                 assert (fast == _scalar_errors(ens, ch, specs, 150, realize, ties)).all()
         # the scalar path, the only one for non-binary runs, on its own draws
         fam3 = additive_family(3, 3)
         ens, ch = uniform_ensemble(3, 4), mod_additive_iid((0.7, 0.2, 0.1))
-        specs3 = specs[:2] + [DecoderSpec("metric", theta=np.eye(3).tolist())]
+        specs3 = SPECS[:2] + [DecoderSpec("metric", theta=np.eye(3).tolist())]
         realize = _sampled_realization(ens, ch, 8, 5)
         for ties in (True, False):
             slow = simulator._run_slow(ens, ch, fam3, specs3, 8, 100, 5, ties)
             assert (slow == _scalar_errors(ens, ch, specs3, 100, realize, ties, fam3)).all()
         # and the two paths agree in distribution on a binary run
         ens, ch = uniform_ensemble(2, 8), bsc(0.15)
-        fast = run_experiment(ens, ch, FAM, specs[1:2], 0.25, 3000, 21)[0]
-        slow = int(simulator._run_slow(ens, ch, FAM, specs[1:2], 4, 3000, 22, True).sum())
+        fast = run_experiment(ens, ch, FAM, SPECS[1:2], 0.25, 3000, 21)[0]
+        slow = int(simulator._run_slow(ens, ch, FAM, SPECS[1:2], 4, 3000, 22, True).sum())
         lo, hi = wilson_interval(slow, 3000)
         assert fast.ci_lo <= hi and lo <= fast.ci_hi
 
+    def test_type_domain_matches_packed_oracle(self):
+        # the multinomial histograms and the materialized uniform codebooks
+        # give each decoder the same error probability: Fisher's exact test,
+        # at a false-alarm rate of at most 1e-6 over all comparisons
+        cases = [c for c in JOINT_TYPE_CASES if c[0].kind != "linear_dithered"]
+        alpha = 1e-6 / sum(2 * len(specs) for *_, specs in cases)
+        trials = 3000
+        for ens, ch, rate, specs in cases:
+            m = simulator.ensembles.message_count(ens.n, rate)
+            assert simulator._select_path(ens, ch, FAM, specs) == "types"
+            for ties in (True, False):
+                drawn = simulator._run_fast(ens, ch, specs, m, trials, 8, ties, simulator._drawn_histograms)
+                packed = simulator._run_fast(ens, ch, specs, m, trials, 9, ties, simulator._packed_histograms)
+                for a, b in zip(drawn.sum(axis=0).tolist(), packed.sum(axis=0).tolist()):
+                    assert _fisher_p(a, b, trials) > alpha, (ens, ch, ties, a, b)
+
+    def test_ml_and_identity_metric_pair_on_a_bsc(self):
+        # on a BSC both scores fall with the Hamming distance, so the paired
+        # decoders decide alike in every trial, ties included
+        specs = [DecoderSpec("ml"), DecoderSpec("metric", theta=((1.0, 0.0), (0.0, 1.0)))]
+        for n, rate in ((16, 0.5), (64, 0.25)):
+            ens = uniform_ensemble(2, n)
+            m = simulator.ensembles.message_count(n, rate)
+            for ties in (True, False):
+                errors = simulator._run_fast(ens, bsc(0.15), specs, m, 1500, 3, ties, simulator._drawn_histograms)
+                assert errors[:, 0].sum() > 20
+                assert (errors[:, 0] == errors[:, 1]).all()
+
+    def test_path_selection(self):
+        fixed = mod_additive_fixed([1, 0, 0] * 5 + [1])
+        cases = [
+            (uniform_ensemble(2, 16), bsc(0.1), SPECS, "types"),
+            (iid_ensemble((0.5, 0.5), 64), dmc(((0.9, 0.1), (0.2, 0.8))), SPECS, "types"),
+            (uniform_ensemble(2, 16), fixed, [SPECS[0], SPECS[2]], "types"),
+            (linear_dithered_ensemble(32, 6), bsc(0.1), SPECS, "packed"),
+            (uniform_ensemble(3, 8), mod_additive_iid((0.8, 0.1, 0.1)), SPECS[:2], "scalar"),
+            (uniform_ensemble(2, 16), bsc(0.1), SPECS + [DecoderSpec("lz")], "scalar"),
+            (uniform_ensemble(2, 16), fixed, SPECS, "scalar"),
+            (iid_ensemble((0.4, 0.6), 16), bsc(0.1), SPECS, "scalar"),
+            (uniform_ensemble(2, 65), bsc(0.1), SPECS, "scalar"),
+        ]
+        for ens, ch, specs, want in cases:
+            fam = additive_family(ens.alphabet_size, ch.y_alphabet_size)
+            assert simulator._select_path(ens, ch, fam, specs) == want
+
     def test_exact_ties_are_counted(self):
-        # the scalar scores give these counts on the same realizations; the
-        # float class-size ranking once reported 169 and 60
+        # on the bit-packed realizations the scalar scores give these
+        # counts; the float class-size ranking once reported 169 and 60
         specs = [DecoderSpec("universal"), DecoderSpec("ml")]
-        est = run_experiment(uniform_ensemble(2, 32), bsc(0.1), FAM, specs, 0.25, 3000, 11)
-        assert [e.errors for e in est] == [172, 68]
+        errors = simulator._run_fast(
+            uniform_ensemble(2, 32), bsc(0.1), specs, 256, 3000, 11, True, simulator._packed_histograms
+        )
+        assert errors.sum(axis=0).tolist() == [172, 68]
 
     def test_calibration_against_exhaustive_truth(self):
-        # M=2, n=2: enumerate codebooks, messages and outputs for the exact
-        # error probability of the matched-metric decoder with ties counted
+        # M=2, n=2: enumerate codebooks, sent messages and outputs for the
+        # exact error probability of each decoder; with ties broken toward
+        # the lower index, a tie errs only when message 1 (of 0, 1) was sent
         ens = uniform_ensemble(2, 2)
         ch = bsc(0.1)
-        from udec.channels import log_likelihood
-        from udec.typeclasses import all_sequences
-
         words = list(all_sequences(2, 2))
-        exact = 0.0
-        for c1 in words:
-            for c2 in words:
-                for y in words:
-                    w = (1 / 16) * 2.0 ** log_likelihood(ch, c1, y)
-                    s_true = decoders.metric_score(FAM, MATCH, c1, y).value
-                    s_other = decoders.metric_score(FAM, MATCH, c2, y).value
-                    if s_other >= s_true:
-                        exact += w
-        specs = [DecoderSpec("metric", theta=((1.0, 0.0), (0.0, 1.0)))]
-        est = run_experiment(ens, ch, FAM, specs, 0.01, 20000, 13)[0]
-        assert est.ci_lo <= exact <= est.ci_hi
+        for ties in (True, False):
+            est = run_experiment(ens, ch, FAM, SPECS[:3], 0.01, 20000, 13, ties_as_errors=ties)
+            for spec, e in zip(SPECS[:3], est):
+                scorer = _scalar_scorer(spec, ens, ch)
+                terms = []
+                for c1, c2, y in itertools.product(words, repeat=3):
+                    s_true, s_other = scorer(c1, y).value, scorer(c2, y).value
+                    err = 1.0 if s_other > s_true else (1.0 if ties else 0.5) if s_other == s_true else 0.0
+                    terms.append(err * (1 / 16) * 2.0 ** channels.log_likelihood(ch, c1, y))
+                exact = math.fsum(terms)
+                if spec.kind == "metric" and ties:  # the original case, at 95 %
+                    assert e.ci_lo <= exact <= e.ci_hi
+                # all six at a false-alarm rate of at most 1e-6 together
+                lo, hi = wilson_interval(e.errors, e.trials, z=5.3)
+                assert lo <= exact <= hi, (spec, ties, e.estimate, exact)
 
     def test_paired_trial_dominance(self):
         # bookkeeping sanity: whenever the universal decoder errs, some
@@ -415,6 +485,50 @@ class TestRunExperiment:
         specs = [DecoderSpec("universal"), DecoderSpec("ml")]
         est = run_experiment(ens, bsc(0.1), FAM, specs, 0.25, 500, 9)
         assert all(0.0 <= e.estimate <= 1.0 for e in est)
+
+    def test_uniform_at_half_rate_runs_in_the_type_domain(self):
+        # M = 2^32 codewords: no codebook is materialized
+        ens = uniform_ensemble(2, 64)
+        for ties in (True, False):
+            a = run_experiment(ens, bsc(0.1), FAM, SPECS, 0.5, 30, 4, ties_as_errors=ties)
+            b = run_experiment(ens, bsc(0.1), FAM, SPECS, 0.5, 30, 4, ties_as_errors=ties)
+            assert a == b
+            assert a[1].errors < 30
+
+    def test_size_guards_refuse_before_allocating(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("allocated past the size guard")
+
+        # each materialized path, at the sizes they would once have tried:
+        # a 32 GB linear span, 2^38 two-user pairs, 2^20 scalar codewords
+        monkeypatch.setattr(simulator, "_packed_words", boom)
+        monkeypatch.setattr(simulator, "_mac_trial", boom)
+        monkeypatch.setattr(simulator.ensembles, "sample_codebook", boom)
+        with pytest.raises(InstanceTooLargeError, match="codebook"):
+            run_experiment(linear_dithered_ensemble(64, 40), bsc(0.1), FAM, SPECS, 0.5, 1, 0)
+        with pytest.raises(InstanceTooLargeError, match="codebook"):
+            mac_run_experiment(mac_xor(bsc(0.1)), mac_xor_additive_family(2, 2), SPECS, 0.3, 0.3, 64, 1, 0)
+        with pytest.raises(InstanceTooLargeError, match="codebook"):
+            run_experiment(uniform_ensemble(2, 80), bsc(0.1), FAM, SPECS[1:2], 0.25, 1, 0)
+        # the type-domain draws hold M - 1 in 63 bits
+        with pytest.raises(InstanceTooLargeError, match="2\\^63"):
+            run_experiment(uniform_ensemble(2, 64), bsc(0.1), FAM, SPECS, 1.0, 1, 0)
+        # the limit is bytes: 8 per packed word, 8 per symbol plus 400 per
+        # scalar word, just under and just over it
+        monkeypatch.undo()
+        monkeypatch.setattr(simulator, "_CODEBOOK_BYTES", 8 * 1024)
+        simulator._packed_trial(linear_dithered_ensemble(16, 12), bsc(0.1), 1024, 0, 0)
+        with pytest.raises(InstanceTooLargeError):
+            simulator._packed_trial(linear_dithered_ensemble(16, 12), bsc(0.1), 1025, 0, 0)
+        with pytest.raises(InstanceTooLargeError):
+            simulator._packed_trial(uniform_ensemble(2, 16), bsc(0.1), 1025, 0, 0)
+        simulator._mac_trials(mac_xor(bsc(0.1)), SPECS[:1], 5 / 16, 5 / 16, 16, 1, 0)  # 32 x 32 pairs
+        with pytest.raises(InstanceTooLargeError):
+            simulator._mac_trials(mac_xor(bsc(0.1)), SPECS[:1], 5.1 / 16, 5 / 16, 16, 1, 0)
+        monkeypatch.setattr(simulator, "_CODEBOOK_BYTES", 8 * (16 + 50) * 16)
+        simulator._run_slow(uniform_ensemble(2, 16), bsc(0.1), FAM, SPECS[1:2], 16, 1, 0, True)
+        with pytest.raises(InstanceTooLargeError):
+            simulator._run_slow(uniform_ensemble(2, 16), bsc(0.1), FAM, SPECS[1:2], 17, 1, 0, True)
 
     def test_alphabet_mismatch_rejected(self):
         specs = [DecoderSpec("universal"), DecoderSpec("ml")]
@@ -472,15 +586,24 @@ class TestMonteCarloAudit:
         for n, ch in ((10, bsc(0.1)), (7, dmc(((1.0, 0.0), (0.3, 0.7))))):
             masses = simulator._competitor_masses(ch, specs, n, 12, 5)
             words = list(all_sequences(2, n))
+            types_of = simulator._type_tables((), n)
             for t in range(12):
-                x_bits, y_bits = simulator._shifted_pair(ch, n, 5, t)
+                rng = np.random.default_rng(np.random.SeedSequence((5, t, 2)))
+                x_bits, y_bits = simulator._sent_pair(rng, ch, n)
                 x, y = seq(x_bits.astype(int)), seq(y_bits.astype(int))
                 for d, spec in enumerate(specs):
                     scorer = _scalar_scorer(spec, None, ch)
                     s0 = scorer(x, y).value
                     exhaustive = math.fsum(2.0**-n for w in words if scorer(w, y).value >= s0)
                     assert masses[t, d] == pytest.approx(exhaustive, rel=1e-12)
-
+                # the type-domain pmf is each joint type's share of all 2^n
+                # words, exactly, in increasing order; the sent type indexes it
+                ny = sum(y)
+                flat = [sum(a & b for a, b in zip(w, y)) * (n - ny) + sum(w) for w in words]
+                rank, pmf = types_of(ny).sampler
+                assert (pmf[rank] == np.bincount(flat) / 2**n).all()
+                assert (np.diff(pmf) >= 0).all()
+                assert simulator._flat_type(x_bits, y_bits, ny) == flat[words.index(x)]
 
 class TestMacSimulator:
     FAM2 = mac_xor_additive_family(2, 2)
