@@ -157,10 +157,12 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _positive_int(config, key):
-    v = _require(config, key)
+def _positive_int(config, key, default=None):
+    """A positive JSON integer (a float such as 2.7 is refused, not
+    truncated); ``default`` makes the key optional."""
+    v = _require(config, key) if default is None else config.get(key, default)
     if not _is_int(v) or v < 1:
-        raise ConfigError(f"{key!r} must be a positive integer")
+        raise ConfigError(f"{key!r} must be a positive integer, got {v!r}")
     return v
 
 
@@ -193,13 +195,13 @@ def _build_ensemble(desc, n: int) -> ensembles.CodingEnsemble:
     kind = desc["kind"]
     try:
         if kind == "uniform":
-            return ensembles.uniform_ensemble(int(desc.get("alphabet_size", 2)), n)
+            return ensembles.uniform_ensemble(_positive_int(desc, "alphabet_size", 2), n)
         if kind == "iid":
             return ensembles.iid_ensemble(desc["probs"], n)
         if kind == "uniform_over_type":
             return ensembles.uniform_over_type_ensemble(desc["composition"], n)
         if kind == "linear_dithered":
-            return ensembles.linear_dithered_ensemble(n, int(desc["message_bits"]))
+            return ensembles.linear_dithered_ensemble(n, _positive_int(desc, "message_bits"))
     except (KeyError, UdecError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad ensemble descriptor: {exc}") from exc
     raise ConfigError(f"unknown ensemble kind: {kind!r}")
@@ -220,7 +222,7 @@ def _build_channel(desc) -> channels.ChannelModel:
             return channels.mod_additive_iid(desc["noise_probs"])
         if kind == "mod_additive_fixed":
             return channels.mod_additive_fixed(
-                desc["noise_word"], int(desc.get("alphabet_size", 2))
+                desc["noise_word"], _positive_int(desc, "alphabet_size", 2)
             )
         if kind == "mac_xor":
             return channels.mac_xor(_build_channel(desc["inner"]))
@@ -234,8 +236,8 @@ def _build_family(desc) -> families.MetricFamily:
         raise ConfigError("family descriptor must be an object with a 'kind'")
     kind = desc["kind"]
     try:
-        xa = int(desc.get("x_alphabet_size", 2))
-        ya = int(desc.get("y_alphabet_size", 2))
+        xa = _positive_int(desc, "x_alphabet_size", 2)
+        ya = _positive_int(desc, "y_alphabet_size", 2)
         if kind == "additive":
             return families.additive_family(xa, ya)
         if kind == "mac_xor_additive":
@@ -272,9 +274,7 @@ def _theta_grid(config, channel, seed):
         if not isinstance(grid, list) or not grid:
             raise ConfigError("'theta_grid' must be a nonempty list of matrices")
         return [_matrix(m, "each 'theta_grid' entry") for m in grid]
-    size = config.get("theta_grid_size", 25)
-    if not _is_int(size) or size < 1:
-        raise ConfigError("'theta_grid_size' must be a positive integer")
+    size = _positive_int(config, "theta_grid_size", 25)
     return simulator.default_theta_grid(size, channel, seed)
 
 
@@ -426,9 +426,7 @@ def _audit_mc(config, config_hash, seed, out) -> int:
     channel = _build_channel(_require(config, "channel"))
     family = _build_family(_require(config, "family"))
     grid = _theta_grid(config, channel, seed)
-    shifted_trials = config.get("shifted_trials", 4000)
-    if not _is_int(shifted_trials) or shifted_trials < 1:
-        raise ConfigError("'shifted_trials' must be a positive integer")
+    shifted_trials = _positive_int(config, "shifted_trials", 4000)
     report = simulator.monte_carlo_audit(
         channel, family, grid, rate, n, trials, seed,
         shifted_trials=shifted_trials,
@@ -526,7 +524,7 @@ def _build_event_family(desc) -> simulator.EventFamilySpec:
     if size_key not in desc:
         raise ConfigError(f"{desc['kind']} event family needs {size_key!r}")
     return build(
-        int(desc[size_key]), *(desc.get(k) for k in optional), desc.get("label", "")
+        _positive_int(desc, size_key), *(desc.get(k) for k in optional), desc.get("label", "")
     )
 
 
@@ -536,9 +534,7 @@ def _cmd_surrogate(config, config_hash, seed, out) -> int:
         _is_int(v) and v >= 1 for v in n_values
     ):
         raise ConfigError("'n_values' must be a list of positive integers")
-    samples = config.get("samples_per_y", 20)
-    if not _is_int(samples) or samples < 1:
-        raise ConfigError("'samples_per_y' must be a positive integer")
+    samples = _positive_int(config, "samples_per_y", 20)
     desc = config.get("ensemble", {"kind": "uniform", "alphabet_size": 2})
     report = simulator.surrogate_condition_check(
         lambda n: _build_ensemble(desc, n), n_values, samples, seed

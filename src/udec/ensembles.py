@@ -238,8 +238,16 @@ class Codebook:
 
 
 def message_count(n: int, rate: float) -> int:
-    """Number of codewords at a given rate: floor(2^(n*rate)), at least 2."""
-    return max(2, int(math.floor(2.0 ** (n * rate))))
+    """Number of codewords at a given rate: floor(2^(n*rate)), at least 2.
+
+    Past the float range (n*rate >= 1024) the power is split into
+    2^frac * 2^int, so the count keeps 53 significant bits instead of
+    overflowing."""
+    e = n * rate
+    if e < 1024:
+        return max(2, math.floor(2.0**e))
+    k = math.floor(e)
+    return math.floor(2.0 ** (e - k) * 2.0**52) << (k - 52)
 
 
 def sample_codebook(ensemble: CodingEnsemble, m: int, seed: int) -> Codebook:

@@ -154,7 +154,12 @@ def exact_bound_audit(
 
     Works for any ensemble kind, including output-conditioned (feedback)
     ensembles: class masses are computed by grouping the enumerated inputs
-    by class key, which is exact by construction.
+    by class key, which is exact by construction.  Per output word, every
+    candidate is scored by every metric, and the competitor masses of all
+    candidates come from one sort per metric (_tail_masses), so working
+    memory is O(|thetas| * N) for N candidates.  Every violated (x, y,
+    theta) is reported, in the order y, x, lower bounds by theta, upper
+    bound.
     """
     _check_metrics(family, thetas)
     xa = family.x_alphabet_size
@@ -163,17 +168,10 @@ def exact_bound_audit(
         raise InstanceTooLargeError("exact audit instance too large")
     xs = list(typeclasses.all_sequences(xa, n))
     m_count = 2.0 ** (n * rate)
-    count_report = typeclasses.count_classes(
-        family,
-        n,
-        strategy="combinatorial"
-        if family.kind in (families.ADDITIVE, families.MAC_XOR_ADDITIVE)
-        else "exhaustive",
-    )
-    delta_n = count_report.log_growth
+    delta_n = typeclasses.count_classes(family, n).log_growth
 
     lhs = 0.0
-    rhs = [0.0] * len(thetas)
+    rhs = np.zeros(len(thetas))
     violations: list[str] = []
     cases = []
     for y in typeclasses.all_sequences(ya, n):
@@ -191,48 +189,33 @@ def exact_bound_audit(
                 for k in keys
             ]
         )
-        theta_scores = np.array(
-            [
-                [decoders.metric_score(family, th, x, y).value for x in xs]
-                for th in thetas
-            ]
-        )
-        # competitor masses: each row compares all candidates to one x
-        mass_theta = (
-            (theta_scores[:, None, :] >= theta_scores[:, :, None]) * q[None, None, :]
-        ).sum(axis=2)
-        # the universal decoder maximizes u, so competitors have u at least
-        # as large (class mass at most as large)
-        mass_u = ((u_vals[None, :] >= u_vals[:, None]) * q[None, :]).sum(axis=1)
-
-        for ix, x in enumerate(xs):
-            w = q[ix] * 2.0 ** channels.log_likelihood(channel, x, y)
-            class_mass = 2.0 ** (-n * u_vals[ix]) if u_vals[ix] != math.inf else 0.0
-            for it in range(len(thetas)):
-                if mass_theta[it, ix] < class_mass - tol:
-                    violations.append(
-                        f"lower bound violated at x={x.symbols} y={y.symbols} theta#{it}"
-                    )
-            upper = k_y * class_mass
-            if mass_u[ix] > upper + tol:
-                violations.append(
-                    f"upper bound violated at x={x.symbols} y={y.symbols}"
-                )
-            if w > 0.0:
-                lhs += w * min(1.0, m_count * mass_u[ix])
-                for it in range(len(thetas)):
-                    rhs[it] += w * min(1.0, m_count * mass_theta[it, ix])
-            if collect_cases:
-                cases.append(
-                    (
-                        y.symbols,
-                        x.symbols,
-                        float(u_vals[ix]),
-                        float(mass_u[ix]),
-                        tuple(float(v) for v in mass_theta[:, ix]),
-                        k_y,
-                    )
-                )
+        class_mass = np.array([2.0 ** (-n * u) if u != math.inf else 0.0 for u in u_vals])
+        theta_scores = [
+            [decoders.metric_score(family, th, x, y).value for x in xs] for th in thetas
+        ]
+        # competitor masses of each x: the universal decoder maximizes u, so
+        # its competitors have u at least as large (class mass at most as
+        # large); row 0 is universal, then one row per theta
+        masses = _tail_masses(np.array([u_vals] + theta_scores), q)
+        mass_u, mass_theta = masses[0], masses[1:]
+        lower_bad = mass_theta < class_mass - tol
+        upper_bad = mass_u > k_y * class_mass + tol
+        for ix in np.flatnonzero(lower_bad.any(axis=0) | upper_bad):
+            x = xs[ix]
+            violations.extend(
+                f"lower bound violated at x={x.symbols} y={y.symbols} theta#{it}"
+                for it in np.flatnonzero(lower_bad[:, ix])
+            )
+            if upper_bad[ix]:
+                violations.append(f"upper bound violated at x={x.symbols} y={y.symbols}")
+        w = q * np.array([2.0 ** channels.log_likelihood(channel, x, y) for x in xs])
+        lhs += w @ np.minimum(1.0, m_count * mass_u)
+        rhs += np.minimum(1.0, m_count * mass_theta) @ w
+        if collect_cases:
+            cases.extend(
+                (y.symbols, x.symbols, float(u), float(mu), tuple(mt.tolist()), k_y)
+                for x, u, mu, mt in zip(xs, u_vals, mass_u, mass_theta.T)
+            )
 
     aggregate_ok = bool(lhs <= 2.0 ** (n * delta_n) * min(rhs) + tol)
     return ExactAuditReport(
@@ -612,6 +595,20 @@ def _type_table(rule, n: int, ny: int) -> np.ndarray:
     return table.reshape(-1)
 
 
+def _tail_masses(scores: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """For each entry of each row of ``scores``, the total of ``masses``
+    over the row's entries that score at least as high.  Each row is sorted
+    once and summed from the top; a score looks up the tail at its first
+    equal, so ties are decided by exact score comparison.  The result keeps
+    the dtype of ``masses``: Python ints (object dtype) stay exact."""
+    out = np.empty(scores.shape, dtype=masses.dtype)
+    for row, tails in zip(scores, out):
+        order = np.argsort(row, kind="stable")
+        from_top = np.cumsum(masses[order][::-1])[::-1]
+        tails[:] = from_top[np.searchsorted(row[order], row, side="left")]
+    return out
+
+
 def _type_grid(n: int, ny: int):
     return ((a11, a10) for a11 in range(ny + 1) for a10 in range(n - ny + 1))
 
@@ -650,18 +647,12 @@ class _Types:
         return np.argsort(order), pmf[order]
 
     @functools.cached_property
-    def tails(self) -> list[tuple]:
-        """Per decoder, its scores in increasing order and, at each
-        position, the exact count of words scoring below that score; in
-        uint64, since the types below the top one hold under 2^64 words."""
-        sizes = np.array(_class_sizes(self.n, self.ny), dtype=np.uint64)
-        out = []
-        for row in self.scores:
-            order = np.argsort(row, kind="stable")
-            below = np.zeros(len(order), dtype=np.uint64)
-            np.cumsum(sizes[order[:-1]], out=below[1:])
-            out.append((row[order], below))
-        return out
+    def tail_masses(self) -> np.ndarray:
+        """(decoders x types): the probability that a uniform word scores
+        at least as high as the type does; exact integer class sizes summed,
+        then divided once by 2^n, so correctly rounded at any n."""
+        sizes = np.array(_class_sizes(self.n, self.ny), dtype=object)
+        return (_tail_masses(self.scores, sizes) / 2**self.n).astype(float)
 
 
 def _type_tables(rules, n: int):
@@ -1006,8 +997,7 @@ def _analytic_error_estimates(
 def _competitor_masses(channel, decoder_specs, n, trials, seed) -> np.ndarray:
     """Per trial (rows) and decoder (columns) of the shifted-rate arm, the
     probability that one uniform codeword scores at least as high as the
-    sent one: the exact count of words whose joint type scores at least
-    the sent type's, over 2^n."""
+    sent one, read off the exact tail masses of the sent joint type."""
     ensemble = ensembles.uniform_ensemble(2, n)
     types_of = _type_tables([_type_rule(s, ensemble, channel) for s in decoder_specs], n)
     masses = np.empty((trials, len(decoder_specs)))
@@ -1015,10 +1005,7 @@ def _competitor_masses(channel, decoder_specs, n, trials, seed) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence((seed, t, 2)))
         x_bits, y_bits = _sent_pair(rng, channel, n)
         ny = int(np.count_nonzero(y_bits))
-        types = types_of(ny)
-        sent = types.scores[:, _flat_type(x_bits, y_bits, ny)]
-        for d, (ascending, below) in enumerate(types.tails):
-            masses[t, d] = (2**n - int(below[np.searchsorted(ascending, sent[d])])) / 2**n
+        masses[t] = types_of(ny).tail_masses[:, _flat_type(x_bits, y_bits, ny)]
     return masses
 
 

@@ -204,11 +204,16 @@ class TestErrorHandling:
             ("simulate", dict(SIMULATE, ties_as_errors="false"), []),
             ("audit", dict(AUDIT_MC, rate=NAN), []),
             ("simulate", dict(SIMULATE, n=64, rate=1.0), []),
+            ("simulate", dict(SIMULATE, n=2000, rate=0.6), []),
+            ("simulate", dict(SIMULATE, ensemble={"kind": "uniform", "alphabet_size": 2.7}), []),
+            ("simulate", dict(SIMULATE, ensemble={"kind": "linear_dithered", "message_bits": 4.9}), []),
+            ("simulate", dict(SIMULATE, family={"kind": "additive", "x_alphabet_size": 2.9}), []),
         ],
         ids=["bool-trials", "negative-seed", "parity-no-num_bits", "lines-no-q", "unknown-key",
              "non-numeric-theta", "non-numeric-theta_grid", "unwritable-out", "nan-theta",
              "2x3-theta_grid-mc", "2x3-theta_grid-exact", "bool-rate", "bool-p",
-             "string-ties_as_errors", "nan-rate", "over-2^63-codewords"],
+             "string-ties_as_errors", "nan-rate", "over-2^63-codewords", "2^1200-codewords",
+             "float-alphabet_size", "float-message_bits", "float-x_alphabet_size"],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, subcommand, payload, extra):
         cfg = write_config(tmp_path, "c.json", payload)

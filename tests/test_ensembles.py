@@ -161,6 +161,22 @@ class TestSampling:
         assert message_count(16, 0.25) == 16
         assert message_count(4, 0.01) == 2
 
+    def test_message_count_past_the_float_range(self):
+        """Below n*R = 1024 the count is the float floor it always was, so
+        no realization changes; from 1024 on, 2.0 ** (n * R) raised
+        OverflowError (a traceback and exit 1 from `udec simulate`)."""
+        for n in (1, 2, 5, 8, 16, 31, 64, 100, 257, 1000, 1023, 1024, 2000, 5000):
+            for rate in (0.0, 0.01, 0.1, 0.25, 1 / 3, 0.5, 0.6, 0.999, 1.0, 1.5):
+                e = n * rate
+                m = message_count(n, rate)
+                if e < 1024:
+                    assert m == max(2, int(math.floor(2.0 ** (n * rate))))
+                else:
+                    k = math.floor(e)
+                    assert m.bit_length() == k + 1
+                    assert m / 2**k == pytest.approx(2.0 ** (e - k), rel=2**-52)
+        assert message_count(2048, 0.5) == 2**1024
+
     def test_uniform_over_type_words_have_composition(self):
         ens = uniform_over_type_ensemble((3, 5), 8)
         book = sample_codebook(ens, 8, 5)

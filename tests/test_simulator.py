@@ -22,8 +22,9 @@ from udec import (
     seq,
     uniform_ensemble,
 )
-from udec import channels, decoders, simulator
-from udec.typeclasses import all_sequences
+from udec import channels, decoders, ensembles, families, simulator
+from udec.ensembles import FeedbackStateMachine, feedback_tree_ensemble
+from udec.typeclasses import all_sequences, class_key
 from udec.simulator import (
     DecoderSpec,
     EventFamilySpec,
@@ -177,6 +178,26 @@ def test_type_tables_equal_scalar_scores(bits, theta, p0, p1):
     assert got == want
 
 
+#: few distinct scores, so that rows are full of ties, and both infinities
+TAIL_SCORES = st.sampled_from([-math.inf, -1.5, -0.25, 0.0, 0.1, 0.25, 3.0, math.inf])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 12))
+def test_tail_masses_equal_brute_force(data, rows, cols):
+    """_tail_masses is the per-row `>=` broadcast that the exact audit held
+    in O(N^2) memory, ties included, and it stays exact on Python-int
+    masses above 2^64, where the shifted arm's uint64 counts wrapped.  The
+    float masses are dyadic, so every order of summation is exact."""
+    row = st.lists(TAIL_SCORES, min_size=cols, max_size=cols)
+    scores = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
+    ints = data.draw(st.lists(st.integers(0, 2**100), min_size=cols, max_size=cols))
+    for masses in (np.array(ints, dtype=object), np.array([i % 2**20 for i in ints]) * 2.0**-10):
+        got = simulator._tail_masses(scores, masses)
+        assert got.dtype == masses.dtype
+        assert got.tolist() == [((r[None, :] >= r[:, None]) @ masses).tolist() for r in scores]
+
+
 @pytest.mark.parametrize("n", [1, 31, 32, 33, 63, 64])
 def test_packed_words_are_the_halves_draw(n):
     # kept in draw order, the words are the symbol-order words drawn as two
@@ -277,6 +298,75 @@ class TestExactAudit:
             uniform_ensemble(2, 4), bsc(0.0), FAM, thetas, 0.25, 4
         )
         assert report.pointwise_ok and report.aggregate_ok
+
+    @pytest.mark.parametrize("instance", ["additive", "finite_state", "feedback"])
+    def test_masses_and_violations_equal_the_broadcast(self, instance):
+        """The competitor masses of every (x, y), and the violations found
+        with a negative tol (forced), in order and message for message,
+        equal those of the O(N^2) broadcast the audit used before."""
+        ensemble, family, thetas = _audit_instance(instance, 5)
+        report = exact_bound_audit(ensemble, bsc(0.1), family, thetas, 0.25, 5, collect_cases=True)
+        cases, violations = _audit_by_broadcast(ensemble, family, thetas, 5, 1e-9)
+        assert [c[:2] for c in report.cases] == [c[:2] for c in cases]
+        for (*_, mass_u, mass_theta, _k), (_, _, want_u, want_theta) in zip(report.cases, cases):
+            # feedback masses are not dyadic; sorted sums may round apart
+            assert (mass_u,) + mass_theta == pytest.approx((want_u,) + want_theta, rel=1e-12, abs=0)
+        assert report.violations == tuple(violations)
+        # a tol this negative forces lower- and upper-bound violations
+        forced = exact_bound_audit(ensemble, bsc(0.1), family, thetas, 0.25, 5, tol=-0.2)
+        _, want = _audit_by_broadcast(ensemble, family, thetas, 5, -0.2)
+        assert {v.split()[0] for v in want} == {"lower", "upper"}
+        assert forced.violations == tuple(want)
+        assert not forced.pointwise_ok
+
+
+def _audit_instance(kind: str, n: int):
+    """(ensemble, family, metrics) of one small exact audit."""
+    rng = np.random.default_rng(np.random.SeedSequence((n, 0xA0D)))
+    if kind == "finite_state":
+        family = families.finite_state_family(2, 2, 2, lambda x, y, s: x ^ y ^ s)
+        thetas = [MetricIndex.finite_state(rng.uniform(-1, 1, (2, 2, 2)).tolist()) for _ in range(4)]
+        return uniform_ensemble(2, n), family, thetas
+    thetas = [MetricIndex.additive(m) for m in default_theta_grid(6, bsc(0.1), seed=3)]
+    if kind == "additive":
+        return uniform_ensemble(2, n), FAM, thetas
+    machine = FeedbackStateMachine(
+        num_states=2, initial_state=0, x_alphabet_size=2, y_alphabet_size=2,
+        next_state=tuple(x ^ y for t in range(2) for x in range(2) for y in range(2)),
+        emit=((0.7, 0.3), (0.4, 0.6)),
+    )
+    return feedback_tree_ensemble(machine, n), FAM, thetas
+
+
+def _audit_by_broadcast(ensemble, family, thetas, n, tol):
+    """Per (y, x): the universal and per-metric competitor masses by the
+    |theta| x N x N comparison broadcast, and the audit's violations in its
+    order (y, then x, then lower bounds by metric, then the upper bound)."""
+    xs = list(all_sequences(family.x_alphabet_size, n))
+    cases, violations = [], []
+    for y in all_sequences(family.y_alphabet_size, n):
+        q = np.array([2.0 ** ensembles.log_prob(ensemble, x, y) for x in xs])
+        if q.sum() == 0.0:
+            continue
+        keys = [class_key(family, x, y) for x in xs]
+        key_mass = {}
+        for k, qi in zip(keys, q):
+            key_mass[k] = key_mass.get(k, 0.0) + qi
+        u = np.array([math.inf if key_mass[k] == 0.0 else -math.log2(key_mass[k]) / n for k in keys])
+        scores = np.array([[decoders.metric_score(family, th, x, y).value for x in xs] for th in thetas])
+        mass_theta = ((scores[:, None, :] >= scores[:, :, None]) * q).sum(axis=2)
+        mass_u = ((u[None, :] >= u[:, None]) * q).sum(axis=1)
+        for ix, x in enumerate(xs):
+            class_mass = 2.0 ** (-n * u[ix]) if u[ix] != math.inf else 0.0
+            violations += [
+                f"lower bound violated at x={x.symbols} y={y.symbols} theta#{it}"
+                for it in range(len(thetas))
+                if mass_theta[it, ix] < class_mass - tol
+            ]
+            if mass_u[ix] > len(key_mass) * class_mass + tol:
+                violations.append(f"upper bound violated at x={x.symbols} y={y.symbols}")
+            cases.append((y.symbols, x.symbols, float(mass_u[ix]), tuple(mass_theta[:, ix].tolist())))
+    return cases, violations
 
 
 class TestShulman:
@@ -604,6 +694,34 @@ class TestMonteCarloAudit:
                 assert (pmf[rank] == np.bincount(flat) / 2**n).all()
                 assert (np.diff(pmf) >= 0).all()
                 assert simulator._flat_type(x_bits, y_bits, ny) == flat[words.index(x)]
+
+    def test_shifted_masses_past_64_bits(self):
+        """Past n = 64 the class sizes exceed 2^64: the shifted arm's uint64
+        counts wrapped at n = 65 (every estimate read 1.0) and overflowed at
+        n = 70.  Each mass is the exact Python-int sum of the class sizes of
+        the joint types that score at least the sent word, over 2^n, with
+        every type scored by a scalar scorer on one word of that type."""
+        ch = bsc(0.1)
+        specs = SPECS[1:]
+        for n in (65, 70, 96):
+            masses = simulator._competitor_masses(ch, specs, n, 2, 11)
+            for t in range(2):
+                rng = np.random.default_rng(np.random.SeedSequence((11, t, 2)))
+                x_bits, y_bits = simulator._sent_pair(rng, ch, n)
+                x, y = seq(x_bits.astype(int)), seq(y_bits.astype(int))
+                ones, zeros = np.flatnonzero(y_bits), np.flatnonzero(~y_bits)
+                scorers = [_scalar_scorer(spec, None, ch) for spec in specs]
+                sent = [scorer(x, y).value for scorer in scorers]
+                totals = [0] * len(specs)
+                for a11 in range(len(ones) + 1):
+                    for a10 in range(len(zeros) + 1):
+                        w = np.zeros(n, dtype=int)
+                        w[ones[:a11]] = w[zeros[:a10]] = 1
+                        size = math.comb(len(ones), a11) * math.comb(len(zeros), a10)
+                        for d, scorer in enumerate(scorers):
+                            totals[d] += size if scorer(seq(w), y).value >= sent[d] else 0
+                assert masses[t].tolist() == [total / 2**n for total in totals]
+
 
 class TestMacSimulator:
     FAM2 = mac_xor_additive_family(2, 2)
