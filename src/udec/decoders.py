@@ -73,10 +73,12 @@ def metric_score(
         total = math.fsum(v[a][b] for a, b in zip(x, y))
     elif family.kind == families.FINITE_STATE:
         s = family.initial_state
-        total = 0.0
+        terms = []
         for a, b in zip(x, y):
-            total += v[a][b][s]
+            terms.append(v[a][b][s])
             s = family.step(a, b, s)
+        # summed exactly, so the words of one class score alike
+        total = math.fsum(terms)
     else:
         raise UnsupportedCombinationError(family.kind)
     return ScoreValue(total, "metric")

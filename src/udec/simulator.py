@@ -167,7 +167,6 @@ def exact_bound_audit(
     if n * (math.log2(xa) + math.log2(ya)) > typeclasses.EXHAUSTIVE_BITS:
         raise InstanceTooLargeError("exact audit instance too large")
     xs = list(typeclasses.all_sequences(xa, n))
-    m_count = 2.0 ** (n * rate)
     delta_n = typeclasses.count_classes(family, n).log_growth
 
     lhs = 0.0
@@ -209,8 +208,8 @@ def exact_bound_audit(
             if upper_bad[ix]:
                 violations.append(f"upper bound violated at x={x.symbols} y={y.symbols}")
         w = q * np.array([2.0 ** channels.log_likelihood(channel, x, y) for x in xs])
-        lhs += w @ np.minimum(1.0, m_count * mass_u)
-        rhs += np.minimum(1.0, m_count * mass_theta) @ w
+        lhs += w @ _clipped_union(mass_u, n * rate)
+        rhs += _clipped_union(mass_theta, n * rate) @ w
         if collect_cases:
             cases.extend(
                 (y.symbols, x.symbols, float(u), float(mu), tuple(mt.tolist()), k_y)
@@ -229,6 +228,16 @@ def exact_bound_audit(
         violations=tuple(violations),
         cases=tuple(cases),
     )
+
+
+def _clipped_union(mass: np.ndarray, log2_m: float) -> np.ndarray:
+    """min(1, M * mass) elementwise, for M = 2^log2_m codewords.  From
+    2^1024 on, M is no float: there the product is formed in the log
+    domain, where a zero mass stays 0."""
+    if log2_m < 1024:
+        return np.minimum(1.0, 2.0**log2_m * mass)
+    log2_mass = np.log2(mass, out=np.full(mass.shape, -math.inf), where=mass > 0)
+    return np.exp2(np.minimum(0.0, log2_mass + log2_m))
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +466,13 @@ def run_experiment(
     """Paired decoding trials: per trial, draw a codebook, transmit a
     uniformly chosen message, and decode the same realization with every
     configured decoder.  Deterministic given the master seed."""
+    types_of = _type_tables(decoder_specs, ensemble, channel)
+    return _experiment(ensemble, channel, family, decoder_specs, rate, trials, seed, ties_as_errors, types_of)
+
+
+def _experiment(ensemble, channel, family, decoder_specs, rate, trials, seed, ties_as_errors, types_of):
+    """run_experiment, reading the joint-type paths against ``types_of``,
+    which the caller may share (the audit's shifted arm reads it too)."""
     if trials < 1:
         raise InputError("at least one trial required")
     _check_alphabets(ensemble.alphabet_size, family, channel)
@@ -473,7 +489,7 @@ def run_experiment(
         errors = _run_slow(ensemble, channel, family, decoder_specs, m, trials, seed, ties_as_errors)
     else:
         source = _drawn_histograms if path == "types" else _packed_histograms
-        errors = _run_fast(ensemble, channel, decoder_specs, m, trials, seed, ties_as_errors, source)
+        errors = _run_fast(ensemble, channel, types_of, m, trials, seed, ties_as_errors, source)
     return [
         ErrorEstimate(spec.name, n, rate, trials, err, err / trials, *wilson_interval(err, trials), seed)
         for spec, err in zip(decoder_specs, errors.sum(axis=0).tolist())
@@ -619,13 +635,18 @@ def _class_sizes(n: int, ny: int) -> list[int]:
     return [math.comb(ny, a11) * c for a11 in range(ny + 1) for c in zeros]
 
 
+#: 3^0, ..., 3^19: base-3 place values, exact in a float
+_POW3 = 3.0 ** np.arange(20)
+
+
 class _Types:
     """The joint types of binary words with a y of weight ny, in flat
-    order, and what the paths read off them; each part is built on first
-    use."""
+    order, and what the paths read off them; the tables are built on first
+    use, and the decision cells once per sent type."""
 
     def __init__(self, rules, n: int, ny: int):
         self.rules, self.n, self.ny = rules, n, ny
+        self._cells = {}
 
     @functools.cached_property
     def scores(self) -> np.ndarray:
@@ -634,48 +655,87 @@ class _Types:
         return np.array(rows, dtype=float).reshape(len(rows), -1)
 
     @functools.cached_property
-    def sampler(self) -> tuple:
-        """(rank, pmf): the joint type of a uniform word, in increasing
-        probability.  Each probability is its exact class size over 2^n,
-        correctly rounded: the int-to-float conversion rounds once and the
-        power-of-two scaling is exact.  numpy's multinomial gives the last
-        category the leftover mass, so that lands on the heaviest type,
-        where float rounding is negligible; draws[rank] is a histogram in
-        flat order."""
-        pmf = np.array(_class_sizes(self.n, self.ny), dtype=float) * 2.0**-self.n
-        order = np.argsort(pmf, kind="stable")
-        return np.argsort(order), pmf[order]
+    def _limbs(self) -> np.ndarray:
+        """(limbs x types) floats: each class size in 32-bit limbs, least
+        significant first (a class has fewer than 2^n words).  A limb is
+        below 2^32, so any sum of up to 2^21 of them is an exact float."""
+        width = 4 * ((self.n + 31) // 32)
+        words = b"".join(size.to_bytes(width, "little") for size in _class_sizes(self.n, self.ny))
+        return np.frombuffer(words, dtype="<u4").reshape(-1, width // 4).T.astype(float)
 
-    @functools.cached_property
-    def tail_masses(self) -> np.ndarray:
-        """(decoders x types): the probability that a uniform word scores
-        at least as high as the type does; exact integer class sizes summed,
-        then divided once by 2^n, so correctly rounded at any n."""
-        sizes = np.array(_class_sizes(self.n, self.ny), dtype=object)
-        return (_tail_masses(self.scores, sizes) / 2**self.n).astype(float)
+    def _masses(self, limb_sums: np.ndarray) -> np.ndarray:
+        """Each column of exact limb sums as the integer it stands for over
+        2^n: math.fsum of exact terms, so correctly rounded while 2^-n is
+        a normal float (n <= 1022)."""
+        scale = 2.0 ** (32 * np.arange(len(limb_sums)) - self.n)
+        return np.array([math.fsum(col) for col in (limb_sums.T * scale).tolist()])
+
+    def tail_masses(self, sent: int) -> np.ndarray:
+        """Per decoder, the probability that a uniform word scores at
+        least as high as the sent type does: the exact class-size total of
+        those types over 2^n."""
+        at_least = self.scores >= self.scores[:, sent, None]
+        return self._masses(self._limbs @ at_least.T)
+
+    def cells(self, sent: int) -> tuple[np.ndarray, np.ndarray]:
+        """(signs, pmf): the decision cells of the sent type, the joint
+        types grouped by how every decoder ranks them against it.  Column
+        j of the int8 ``signs`` is cell j's rank per decoder (1 above,
+        0 equal, -1 below, by exact score comparison, read on one type of
+        the cell), and pmf[j] the probability that a uniform word falls in
+        it: its exact class-size total (which can be all 2^n words, as
+        under a constant metric) over 2^n.  Cells are in increasing mass:
+        numpy's multinomial gives the last category the leftover mass, so
+        that lands on the heaviest cell."""
+        if sent not in self._cells:
+            s = self.scores[:, sent, None]
+            # 0 below, 1 equal, 2 above, per decoder (row) and type
+            digits = (self.scores > s).view(np.int8) + (self.scores >= s).view(np.int8)
+            # a key per decision pattern: base 3, 20 decoders per block
+            # (exact in a float), renumbered below the type count between
+            # blocks
+            key = 0.0
+            for d in range(0, len(digits), 20):
+                if d:
+                    key = np.unique(key, return_inverse=True)[1]
+                block = digits[d : d + 20]
+                key = key * 3.0 ** len(block) + _POW3[: len(block)] @ block
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+            pmf = self._masses(np.add.reduceat(self._limbs[:, order], starts, axis=1))
+            by_mass = np.argsort(pmf, kind="stable")
+            self._cells[sent] = digits[:, order[starts[by_mass]]] - 1, pmf[by_mass]
+        return self._cells[sent]
 
 
-def _type_tables(rules, n: int):
-    """ny -> the _Types of these rules at block length n, built on first
-    use."""
-    return functools.cache(lambda ny: _Types(rules, n, ny))
+def _type_tables(decoder_specs, ensemble, channel):
+    """ny -> the _Types of these decoders at the ensemble's block length,
+    built on first use, so a run that reads no table builds no rule."""
+
+    @functools.cache
+    def types_of(ny):
+        return _Types([_type_rule(s, ensemble, channel) for s in decoder_specs], ensemble.n, ny)
+
+    return types_of
 
 
-def _flat_type(x_bits: np.ndarray, y_bits: np.ndarray, ny: int) -> int:
-    """Flat table index of the joint type of x with y, from their bits."""
-    return int(np.count_nonzero(x_bits & y_bits)) * (len(y_bits) - ny) + int(np.count_nonzero(x_bits))
+def _signs(scores: np.ndarray, sent: np.ndarray) -> np.ndarray:
+    """How each entry of each row of ``scores`` compares with the sent
+    score of its row (a column), as int8: 1 above, 0 equal, -1 below."""
+    return (scores > sent).view(np.int8) - (scores < sent).view(np.int8)
 
 
-def _read(scores: np.ndarray, true_type: int, others: np.ndarray, earlier) -> np.ndarray:
-    """Error indicator per decoder (row of ``scores``) from ``others``, the
-    histogram of the competitors' joint types.  An error is a competitor
-    scoring at least the sent word; with ``earlier``, the histogram of the
-    competitors indexed below the sent word, ties go to the lowest index
-    instead, so an equal score errs only there."""
-    s = scores[:, true_type, None]
+def _read(signs: np.ndarray, others: np.ndarray, earlier) -> np.ndarray:
+    """Error indicator per decoder (row of ``signs``) from ``others``, the
+    competitors' counts per category (a joint type or a decision cell),
+    whose scores compare with the sent word's as ``signs`` says.  An error
+    is a competitor scoring at least the sent word; with ``earlier``, the
+    counts of the competitors indexed below the sent word, ties go to the
+    lowest index instead, so an equal score errs only there."""
     if earlier is None:
-        return (scores >= s) @ others > 0
-    return ((scores > s) @ others > 0) | ((scores == s) @ earlier > 0)
+        return (signs >= 0) @ others > 0
+    return ((signs > 0) @ others > 0) | ((signs == 0) @ earlier > 0)
 
 
 def _joint_types(words: np.ndarray, y, n: int, ny: int) -> np.ndarray:
@@ -725,11 +785,26 @@ def _flip_noise(rng, x_bits: np.ndarray, channel) -> np.ndarray:
     return rng.random(len(x_bits)) < np.where(x_bits, w[1][0], w[0][1])
 
 
-def _sent_pair(rng, channel, n: int):
-    """Input and output bits of one block: a uniform word through the
-    channel."""
-    x_bits = rng.integers(0, 2, size=n).astype(bool)
-    return x_bits, x_bits ^ _flip_noise(rng, x_bits, channel)
+def _sent_type(rng, channel, n: int) -> tuple[int, int]:
+    """(ny, flat index) of the joint type of a uniform word and its output
+    through a binary channel, drawn directly.  Of the k ~ Bin(n, 1/2) ones
+    of x, Bin(k, W(0|1)) are received as 0, and Bin(n - k, W(1|0)) of its
+    zeros as 1.  For a fixed noise word of weight w, x's ones where the
+    noise is 0 (a11, received as 1) are Bin(n - w, 1/2) and where it is 1
+    (a10, received as 0) Bin(w, 1/2)."""
+    if channel.kind == channels.MOD_ADDITIVE and channel.noise_word:
+        if len(channel.noise_word) != n:
+            raise InputError("fixed noise word length mismatch")
+        w = sum(1 for e in channel.noise_word if e)
+        a11, a10 = int(rng.binomial(n - w, 0.5)), int(rng.binomial(w, 0.5))
+        ny = a11 + w - a10
+    else:
+        matrix = _channel_matrix(channel)
+        k = int(rng.binomial(n, 0.5))
+        a10 = int(rng.binomial(k, matrix[1][0]))
+        a11 = k - a10
+        ny = a11 + int(rng.binomial(n - k, matrix[0][1]))
+    return ny, a11 * (n - ny + 1) + a10
 
 
 def _transmit_packed(rng, word, n: int, channel):
@@ -746,8 +821,9 @@ def _check_codebook(words: int, bytes_per_word: int) -> None:
     """Refuse, before allocating it, a codebook over _CODEBOOK_BYTES."""
     if words * bytes_per_word > _CODEBOOK_BYTES:
         raise InstanceTooLargeError(
-            f"one trial's codebook of {words} words would take {words * bytes_per_word} "
-            f"bytes, over the {_CODEBOOK_BYTES}-byte limit"
+            f"one trial's codebook of 2^{math.log2(words):.2f} words would take "
+            f"2^{math.log2(words * bytes_per_word):.2f} bytes, over the "
+            f"{_CODEBOOK_BYTES >> 20} MiB limit"
         )
 
 
@@ -775,17 +851,18 @@ def _packed_trial(ensemble, channel, m: int, seed: int, t: int):
 
 
 # ---------------------------------------------------------------------------
-# joint-type paths.  A source yields each trial as (ny, sent type, competitor
-# histogram, histogram of the competitors indexed below the sent word or
-# None when ties count as errors); _run_fast reads every source the same way.
+# joint-type paths.  A source yields each trial as (signs, competitor counts,
+# counts of the competitors indexed below the sent word or None when ties
+# count as errors), per category: a joint type or a decision cell, ranked
+# against the sent word by signs; _run_fast reads every source the same way.
 # ---------------------------------------------------------------------------
 
 
 def _packed_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_of):
-    """Each trial's histograms, counted from its bit-packed codebook.  A
-    trial's arrays are released only once the next trial's exist, so the
-    allocator keeps their pages instead of returning them to the system
-    and faulting them in again every trial."""
+    """Each trial's joint-type histograms, counted from its bit-packed
+    codebook.  A trial's arrays are released only once the next trial's
+    exist, so the allocator keeps their pages instead of returning them to
+    the system and faulting them in again every trial."""
     n = ensemble.n
     for t in range(trials):
         code, true_idx, y = _packed_trial(ensemble, channel, m, seed, t)
@@ -796,43 +873,35 @@ def _packed_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types
         others = np.bincount(types, minlength=bins)
         others[true_type] -= 1
         earlier = None if ties_as_errors else np.bincount(types[:true_idx], minlength=bins)
-        yield ny, true_type, others, earlier
+        scores = types_of(ny).scores
+        yield _signs(scores, scores[:, true_type, None]), others, earlier
 
 
 def _drawn_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_of):
-    """Each trial's histograms drawn in the type domain: given the sent
+    """Each trial's cell counts drawn in the type domain: given the sent
     pair, the M - 1 independent uniform competitors' joint types with y are
-    iid with the sampler's pmf, so their histogram is one multinomial draw;
-    the sent index i is uniform, and the i competitors below it are a
-    multinomial of their own."""
+    iid, so their counts in the sent type's decision cells are one
+    multinomial draw; the sent index i is uniform, and the i competitors
+    below it are a multinomial of their own."""
     if m - 1 >= 1 << 63:
         raise InstanceTooLargeError("type-domain draws need M - 1 < 2^63 codewords")
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        x_bits, y_bits = _sent_pair(rng, channel, ensemble.n)
-        ny = int(np.count_nonzero(y_bits))
-        true_type = _flat_type(x_bits, y_bits, ny)
-        rank, pmf = types_of(ny).sampler
+        ny, sent = _sent_type(rng, channel, ensemble.n)
+        signs, pmf = types_of(ny).cells(sent)
         if ties_as_errors:
-            others, earlier = rng.multinomial(m - 1, pmf), None
+            yield signs, rng.multinomial(m - 1, pmf), None
         else:
             i = int(rng.integers(m))
             earlier = rng.multinomial(i, pmf)
-            others = earlier + rng.multinomial(m - 1 - i, pmf)
-            earlier = earlier[rank]
-        yield ny, true_type, others[rank], earlier
+            yield signs, earlier + rng.multinomial(m - 1 - i, pmf), earlier
 
 
-def _run_fast(ensemble, channel, decoder_specs, m, trials, seed, ties_as_errors, source):
-    """Per-trial error indicators (trials x decoders) from each trial's
-    joint-type histograms, yielded by ``source``, read against exact score
-    tables."""
-    types_of = _type_tables([_type_rule(s, ensemble, channel) for s in decoder_specs], ensemble.n)
-    errors = np.zeros((trials, len(decoder_specs)), dtype=bool)
-    histograms = source(ensemble, channel, m, seed, trials, ties_as_errors, types_of)
-    for t, (ny, true_type, others, earlier) in enumerate(histograms):
-        errors[t] = _read(types_of(ny).scores, true_type, others, earlier)
-    return errors
+def _run_fast(ensemble, channel, types_of, m, trials, seed, ties_as_errors, source):
+    """Per-trial error indicators (trials x decoders), each read off the
+    counts that ``source`` yields for the trial."""
+    counts = source(ensemble, channel, m, seed, trials, ties_as_errors, types_of)
+    return np.array([_read(*trial) for trial in counts])
 
 
 def _run_slow(ensemble, channel, family, decoder_specs, m, trials, seed, ties_as_errors):
@@ -937,13 +1006,15 @@ def monte_carlo_audit(
     finite grid only weakens the right-hand sides, which is the safe
     direction for an audit.
     """
+    if shifted_trials < 1:
+        raise InputError("at least one shifted-arm trial required")
     ensemble = ensembles.uniform_ensemble(2, n)
     specs = [DecoderSpec("universal"), DecoderSpec("ml")]
     for i, th in enumerate(metric_thetas):
         specs.append(DecoderSpec("metric", label=f"metric{i}", theta=tuple(tuple(r) for r in th)))
-    estimates = run_experiment(
-        ensemble, channel, family, specs, rate, trials, seed, ties_as_errors=True
-    )
+    # one table per output weight, read by both arms
+    types_of = _type_tables(specs, ensemble, channel)
+    estimates = _experiment(ensemble, channel, family, specs, rate, trials, seed, True, types_of)
     delta_n = typeclasses.count_classes(family, n).log_growth
 
     est_u = estimates[0]
@@ -953,9 +1024,10 @@ def monte_carlo_audit(
 
     shifted_rate = rate + delta_n
     shifted_m = ensembles.message_count(n, shifted_rate)
-    shifted = _analytic_error_estimates(
-        channel, specs[1:], n, shifted_m, shifted_rate, shifted_trials, seed + 1
-    )
+    # the universal decoder is not run at the shifted rate: its column is
+    # dropped
+    masses = _competitor_masses(channel, types_of, n, shifted_trials, seed + 1)[:, 1:]
+    shifted = _analytic_error_estimates(masses, specs[1:], n, shifted_m, shifted_rate, seed + 1)
     ineq_rate_ok = est_u.ci_hi <= 2.0 * min(e.ci_lo for e in shifted)
     est_ml = estimates[1]
     ratio = (
@@ -974,14 +1046,12 @@ def monte_carlo_audit(
     )
 
 
-def _analytic_error_estimates(
-    channel, decoder_specs, n, m, rate, trials, seed
-) -> list[ErrorEstimate]:
+def _analytic_error_estimates(masses, decoder_specs, n, m, rate, seed) -> list[ErrorEstimate]:
     """Error probability of additive-metric decoders over the uniform binary
     ensemble, exact over the codebook randomness: per sampled (input,
-    output) pair the competitor mass is exact and the conditional error is
-    1-(1-mass)^(M-1)."""
-    masses = _competitor_masses(channel, decoder_specs, n, trials, seed)
+    output) pair (rows of ``masses``) the competitor mass is exact and the
+    conditional error is 1-(1-mass)^(M-1)."""
+    trials = len(masses)
     with np.errstate(divide="ignore"):  # mass 1: log1p(-1) = -inf, error 1
         cond = -np.expm1(float(m - 1) * np.log1p(-masses))
     out = []
@@ -994,19 +1064,17 @@ def _analytic_error_estimates(
     return out
 
 
-def _competitor_masses(channel, decoder_specs, n, trials, seed) -> np.ndarray:
-    """Per trial (rows) and decoder (columns) of the shifted-rate arm, the
-    probability that one uniform codeword scores at least as high as the
-    sent one, read off the exact tail masses of the sent joint type."""
-    ensemble = ensembles.uniform_ensemble(2, n)
-    types_of = _type_tables([_type_rule(s, ensemble, channel) for s in decoder_specs], n)
-    masses = np.empty((trials, len(decoder_specs)))
+def _competitor_masses(channel, types_of, n, trials, seed) -> np.ndarray:
+    """Per trial (rows) and decoder (columns, the rows of ``types_of``'s
+    tables) of the shifted-rate arm, the probability that one uniform
+    codeword scores at least as high as the sent one, read off the exact
+    tail masses of the sent joint type."""
+    masses = []
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, t, 2)))
-        x_bits, y_bits = _sent_pair(rng, channel, n)
-        ny = int(np.count_nonzero(y_bits))
-        masses[t] = types_of(ny).tail_masses[:, _flat_type(x_bits, y_bits, ny)]
-    return masses
+        ny, sent = _sent_type(rng, channel, n)
+        masses.append(types_of(ny).tail_masses(sent))
+    return np.array(masses)
 
 
 # ---------------------------------------------------------------------------
@@ -1160,7 +1228,7 @@ def _mac_trials(channel, decoder_specs, rate1, rate2, n, trials, seed) -> np.nda
     inner = channel.inner
     users = ensembles.uniform_ensemble(2, n)
     _check_codebook(m1 * m2, 8)
-    base = _type_tables([_type_rule(s, users, inner) for s in decoder_specs], n)
+    base = _type_tables(decoder_specs, users, inner)
 
     @functools.cache
     def tables(ny):

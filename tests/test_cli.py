@@ -118,9 +118,36 @@ class TestAudit:
         out = str(tmp_path / "a.csv")
         assert main(["audit", "--config", cfg, "--out", out]) == 0
 
+    def test_exact_mode_past_the_float_range(self, tmp_path):
+        # M = 2^1200 codewords: every clipped-union term is 1, where forming
+        # 2^(nR) as a float stopped the audit with a traceback and exit 1
+        payload = {
+            "audit_mode": "exact",
+            "n": 2,
+            "rate": 600,
+            "theta_grid_size": 3,
+            "ensemble": {"kind": "uniform"},
+            "channel": {"kind": "bsc", "p": 0.1},
+            "family": {"kind": "additive"},
+        }
+        cfg = write_config(tmp_path, "a.json", payload)
+        out = str(tmp_path / "a.csv")
+        assert main(["audit", "--config", cfg, "--out", out]) == 0
+        rows = [r.split(",") for r in (tmp_path / "a.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["universal", "theta0", "theta1", "theta2"]
+        assert all(float(r[5]) == 1.0 and r[9] == "true" for r in rows)
+
     def test_unknown_mode_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "a.json", {"audit_mode": "bogus"})
         assert main(["audit", "--config", cfg]) == 2
+
+
+    def test_oversized_codebook_message_is_short(self, tmp_path, capsys):
+        # 2^1200 codewords: the sizes are powers of two, not 360-digit counts
+        cfg = write_config(tmp_path, "c.json", dict(SIMULATE, n=2000, rate=0.6))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and len(err) < 200 and "2^1200" in err
 
 
 class TestOtherSubcommands:

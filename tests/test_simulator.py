@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -68,6 +69,20 @@ def _unpack(word, n):
     """Symbols of a bit-packed word kept in draw order."""
     word = int(simulator._rot32(np.uint64(word)))
     return seq([(word >> i) & 1 for i in range(n)])
+
+
+def _fast(ens, ch, specs, m, trials, seed, ties_as_errors, source):
+    """_run_fast with fresh type tables for these decoders."""
+    types_of = simulator._type_tables(specs, ens, ch)
+    return simulator._run_fast(ens, ch, types_of, m, trials, seed, ties_as_errors, source)
+
+
+def _type_word(n: int, ny: int, flat: int):
+    """(x, y): a y of weight ny, ones first, and an x of the joint type at
+    flat index ``flat`` with it."""
+    a11, a10 = divmod(flat, n - ny + 1)
+    x = [1] * a11 + [0] * (ny - a11) + [1] * a10 + [0] * (n - ny - a10)
+    return seq(x), seq([1] * ny + [0] * (n - ny))
 
 
 def _fisher_p(a: int, b: int, trials: int) -> float:
@@ -174,7 +189,7 @@ def test_type_tables_equal_scalar_scores(bits, theta, p0, p1):
     specs.append((DecoderSpec("metric", theta=th), None, None))
     want.append(decoders.metric_score(FAM, MetricIndex.additive(th), x, y).value)
     rules = [simulator._type_rule(spec, ens, ch) for spec, ens, ch in specs]
-    got = [table[k] for table in simulator._type_tables(rules, n)(ny).scores]
+    got = [table[k] for table in simulator._Types(rules, n, ny).scores]
     assert got == want
 
 
@@ -297,6 +312,41 @@ class TestExactAudit:
         report = exact_bound_audit(
             uniform_ensemble(2, 4), bsc(0.0), FAM, thetas, 0.25, 4
         )
+        assert report.pointwise_ok and report.aggregate_ok
+
+    def test_finite_state_words_of_one_class_score_alike(self):
+        """A finite-state metric is summed exactly, so the words of one
+        class score alike: position-order float sums put x = 000011 an ulp
+        above the rest of its class against y = 000000 and reported a false
+        lower-bound violation for metric 3."""
+        family = families.finite_state_family(2, 2, 2, lambda x, y, s: x ^ y ^ s)
+        rng = np.random.default_rng(3)
+        thetas = [MetricIndex.finite_state(rng.uniform(-1, 1, (2, 2, 2)).tolist()) for _ in range(6)]
+        y = seq([0] * 6)
+        for theta in thetas:
+            by_class = {}
+            for x in all_sequences(2, 6):
+                score = decoders.metric_score(family, theta, x, y).value
+                by_class.setdefault(class_key(family, x, y), set()).add(score)
+            assert all(len(scores) == 1 for scores in by_class.values())
+        report = exact_bound_audit(uniform_ensemble(2, 6), bsc(0.1), family, thetas, 0.25, 6)
+        assert report.pointwise_ok and report.violations == ()
+
+    def test_clipped_union_past_the_float_range(self):
+        """min(1, M q) for M = 2^(nR) past 2^1024, where M is no float:
+        below it the terms are the plain product, bit for bit; above it a
+        tiny mass still gives its product, a zero mass stays 0, and no
+        overflow or invalid value is raised (RuntimeWarnings are errors)."""
+        masses = np.array([0.0, 2.0**-1074, 2.0**-1040, 2.0**-1030, 1e-300, 0.5, 1.0])
+        for log2_m in (0.0, 3.7, 600.0, 1023.9):
+            want = np.minimum(1.0, 2.0**log2_m * masses)
+            assert simulator._clipped_union(masses, log2_m).tolist() == want.tolist()
+        got = simulator._clipped_union(masses, 1034.0)
+        assert got.tolist() == pytest.approx([0.0, 2.0**-40, 2.0**-6, 1.0, 1.0, 1.0, 1.0], rel=1e-13)
+        assert simulator._clipped_union(masses, 1200.0).tolist() == [0.0] + [1.0] * 6
+        thetas = [MetricIndex.additive(m) for m in default_theta_grid(3, bsc(0.1))]
+        report = exact_bound_audit(uniform_ensemble(2, 2), bsc(0.1), FAM, thetas, 600.0, 2)
+        assert report.lhs_universal == pytest.approx(1.0) and report.rhs_by_theta == pytest.approx((1.0,) * 3)
         assert report.pointwise_ok and report.aggregate_ok
 
     @pytest.mark.parametrize("instance", ["additive", "finite_state", "feedback"])
@@ -453,7 +503,7 @@ class TestRunExperiment:
             assert simulator._select_path(ens, ch, FAM, specs) != "scalar"
             realize = _packed_realization(ens, ch, m, 21)
             for ties in (True, False):
-                fast = simulator._run_fast(ens, ch, specs, m, 150, 21, ties, simulator._packed_histograms)
+                fast = _fast(ens, ch, specs, m, 150, 21, ties, simulator._packed_histograms)
                 assert fast.shape == (150, len(specs))
                 assert (fast == _scalar_errors(ens, ch, specs, 150, realize, ties)).all()
         # the scalar path, the only one for non-binary runs, on its own draws
@@ -482,8 +532,8 @@ class TestRunExperiment:
             m = simulator.ensembles.message_count(ens.n, rate)
             assert simulator._select_path(ens, ch, FAM, specs) == "types"
             for ties in (True, False):
-                drawn = simulator._run_fast(ens, ch, specs, m, trials, 8, ties, simulator._drawn_histograms)
-                packed = simulator._run_fast(ens, ch, specs, m, trials, 9, ties, simulator._packed_histograms)
+                drawn = _fast(ens, ch, specs, m, trials, 8, ties, simulator._drawn_histograms)
+                packed = _fast(ens, ch, specs, m, trials, 9, ties, simulator._packed_histograms)
                 for a, b in zip(drawn.sum(axis=0).tolist(), packed.sum(axis=0).tolist()):
                     assert _fisher_p(a, b, trials) > alpha, (ens, ch, ties, a, b)
 
@@ -495,7 +545,7 @@ class TestRunExperiment:
             ens = uniform_ensemble(2, n)
             m = simulator.ensembles.message_count(n, rate)
             for ties in (True, False):
-                errors = simulator._run_fast(ens, bsc(0.15), specs, m, 1500, 3, ties, simulator._drawn_histograms)
+                errors = _fast(ens, bsc(0.15), specs, m, 1500, 3, ties, simulator._drawn_histograms)
                 assert errors[:, 0].sum() > 20
                 assert (errors[:, 0] == errors[:, 1]).all()
 
@@ -520,7 +570,7 @@ class TestRunExperiment:
         # on the bit-packed realizations the scalar scores give these
         # counts; the float class-size ranking once reported 169 and 60
         specs = [DecoderSpec("universal"), DecoderSpec("ml")]
-        errors = simulator._run_fast(
+        errors = _fast(
             uniform_ensemble(2, 32), bsc(0.1), specs, 256, 3000, 11, True, simulator._packed_histograms
         )
         assert errors.sum(axis=0).tolist() == [172, 68]
@@ -533,7 +583,7 @@ class TestRunExperiment:
         ch = bsc(0.1)
         words = list(all_sequences(2, 2))
         for ties in (True, False):
-            est = run_experiment(ens, ch, FAM, SPECS[:3], 0.01, 20000, 13, ties_as_errors=ties)
+            est = run_experiment(ens, ch, FAM, SPECS[:3], 0.01, 150000, 13, ties_as_errors=ties)
             for spec, e in zip(SPECS[:3], est):
                 scorer = _scalar_scorer(spec, ens, ch)
                 terms = []
@@ -542,10 +592,12 @@ class TestRunExperiment:
                     err = 1.0 if s_other > s_true else (1.0 if ties else 0.5) if s_other == s_true else 0.0
                     terms.append(err * (1 / 16) * 2.0 ** channels.log_likelihood(ch, c1, y))
                 exact = math.fsum(terms)
-                if spec.kind == "metric" and ties:  # the original case, at 95 %
-                    assert e.ci_lo <= exact <= e.ci_hi
-                # all six at a false-alarm rate of at most 1e-6 together
+                # all six at a false-alarm rate of at most 1e-6 together;
+                # at 150000 trials each interval is narrower than a 95 %
+                # interval at 20000
                 lo, hi = wilson_interval(e.errors, e.trials, z=5.3)
+                lo95, hi95 = wilson_interval(round(e.estimate * 20000), 20000)
+                assert hi - lo < hi95 - lo95
                 assert lo <= exact <= hi, (spec, ties, e.estimate, exact)
 
     def test_paired_trial_dominance(self):
@@ -655,6 +707,8 @@ class TestRunExperiment:
     def test_trials_required(self):
         with pytest.raises(InputError):
             run_experiment(uniform_ensemble(2, 4), bsc(0.1), FAM, [DecoderSpec("ml")], 0.25, 0, 0)
+        with pytest.raises(InputError, match="shifted"):
+            monte_carlo_audit(bsc(0.1), FAM, [], 0.25, 8, 10, 0, shifted_trials=0)
 
 
 class TestMonteCarloAudit:
@@ -674,26 +728,17 @@ class TestMonteCarloAudit:
             DecoderSpec("metric", theta=((0.3, -0.7), (0.1, 0.9))),
         ]
         for n, ch in ((10, bsc(0.1)), (7, dmc(((1.0, 0.0), (0.3, 0.7))))):
-            masses = simulator._competitor_masses(ch, specs, n, 12, 5)
+            types_of = simulator._type_tables(specs, uniform_ensemble(2, n), ch)
+            masses = simulator._competitor_masses(ch, types_of, n, 12, 5)
             words = list(all_sequences(2, n))
-            types_of = simulator._type_tables((), n)
             for t in range(12):
                 rng = np.random.default_rng(np.random.SeedSequence((5, t, 2)))
-                x_bits, y_bits = simulator._sent_pair(rng, ch, n)
-                x, y = seq(x_bits.astype(int)), seq(y_bits.astype(int))
+                x, y = _type_word(n, *simulator._sent_type(rng, ch, n))
                 for d, spec in enumerate(specs):
                     scorer = _scalar_scorer(spec, None, ch)
                     s0 = scorer(x, y).value
                     exhaustive = math.fsum(2.0**-n for w in words if scorer(w, y).value >= s0)
                     assert masses[t, d] == pytest.approx(exhaustive, rel=1e-12)
-                # the type-domain pmf is each joint type's share of all 2^n
-                # words, exactly, in increasing order; the sent type indexes it
-                ny = sum(y)
-                flat = [sum(a & b for a, b in zip(w, y)) * (n - ny) + sum(w) for w in words]
-                rank, pmf = types_of(ny).sampler
-                assert (pmf[rank] == np.bincount(flat) / 2**n).all()
-                assert (np.diff(pmf) >= 0).all()
-                assert simulator._flat_type(x_bits, y_bits, ny) == flat[words.index(x)]
 
     def test_shifted_masses_past_64_bits(self):
         """Past n = 64 the class sizes exceed 2^64: the shifted arm's uint64
@@ -704,23 +749,134 @@ class TestMonteCarloAudit:
         ch = bsc(0.1)
         specs = SPECS[1:]
         for n in (65, 70, 96):
-            masses = simulator._competitor_masses(ch, specs, n, 2, 11)
+            types_of = simulator._type_tables(specs, uniform_ensemble(2, n), ch)
+            masses = simulator._competitor_masses(ch, types_of, n, 2, 11)
             for t in range(2):
                 rng = np.random.default_rng(np.random.SeedSequence((11, t, 2)))
-                x_bits, y_bits = simulator._sent_pair(rng, ch, n)
-                x, y = seq(x_bits.astype(int)), seq(y_bits.astype(int))
-                ones, zeros = np.flatnonzero(y_bits), np.flatnonzero(~y_bits)
+                ny, sent = simulator._sent_type(rng, ch, n)
+                x, y = _type_word(n, ny, sent)
                 scorers = [_scalar_scorer(spec, None, ch) for spec in specs]
-                sent = [scorer(x, y).value for scorer in scorers]
+                sent_scores = [scorer(x, y).value for scorer in scorers]
                 totals = [0] * len(specs)
-                for a11 in range(len(ones) + 1):
-                    for a10 in range(len(zeros) + 1):
-                        w = np.zeros(n, dtype=int)
-                        w[ones[:a11]] = w[zeros[:a10]] = 1
-                        size = math.comb(len(ones), a11) * math.comb(len(zeros), a10)
-                        for d, scorer in enumerate(scorers):
-                            totals[d] += size if scorer(seq(w), y).value >= sent[d] else 0
+                for flat in range((ny + 1) * (n - ny + 1)):
+                    a11, a10 = divmod(flat, n - ny + 1)
+                    size = math.comb(ny, a11) * math.comb(n - ny, a10)
+                    w = _type_word(n, ny, flat)[0]
+                    for d, scorer in enumerate(scorers):
+                        totals[d] += size if scorer(w, y).value >= sent_scores[d] else 0
                 assert masses[t].tolist() == [total / 2**n for total in totals]
+
+
+class TestTypeDomain:
+    def test_sent_type_has_the_channel_law(self):
+        """The directly drawn sent joint type has the law of a uniform word
+        and its output: each (ny, flat index) frequency over 40000 draws
+        lies in its z = 6 Wilson interval around the exact probability,
+        found by enumerating every input and noise word (false alarm below
+        1e-6 over the at most 112 categories)."""
+        n, draws = 5, 40000
+        words = list(itertools.product((0, 1), repeat=n))
+        for ch in (dmc(((0.8, 0.2), (0.35, 0.65))), mod_additive_fixed([1, 0, 1, 1, 0])):
+            exact = {}
+            for x in words:
+                for y in words:
+                    p = 2.0**-n * 2.0 ** channels.log_likelihood(ch, seq(x), seq(y))
+                    ny = sum(y)
+                    a11 = sum(a & b for a, b in zip(x, y))
+                    flat = a11 * (n - ny + 1) + sum(x) - a11
+                    exact[ny, flat] = exact.get((ny, flat), 0.0) + p
+            rng = np.random.default_rng(17)
+            counts = {}
+            for _ in range(draws):
+                key = simulator._sent_type(rng, ch, n)
+                counts[key] = counts.get(key, 0) + 1
+            assert set(counts) <= {k for k, p in exact.items() if p > 0}
+            for key, p in exact.items():
+                lo, hi = wilson_interval(counts.get(key, 0), draws, z=6.0)
+                assert lo <= p <= hi, (ch.kind, key, counts.get(key, 0) / draws, p)
+
+    def test_cells_equal_exhaustive_decision_patterns(self):
+        """Every cell's mass is the number of the 2^n words whose decisions
+        against the sent word (above, equal, below, per decoder) are the
+        cell's, over 2^n, exactly; every pattern is one cell; cells come in
+        increasing mass; and each decoder's cells at or above the sent type
+        sum to its tail mass."""
+        specs = SPECS + [DecoderSpec("metric", theta=((0.5, 0.5), (0.5, 0.5)))]
+        for n, ch in ((7, dmc(((1.0, 0.0), (0.3, 0.7)))), (10, bsc(0.1))):
+            ens = uniform_ensemble(2, n)
+            types_of = simulator._type_tables(specs, ens, ch)
+            scorers = [_scalar_scorer(spec, ens, ch) for spec in specs]
+            words = list(all_sequences(2, n))
+            rng = np.random.default_rng(23)
+            for _ in range(6):
+                ny, sent = simulator._sent_type(rng, ch, n)
+                x, y = _type_word(n, ny, sent)
+                sent_scores = [scorer(x, y).value for scorer in scorers]
+                patterns = {}
+                for w in words:
+                    scores = [scorer(w, y).value for scorer in scorers]
+                    key = tuple((v > s0) - (v < s0) for v, s0 in zip(scores, sent_scores))
+                    patterns[key] = patterns.get(key, 0) + 1
+                signs, pmf = types_of(ny).cells(sent)
+                assert signs.dtype == np.int8
+                got = {tuple(col.tolist()): p for col, p in zip(signs.T, pmf)}
+                assert len(got) == signs.shape[1]
+                assert got == {key: count / 2**n for key, count in patterns.items()}
+                assert (np.diff(pmf) >= 0).all()
+                tails = types_of(ny).tail_masses(sent)
+                for d in range(len(specs)):
+                    assert math.fsum(pmf[signs[d] >= 0]) == tails[d]
+
+    def test_cell_masses_are_exact_at_64_bits(self):
+        """At n = 64 the class sizes reach 2^59 and a cell can hold all
+        2^64 words: each cell's mass is the correctly rounded Python-int sum
+        of its types' class sizes over 2^64."""
+        n = 64
+        ens = uniform_ensemble(2, n)
+        constant = [DecoderSpec("metric", theta=((0.5, 0.5), (0.5, 0.5)))]
+        assert simulator._type_tables(constant, ens, bsc(0.1))(32).cells(500)[1].tolist() == [1.0]
+        types_of = simulator._type_tables(SPECS, ens, bsc(0.1))
+        for ny, sent in ((32, 520), (30, 17), (64, 40), (0, 0)):
+            types = types_of(ny)
+            signs, pmf = types.cells(sent)
+            per_type = simulator._signs(types.scores, types.scores[:, sent, None]).T.tolist()
+            sizes = simulator._class_sizes(n, ny)
+            for col, p in zip(signs.T.tolist(), pmf):
+                assert p == sum(size for size, key in zip(sizes, per_type) if key == col) / 2**n
+
+    def test_cells_for_many_decoders(self):
+        """A grid of any size is grouped exactly: 60 metrics, past what a
+        base-3 code in 64 bits could tell apart."""
+        n, ny = 12, 5
+        grid = default_theta_grid(60, bsc(0.1), seed=4)
+        specs = [DecoderSpec("metric", theta=th) for th in grid]
+        types = simulator._type_tables(specs, uniform_ensemble(2, n), bsc(0.1))(ny)
+        for sent in (0, 9, 40):
+            signs, pmf = types.cells(sent)
+            per_type = simulator._signs(types.scores, types.scores[:, sent, None]).T.tolist()
+            sizes = simulator._class_sizes(n, ny)
+            want = {}
+            for size, key in zip(sizes, per_type):
+                want[tuple(key)] = want.get(tuple(key), 0) + size
+            got = {tuple(c): p for c, p in zip(signs.T.tolist(), pmf)}
+            assert got == {key: size / 2**n for key, size in want.items()}
+
+    def test_no_type_tables_outlive_a_call(self, monkeypatch):
+        """Every table and cell memo lives on its call's _Types objects,
+        which are freed when the call returns."""
+        alive = []
+
+        class Tracked(simulator._Types):
+            def __init__(self, *args):
+                super().__init__(*args)
+                alive.append(weakref.ref(self))
+
+        monkeypatch.setattr(simulator, "_Types", Tracked)
+        run_experiment(uniform_ensemble(2, 16), bsc(0.1), FAM, SPECS, 0.25, 40, 1)
+        run_experiment(linear_dithered_ensemble(16, 5), bsc(0.1), FAM, SPECS, 0.25, 10, 1)
+        monte_carlo_audit(bsc(0.1), FAM, default_theta_grid(3, bsc(0.1)), 0.25, 16, 40, 1, shifted_trials=20)
+        assert len(alive) > 3
+        assert [ref() for ref in alive] == [None] * len(alive)
 
 
 class TestMacSimulator:
