@@ -4,8 +4,13 @@ Exact mode replaces the expectation over codebooks by the clipped-union
 functionals that sandwich the average error probability, so the main
 competitive bound can be audited without enumerating codebooks.  Monte Carlo
 mode runs paired decoding trials: every configured decoder sees the same
-codebook and channel realization, and trials are keyed by (master seed,
-trial index) so results are reproducible and order-independent.
+codebook and channel realization.  Results are deterministic given the
+master seed.  The scalar, bit-packed and two-user paths key each trial's
+generator by (master seed, trial index), so a trial's realization does not
+depend on the others.  The type-domain arms (any n) draw every trial from
+one generator per arm and call: first all the sent joint types, then the
+competitor counts of each distinct sent type in turn, in increasing order
+of (output weight, type).
 """
 
 from __future__ import annotations
@@ -520,19 +525,19 @@ def _select_path(ensemble, channel, family, decoder_specs) -> str:
     """Which Monte Carlo path a run takes.
 
     The joint-type paths run only where they provably match the scalar
-    reference: binary additive family, uniform codewords of at most 64 bits,
-    a memoryless or fixed-noise binary channel, and decoders whose scores
-    depend on a codeword only through its joint type with y (the ML score
-    of a fixed-noise channel does not).  There, ``"types"`` draws each
-    trial's competitor histogram directly, which needs independent
-    codewords (``uniform``, fair ``iid``); ``"packed"`` builds it from a
-    bit-packed codebook, for ``linear_dithered`` codewords, which are only
-    pairwise independent.  Everything else is ``"scalar"``."""
+    reference: binary additive family, uniform codewords, a memoryless or
+    fixed-noise binary channel, and decoders whose scores depend on a
+    codeword only through its joint type with y (the ML score of a
+    fixed-noise channel does not).  There, ``"types"`` draws the trials'
+    competitor counts directly, at any n, which needs independent codewords
+    (``uniform``, fair ``iid``); ``"packed"`` counts them in a bit-packed
+    codebook of at most 64-bit words, for ``linear_dithered`` codewords,
+    which are only pairwise independent.  Everything else is
+    ``"scalar"``."""
     fixed_noise = channel.kind == channels.MOD_ADDITIVE and bool(channel.noise_word)
     if not (
         family.kind == families.ADDITIVE
         and ensemble.alphabet_size == family.y_alphabet_size == 2
-        and ensemble.n <= 64
         and channel.kind in (channels.DMC, channels.MOD_ADDITIVE)
         and all(
             spec.kind in ("universal", "metric") or (spec.kind == "ml" and not fixed_noise)
@@ -544,7 +549,7 @@ def _select_path(ensemble, channel, family, decoder_specs) -> str:
         ensemble.kind == ensembles.IID and ensemble.probs == (0.5, 0.5)
     ):
         return "types"
-    if ensemble.kind == ensembles.LINEAR_DITHERED:
+    if ensemble.kind == ensembles.LINEAR_DITHERED and ensemble.n <= 64:
         return "packed"
     return "scalar"
 
@@ -592,11 +597,12 @@ def _type_table(rule, n: int, ny: int) -> np.ndarray:
     each entry is bit-identical to decoders.universal_score, ml_score or
     metric_score on any pair of that type."""
     if isinstance(rule, ensembles.CodingEnsemble):
-        table = []
-        for (a11, a10), size in zip(_type_grid(n, ny), _class_sizes(n, ny)):
-            lp = ensembles._type_class_log_mass(rule, (n - a10 - a11, a10 + a11), size)
-            table.append(math.inf if lp == -math.inf else -lp / n)
-        return np.array(table)
+        # the paths' ensembles (uniform, fair iid, linear_dithered) give
+        # every binary word mass 2^-n: _type_class_log_mass's log2 mass of
+        # a class is log2 size - n * log2 2, or for fair iid the same float
+        # as -n + log2 size
+        log2_sizes = np.array([math.log2(size) for size in _class_sizes(n, ny)])
+        return -(log2_sizes - n * math.log2(2)) / n
     # a letter sum is one integer numerator, affine in (a11, a10), over the
     # rule's denominator; int / int rounds half to even, as math.fsum does
     nums, den = rule
@@ -623,10 +629,6 @@ def _tail_masses(scores: np.ndarray, masses: np.ndarray) -> np.ndarray:
         from_top = np.cumsum(masses[order][::-1])[::-1]
         tails[:] = from_top[np.searchsorted(row[order], row, side="left")]
     return out
-
-
-def _type_grid(n: int, ny: int):
-    return ((a11, a10) for a11 in range(ny + 1) for a10 in range(n - ny + 1))
 
 
 def _class_sizes(n: int, ny: int) -> list[int]:
@@ -711,13 +713,27 @@ class _Types:
 
 def _type_tables(decoder_specs, ensemble, channel):
     """ny -> the _Types of these decoders at the ensemble's block length,
-    built on first use, so a run that reads no table builds no rule."""
+    built on first use, so a run that reads no table builds no rule.  The
+    first use refuses tables that could outgrow _TABLE_BYTES: the
+    C(n + 3, 3) joint types of all output weights, each with one float per
+    decoder and per 32-bit limb of its class size."""
 
     @functools.cache
     def types_of(ny):
-        return _Types([_type_rule(s, ensemble, channel) for s in decoder_specs], ensemble.n, ny)
+        n = ensemble.n
+        size = math.comb(n + 3, 3) * (len(decoder_specs) + (n + 31) // 32) * 8
+        if size > _TABLE_BYTES:
+            raise InstanceTooLargeError(
+                f"joint-type tables at n = {n} could take 2^{math.log2(size):.2f} bytes, "
+                f"over the {_TABLE_BYTES >> 20} MiB limit"
+            )
+        return _Types([_type_rule(s, ensemble, channel) for s in decoder_specs], n, ny)
 
     return types_of
+
+
+#: the most memory one run's joint-type tables may take
+_TABLE_BYTES = 1 << 28
 
 
 def _signs(scores: np.ndarray, sent: np.ndarray) -> np.ndarray:
@@ -785,26 +801,46 @@ def _flip_noise(rng, x_bits: np.ndarray, channel) -> np.ndarray:
     return rng.random(len(x_bits)) < np.where(x_bits, w[1][0], w[0][1])
 
 
-def _sent_type(rng, channel, n: int) -> tuple[int, int]:
-    """(ny, flat index) of the joint type of a uniform word and its output
-    through a binary channel, drawn directly.  Of the k ~ Bin(n, 1/2) ones
-    of x, Bin(k, W(0|1)) are received as 0, and Bin(n - k, W(1|0)) of its
-    zeros as 1.  For a fixed noise word of weight w, x's ones where the
-    noise is 0 (a11, received as 1) are Bin(n - w, 1/2) and where it is 1
-    (a10, received as 0) Bin(w, 1/2)."""
+def _sent_types(rng, channel, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ny, flat index) arrays of the joint types of ``count`` uniform words
+    and their outputs through a binary channel, drawn directly.  Of the
+    k ~ Bin(n, 1/2) ones of x, Bin(k, W(0|1)) are received as 0, and
+    Bin(n - k, W(1|0)) of its zeros as 1.  For a fixed noise word of weight
+    w, x's ones where the noise is 0 (a11, received as 1) are Bin(n - w, 1/2)
+    and where it is 1 (a10, received as 0) Bin(w, 1/2).  Each binomial is
+    drawn for all words at once."""
     if channel.kind == channels.MOD_ADDITIVE and channel.noise_word:
         if len(channel.noise_word) != n:
             raise InputError("fixed noise word length mismatch")
         w = sum(1 for e in channel.noise_word if e)
-        a11, a10 = int(rng.binomial(n - w, 0.5)), int(rng.binomial(w, 0.5))
+        a11, a10 = rng.binomial(n - w, 0.5, count), rng.binomial(w, 0.5, count)
         ny = a11 + w - a10
     else:
         matrix = _channel_matrix(channel)
-        k = int(rng.binomial(n, 0.5))
-        a10 = int(rng.binomial(k, matrix[1][0]))
+        k = rng.binomial(n, 0.5, count)
+        a10 = rng.binomial(k, matrix[1][0])
         a11 = k - a10
-        ny = a11 + int(rng.binomial(n - k, matrix[0][1]))
+        ny = a11 + rng.binomial(n - k, matrix[0][1])
     return ny, a11 * (n - ny + 1) + a10
+
+
+def _sent_type_groups(ny: np.ndarray, sent: np.ndarray, n: int):
+    """The trials grouped by their (ny, flat index) sent type: one
+    (ny, sent, trial indices) per distinct type, in increasing (ny, sent),
+    each group's trials in increasing order."""
+    key = ny * (n + 1) ** 2 + sent
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    for group in np.split(order, starts[1:]):
+        yield int(ny[group[0]]), int(sent[group[0]]), group
+
+
+#: SeedSequence keys (seed, tag) of the type-domain arms' generators.  A key
+#: is hashed as the 32-bit words of its entries; a tag of 2^64 + c is the
+#: words (c, 0, 1), and no trial index below 2^64 has a zero top word, so
+#: no trial's (seed, t) or (seed, t, 1) key has the same words
+_DRAWN_TAG = 2**64
+_SHIFTED_TAG = 2**64 + 1
 
 
 def _transmit_packed(rng, word, n: int, channel):
@@ -851,18 +887,19 @@ def _packed_trial(ensemble, channel, m: int, seed: int, t: int):
 
 
 # ---------------------------------------------------------------------------
-# joint-type paths.  A source yields each trial as (signs, competitor counts,
-# counts of the competitors indexed below the sent word or None when ties
-# count as errors), per category: a joint type or a decision cell, ranked
-# against the sent word by signs; _run_fast reads every source the same way.
+# joint-type paths.  A source yields groups of trials as (trial indices,
+# signs, competitor counts, counts of the competitors indexed below the sent
+# word or None when ties count as errors), counts as categories x trials:
+# a category is a joint type or a decision cell, ranked against the sent
+# word by signs; _run_fast reads every source the same way.
 # ---------------------------------------------------------------------------
 
 
 def _packed_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_of):
     """Each trial's joint-type histograms, counted from its bit-packed
-    codebook.  A trial's arrays are released only once the next trial's
-    exist, so the allocator keeps their pages instead of returning them to
-    the system and faulting them in again every trial."""
+    codebook, as a group of one.  A trial's arrays are released only once
+    the next trial's exist, so the allocator keeps their pages instead of
+    returning them to the system and faulting them in again every trial."""
     n = ensemble.n
     for t in range(trials):
         code, true_idx, y = _packed_trial(ensemble, channel, m, seed, t)
@@ -872,36 +909,45 @@ def _packed_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types
         true_type = int(types[true_idx])
         others = np.bincount(types, minlength=bins)
         others[true_type] -= 1
-        earlier = None if ties_as_errors else np.bincount(types[:true_idx], minlength=bins)
+        earlier = None if ties_as_errors else np.bincount(types[:true_idx], minlength=bins)[:, None]
         scores = types_of(ny).scores
-        yield _signs(scores, scores[:, true_type, None]), others, earlier
+        yield [t], _signs(scores, scores[:, true_type, None]), others[:, None], earlier
 
 
 def _drawn_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_of):
-    """Each trial's cell counts drawn in the type domain: given the sent
-    pair, the M - 1 independent uniform competitors' joint types with y are
-    iid, so their counts in the sent type's decision cells are one
-    multinomial draw; the sent index i is uniform, and the i competitors
-    below it are a multinomial of their own."""
+    """The trials' cell counts drawn in the type domain, from one generator:
+    first every sent pair's joint type, then the counts of each group of
+    trials that share one.  Given the sent pair, the M - 1 independent
+    uniform competitors' joint types with y are iid, so their counts in the
+    sent type's decision cells are one multinomial draw per trial; the sent
+    index i is uniform, and the i competitors below it are a multinomial of
+    their own."""
     if m - 1 >= 1 << 63:
-        raise InstanceTooLargeError("type-domain draws need M - 1 < 2^63 codewords")
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        ny, sent = _sent_type(rng, channel, ensemble.n)
-        signs, pmf = types_of(ny).cells(sent)
+        raise InstanceTooLargeError(f"type-domain draws need M - 1 < 2^63 codewords, not M = 2^{math.log2(m):.2f}")
+    rng = np.random.default_rng(np.random.SeedSequence((seed, _DRAWN_TAG)))
+    ny, sent = _sent_types(rng, channel, ensemble.n, trials)
+    for ny_g, sent_g, group in _sent_type_groups(ny, sent, ensemble.n):
+        signs, pmf = types_of(ny_g).cells(sent_g)
         if ties_as_errors:
-            yield signs, rng.multinomial(m - 1, pmf), None
+            yield group, signs, rng.multinomial(m - 1, pmf, size=len(group)).T, None
         else:
-            i = int(rng.integers(m))
+            i = rng.integers(m, size=len(group))
             earlier = rng.multinomial(i, pmf)
-            yield signs, earlier + rng.multinomial(m - 1 - i, pmf), earlier
+            yield group, signs, (earlier + rng.multinomial(m - 1 - i, pmf)).T, earlier.T
 
 
 def _run_fast(ensemble, channel, types_of, m, trials, seed, ties_as_errors, source):
-    """Per-trial error indicators (trials x decoders), each read off the
-    counts that ``source`` yields for the trial."""
-    counts = source(ensemble, channel, m, seed, trials, ties_as_errors, types_of)
-    return np.array([_read(*trial) for trial in counts])
+    """Per-trial error indicators (trials x decoders), each group of trials
+    read at once off the counts that ``source`` yields for it."""
+    groups = source(ensemble, channel, m, seed, trials, ties_as_errors, types_of)
+    return _by_trial((group, _read(signs, others, earlier).T) for group, signs, others, earlier in groups)
+
+
+def _by_trial(parts) -> np.ndarray:
+    """The rows of (trial indices, rows) parts, whose indices cover every
+    trial once, stacked in trial order."""
+    indices, rows = zip(*parts)
+    return np.concatenate(rows)[np.argsort(np.concatenate(indices))]
 
 
 def _run_slow(ensemble, channel, family, decoder_specs, m, trials, seed, ties_as_errors):
@@ -1068,13 +1114,11 @@ def _competitor_masses(channel, types_of, n, trials, seed) -> np.ndarray:
     """Per trial (rows) and decoder (columns, the rows of ``types_of``'s
     tables) of the shifted-rate arm, the probability that one uniform
     codeword scores at least as high as the sent one, read off the exact
-    tail masses of the sent joint type."""
-    masses = []
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, t, 2)))
-        ny, sent = _sent_type(rng, channel, n)
-        masses.append(types_of(ny).tail_masses(sent))
-    return np.array(masses)
+    tail masses of the sent joint type.  The sent types come from one
+    generator, and each distinct one's tails are computed once."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, _SHIFTED_TAG)))
+    groups = _sent_type_groups(*_sent_types(rng, channel, n, trials), n)
+    return _by_trial((group, np.tile(types_of(ny).tail_masses(sent), (len(group), 1))) for ny, sent, group in groups)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from udec import (
 )
 from udec import channels, decoders, ensembles, families, simulator
 from udec.ensembles import FeedbackStateMachine, feedback_tree_ensemble
-from udec.typeclasses import all_sequences, class_key
+from udec.typeclasses import Sequence, all_sequences, class_key
 from udec.simulator import (
     DecoderSpec,
     EventFamilySpec,
@@ -191,6 +191,28 @@ def test_type_tables_equal_scalar_scores(bits, theta, p0, p1):
     rules = [simulator._type_rule(spec, ens, ch) for spec, ens, ch in specs]
     got = [table[k] for table in simulator._Types(rules, n, ny).scores]
     assert got == want
+
+
+@pytest.mark.parametrize("n", [1, 33, 63, 64, 65, 96])
+def test_universal_rows_equal_per_type_scores(n):
+    """The universal row, built in one pass over the class sizes, equals
+    for every output weight the per-type class log mass of the ensemble
+    (the scores decoders.universal_score gives), bit for bit, for each
+    ensemble the joint-type paths take; a few entries per n are also
+    scored by decoders.universal_score itself."""
+    for ens in (uniform_ensemble(2, n), iid_ensemble((0.5, 0.5), n), linear_dithered_ensemble(n, 3)):
+        for ny in range(n + 1):
+            table = simulator._type_table(ens, n, ny)
+            want = [
+                -ensembles._type_class_log_mass(ens, (n - a11 - a10, a11 + a10), math.comb(ny, a11) * math.comb(n - ny, a10)) / n
+                for a11 in range(ny + 1)
+                for a10 in range(n - ny + 1)
+            ]
+            assert table.tolist() == want
+            if ny in (0, n // 3, n):
+                for flat in {0, len(table) // 2, len(table) - 1}:
+                    x, y = _type_word(n, ny, flat)
+                    assert table[flat] == decoders.universal_score(FAM, ens, x, y).value
 
 
 #: few distinct scores, so that rows are full of ties, and both infinities
@@ -560,7 +582,9 @@ class TestRunExperiment:
             (uniform_ensemble(2, 16), bsc(0.1), SPECS + [DecoderSpec("lz")], "scalar"),
             (uniform_ensemble(2, 16), fixed, SPECS, "scalar"),
             (iid_ensemble((0.4, 0.6), 16), bsc(0.1), SPECS, "scalar"),
-            (uniform_ensemble(2, 65), bsc(0.1), SPECS, "scalar"),
+            # only the bit-packed source needs 64-bit words
+            (uniform_ensemble(2, 65), bsc(0.1), SPECS, "types"),
+            (linear_dithered_ensemble(65, 6), bsc(0.1), SPECS, "scalar"),
         ]
         for ens, ch, specs, want in cases:
             fam = additive_family(ens.alphabet_size, ch.y_alphabet_size)
@@ -574,6 +598,49 @@ class TestRunExperiment:
             uniform_ensemble(2, 32), bsc(0.1), specs, 256, 3000, 11, True, simulator._packed_histograms
         )
         assert errors.sum(axis=0).tolist() == [172, 68]
+
+    def test_type_domain_past_64_bits_against_exact_averages(self):
+        """Past n = 64, where no bit-packed oracle runs, the type-domain
+        error counts of U and the identity metric over 200000 trials (n = 96,
+        R = 0.25, BSC(0.1), ties as errors) lie in their z = 5.3 Wilson
+        intervals (false alarm below 1e-6 for both) around the exact
+        ensemble averages P(type) (1 - (1 - q)^(M - 1)), summed over the
+        joint types.  q totals the math.comb class sizes of the types that
+        score at least the sent type: for U a class at most as large, for
+        the identity metric a scalar metric_score at least as high on one
+        word of the type."""
+        n, rate, p, trials = 96, 0.25, 0.1, 200000
+        ens = uniform_ensemble(2, n)
+        specs = [DecoderSpec("universal"), DecoderSpec("metric", theta=((1.0, 0.0), (0.0, 1.0)))]
+        assert simulator._select_path(ens, bsc(p), FAM, specs) == "types"
+        m = simulator.ensembles.message_count(n, rate)
+        identity = _scalar_scorer(specs[1], ens, None)
+        exact = [0.0, 0.0]
+        for ny in range(n + 1):
+            types = [(a11, a10) for a11 in range(ny + 1) for a10 in range(n - ny + 1)]
+            sizes = [math.comb(ny, a11) * math.comb(n - ny, a10) for a11, a10 in types]
+            y = Sequence((1,) * ny + (0,) * (n - ny), 2)
+            words = (Sequence((1,) * a11 + (0,) * (ny - a11) + (1,) * a10 + (0,) * (n - ny - a10), 2) for a11, a10 in types)
+            agreements = [identity(x, y).value for x in words]
+            probs = [  # of the sent pair's joint type: flips = ny - a11 + a10
+                math.comb(n, ny) * size * 2.0**-n * p ** (ny - a11 + a10) * (1 - p) ** (n - ny + a11 - a10)
+                for (a11, a10), size in zip(types, sizes)
+            ]
+            for d, scores in enumerate(([-size for size in sizes], agreements)):
+                tails = {}
+                for score, size in zip(scores, sizes):
+                    tails[score] = tails.get(score, 0) + size
+                above = 0
+                for score in sorted(tails, reverse=True):
+                    above += tails[score]
+                    tails[score] = above / 2**n
+                exact[d] += math.fsum(
+                    prob * (1.0 if tails[score] == 1 else -math.expm1((m - 1) * math.log1p(-tails[score])))
+                    for prob, score in zip(probs, scores)
+                )
+        for est, want in zip(run_experiment(ens, bsc(p), FAM, specs, rate, trials, 96), exact):
+            lo, hi = wilson_interval(est.errors, trials, z=5.3)
+            assert lo <= want <= hi, (est.decoder, est.errors, want * trials)
 
     def test_calibration_against_exhaustive_truth(self):
         # M=2, n=2: enumerate codebooks, sent messages and outputs for the
@@ -651,10 +718,17 @@ class TestRunExperiment:
         with pytest.raises(InstanceTooLargeError, match="codebook"):
             mac_run_experiment(mac_xor(bsc(0.1)), mac_xor_additive_family(2, 2), SPECS, 0.3, 0.3, 64, 1, 0)
         with pytest.raises(InstanceTooLargeError, match="codebook"):
-            run_experiment(uniform_ensemble(2, 80), bsc(0.1), FAM, SPECS[1:2], 0.25, 1, 0)
+            run_experiment(iid_ensemble((0.4, 0.6), 80), bsc(0.1), FAM, SPECS[1:2], 0.25, 1, 0)
         # the type-domain draws hold M - 1 in 63 bits
         with pytest.raises(InstanceTooLargeError, match="2\\^63"):
             run_experiment(uniform_ensemble(2, 64), bsc(0.1), FAM, SPECS, 1.0, 1, 0)
+        # past n = 64 the type domain refuses tables of all output weights
+        # over the limit: at n = 400, 10^7 types with 17 floats each
+        monkeypatch.setattr(simulator, "_Types", boom)
+        with pytest.raises(InstanceTooLargeError, match="tables"):
+            run_experiment(uniform_ensemble(2, 400), bsc(0.1), FAM, SPECS, 0.05, 1, 0)
+        with pytest.raises(InstanceTooLargeError, match="tables"):
+            monte_carlo_audit(bsc(0.1), FAM, [], 0.05, 400, 1, 0)
         # the limit is bytes: 8 per packed word, 8 per symbol plus 400 per
         # scalar word, just under and just over it
         monkeypatch.undo()
@@ -692,7 +766,7 @@ class TestRunExperiment:
                 run_experiment(uniform_ensemble(2, 8), bsc(0.1), FAM, nan_spec, 0.25, 10, 0)
         wide = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
         wide_spec = specs + [DecoderSpec("metric", theta=wide)]
-        for ens in (uniform_ensemble(2, 8), uniform_ensemble(2, 70)):  # fast and scalar paths
+        for ens in (uniform_ensemble(2, 8), iid_ensemble((0.4, 0.6), 8)):  # fast and scalar paths
             with pytest.raises(InputError, match="2 x 2"):
                 run_experiment(ens, bsc(0.1), FAM, wide_spec, 0.25, 10, 0)
         with pytest.raises(InputError, match="2 x 2"):
@@ -731,9 +805,9 @@ class TestMonteCarloAudit:
             types_of = simulator._type_tables(specs, uniform_ensemble(2, n), ch)
             masses = simulator._competitor_masses(ch, types_of, n, 12, 5)
             words = list(all_sequences(2, n))
+            sent_types = _shifted_arm_sent_types(ch, n, 12, 5)
             for t in range(12):
-                rng = np.random.default_rng(np.random.SeedSequence((5, t, 2)))
-                x, y = _type_word(n, *simulator._sent_type(rng, ch, n))
+                x, y = _type_word(n, *sent_types[t])
                 for d, spec in enumerate(specs):
                     scorer = _scalar_scorer(spec, None, ch)
                     s0 = scorer(x, y).value
@@ -751,9 +825,9 @@ class TestMonteCarloAudit:
         for n in (65, 70, 96):
             types_of = simulator._type_tables(specs, uniform_ensemble(2, n), ch)
             masses = simulator._competitor_masses(ch, types_of, n, 2, 11)
+            sent_types = _shifted_arm_sent_types(ch, n, 2, 11)
             for t in range(2):
-                rng = np.random.default_rng(np.random.SeedSequence((11, t, 2)))
-                ny, sent = simulator._sent_type(rng, ch, n)
+                ny, sent = sent_types[t]
                 x, y = _type_word(n, ny, sent)
                 scorers = [_scalar_scorer(spec, None, ch) for spec in specs]
                 sent_scores = [scorer(x, y).value for scorer in scorers]
@@ -765,6 +839,13 @@ class TestMonteCarloAudit:
                     for d, scorer in enumerate(scorers):
                         totals[d] += size if scorer(w, y).value >= sent_scores[d] else 0
                 assert masses[t].tolist() == [total / 2**n for total in totals]
+
+
+def _shifted_arm_sent_types(ch, n, trials, seed):
+    """The (ny, flat index) sent type of each trial of the shifted arm,
+    replayed through the arm's generator."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, simulator._SHIFTED_TAG)))
+    return list(zip(*(a.tolist() for a in simulator._sent_types(rng, ch, n, trials))))
 
 
 class TestTypeDomain:
@@ -787,13 +868,38 @@ class TestTypeDomain:
                     exact[ny, flat] = exact.get((ny, flat), 0.0) + p
             rng = np.random.default_rng(17)
             counts = {}
-            for _ in range(draws):
-                key = simulator._sent_type(rng, ch, n)
+            for key in zip(*(a.tolist() for a in simulator._sent_types(rng, ch, n, draws))):
                 counts[key] = counts.get(key, 0) + 1
             assert set(counts) <= {k for k, p in exact.items() if p > 0}
             for key, p in exact.items():
                 lo, hi = wilson_interval(counts.get(key, 0), draws, z=6.0)
                 assert lo <= p <= hi, (ch.kind, key, counts.get(key, 0) / draws, p)
+
+    def test_drawn_groups_cover_every_trial_once(self):
+        """The type-domain source draws all sent types first, from its own
+        generator, then yields one group per distinct sent type: every
+        trial lies in exactly one group, whose signs are the cells of each
+        of its trials' sent type; every count column holds the M - 1
+        competitors, and the ones indexed below the sent word are among
+        them."""
+        trials, seed = 300, 6
+        for ens, ch, rate, specs in JOINT_TYPE_CASES:
+            if ens.kind == "linear_dithered":
+                continue
+            n, m = ens.n, simulator.ensembles.message_count(ens.n, rate)
+            types_of = simulator._type_tables(specs, ens, ch)
+            rng = np.random.default_rng(np.random.SeedSequence((seed, simulator._DRAWN_TAG)))
+            ny, sent = simulator._sent_types(rng, ch, n, trials)
+            for ties in (True, False):
+                seen = []
+                for group, signs, others, earlier in simulator._drawn_histograms(ens, ch, m, seed, trials, ties, types_of):
+                    seen += group.tolist()
+                    for t in group:
+                        assert (signs == types_of(int(ny[t])).cells(int(sent[t]))[0]).all()
+                    assert others.shape == (signs.shape[1], len(group))
+                    assert (others.sum(axis=0) == m - 1).all()
+                    assert (earlier is None) if ties else (earlier <= others).all()
+                assert sorted(seen) == list(range(trials))
 
     def test_cells_equal_exhaustive_decision_patterns(self):
         """Every cell's mass is the number of the 2^n words whose decisions
@@ -808,8 +914,7 @@ class TestTypeDomain:
             scorers = [_scalar_scorer(spec, ens, ch) for spec in specs]
             words = list(all_sequences(2, n))
             rng = np.random.default_rng(23)
-            for _ in range(6):
-                ny, sent = simulator._sent_type(rng, ch, n)
+            for ny, sent in zip(*(a.tolist() for a in simulator._sent_types(rng, ch, n, 6))):
                 x, y = _type_word(n, ny, sent)
                 sent_scores = [scorer(x, y).value for scorer in scorers]
                 patterns = {}
