@@ -8,9 +8,13 @@ codebook and channel realization.  Results are deterministic given the
 master seed.  The scalar, bit-packed and two-user paths key each trial's
 generator by (master seed, trial index), so a trial's realization does not
 depend on the others.  The type-domain arms (any n) draw every trial from
-one generator per arm and call: first all the sent joint types, then the
-competitor counts of each distinct sent type in turn, in increasing order
-of (output weight, type).
+one generator per arm and call: first all the sent joint types, then, per
+output weight and chunk of its distinct sent types (at most _CELL_PAIRS
+sent-type x joint-type pairs), in increasing order of (output weight,
+type), the competitor counts of the chunk's trials, ordered by (type,
+trial index).  Zero-mass padding draws nothing, so with ties as errors
+the chunking does not change the draws; with ties to the lowest index,
+each chunk first draws its trials' sent indices.
 """
 
 from __future__ import annotations
@@ -592,16 +596,17 @@ def _type_rule(spec: DecoderSpec, ensemble, channel):
     return tuple(None if r is None else r[0] * (den // r[1]) for r in ratios), den
 
 
-def _type_table(rule, n: int, ny: int) -> np.ndarray:
-    """Flat score table of the joint types (a11, a10) with a y of weight ny;
-    each entry is bit-identical to decoders.universal_score, ml_score or
-    metric_score on any pair of that type."""
+def _type_table(rule, n: int, ny: int, sizes: list[int]) -> np.ndarray:
+    """Flat score table of the joint types (a11, a10) with a y of weight ny,
+    whose class sizes (_class_sizes) are ``sizes``; each entry is
+    bit-identical to decoders.universal_score, ml_score or metric_score on
+    any pair of that type."""
     if isinstance(rule, ensembles.CodingEnsemble):
         # the paths' ensembles (uniform, fair iid, linear_dithered) give
         # every binary word mass 2^-n: _type_class_log_mass's log2 mass of
         # a class is log2 size - n * log2 2, or for fair iid the same float
         # as -n + log2 size
-        log2_sizes = np.array([math.log2(size) for size in _class_sizes(n, ny)])
+        log2_sizes = np.array([math.log2(size) for size in sizes])
         return -(log2_sizes - n * math.log2(2)) / n
     # a letter sum is one integer numerator, affine in (a11, a10), over the
     # rule's denominator; int / int rounds half to even, as math.fsum does
@@ -637,78 +642,106 @@ def _class_sizes(n: int, ny: int) -> list[int]:
     return [math.comb(ny, a11) * c for a11 in range(ny + 1) for c in zeros]
 
 
-#: 3^0, ..., 3^19: base-3 place values, exact in a float
-_POW3 = 3.0 ** np.arange(20)
+#: the most (sent type, joint type) pairs whose decision cells one batch
+#: builds (a batch holds at least one sent type); it bounds a batch's id
+#: and bin arrays to a few hundred KB
+_CELL_PAIRS = 1 << 15
 
 
 class _Types:
     """The joint types of binary words with a y of weight ny, in flat
-    order, and what the paths read off them; the tables are built on first
-    use, and the decision cells once per sent type."""
+    order, and what the paths read off them, all built from one list of
+    the types' class sizes: ``scores``, (decoders x types) exact scores,
+    one row per rule, and ``_limbs``, (limbs x types) floats, each class
+    size in 32-bit limbs, least significant first (a class has fewer than
+    2^n words).  A limb is below 2^32, so any sum of up to 2^21 of them is
+    an exact float."""
 
     def __init__(self, rules, n: int, ny: int):
-        self.rules, self.n, self.ny = rules, n, ny
-        self._cells = {}
-
-    @functools.cached_property
-    def scores(self) -> np.ndarray:
-        """(decoders x types) exact scores, one row per rule."""
-        rows = [_type_table(rule, self.n, self.ny) for rule in self.rules]
-        return np.array(rows, dtype=float).reshape(len(rows), -1)
-
-    @functools.cached_property
-    def _limbs(self) -> np.ndarray:
-        """(limbs x types) floats: each class size in 32-bit limbs, least
-        significant first (a class has fewer than 2^n words).  A limb is
-        below 2^32, so any sum of up to 2^21 of them is an exact float."""
-        width = 4 * ((self.n + 31) // 32)
-        words = b"".join(size.to_bytes(width, "little") for size in _class_sizes(self.n, self.ny))
-        return np.frombuffer(words, dtype="<u4").reshape(-1, width // 4).T.astype(float)
+        self.n, self.ny = n, ny
+        sizes = _class_sizes(n, ny)
+        rows = [_type_table(rule, n, ny, sizes) for rule in rules]
+        self.scores = np.array(rows, dtype=float).reshape(len(rows), -1)
+        width = 4 * ((n + 31) // 32)
+        words = b"".join(size.to_bytes(width, "little") for size in sizes)
+        self._limbs = np.frombuffer(words, dtype="<u4").reshape(-1, width // 4).T.astype(float)
 
     def _masses(self, limb_sums: np.ndarray) -> np.ndarray:
         """Each column of exact limb sums as the integer it stands for over
-        2^n: math.fsum of exact terms, so correctly rounded while 2^-n is
-        a normal float (n <= 1022)."""
-        scale = 2.0 ** (32 * np.arange(len(limb_sums)) - self.n)
-        return np.array([math.fsum(col) for col in (limb_sums.T * scale).tolist()])
+        2^n, correctly rounded while 2^-n is a normal float (n <= 1022).
+        Each limb's term is exact; up to n = 64 there are at most two, and
+        one IEEE addition of them rounds correctly; past that, math.fsum
+        does."""
+        terms = limb_sums * 2.0 ** (32 * np.arange(len(limb_sums)) - self.n)[:, None]
+        if len(terms) <= 2:
+            return terms.sum(axis=0)
+        return np.array([math.fsum(col) for col in terms.T.tolist()])
 
-    def tail_masses(self, sent: int) -> np.ndarray:
-        """Per decoder, the probability that a uniform word scores at
-        least as high as the sent type does: the exact class-size total of
-        those types over 2^n."""
-        at_least = self.scores >= self.scores[:, sent, None]
-        return self._masses(self._limbs @ at_least.T)
+    def tail_rows(self, sents: np.ndarray) -> np.ndarray:
+        """(sent types x decoders): for each flat index in ``sents`` and
+        decoder, the probability that a uniform word scores at least as
+        high as that sent type does: the exact class-size total of those
+        types over 2^n.  A product of 0/1 floats with the limbs sums
+        integers below 2^53, so it is exact."""
+        return np.stack(
+            [self._masses(((row >= row[sents, None]).astype(float) @ self._limbs.T).T) for row in self.scores],
+            axis=1,
+        )
 
-    def cells(self, sent: int) -> tuple[np.ndarray, np.ndarray]:
-        """(signs, pmf): the decision cells of the sent type, the joint
-        types grouped by how every decoder ranks them against it.  Column
-        j of the int8 ``signs`` is cell j's rank per decoder (1 above,
-        0 equal, -1 below, by exact score comparison, read on one type of
-        the cell), and pmf[j] the probability that a uniform word falls in
+    def cell_rows(self, sents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(signs, pmf): the decision cells of each of the K distinct flat
+        indices in ``sents``, the joint types grouped by how every decoder
+        ranks them against that sent type, as K padded rows of C cells.
+        signs[k, :, j] (int8) is cell j's rank per decoder (1 above, 0
+        equal, -1 below, by exact score comparison, read on one type of the
+        cell), and pmf[k, j] the probability that a uniform word falls in
         it: its exact class-size total (which can be all 2^n words, as
-        under a constant metric) over 2^n.  Cells are in increasing mass:
-        numpy's multinomial gives the last category the leftover mass, so
-        that lands on the heaviest cell."""
-        if sent not in self._cells:
-            s = self.scores[:, sent, None]
-            # 0 below, 1 equal, 2 above, per decoder (row) and type
-            digits = (self.scores > s).view(np.int8) + (self.scores >= s).view(np.int8)
-            # a key per decision pattern: base 3, 20 decoders per block
-            # (exact in a float), renumbered below the type count between
-            # blocks
-            key = 0.0
-            for d in range(0, len(digits), 20):
-                if d:
-                    key = np.unique(key, return_inverse=True)[1]
-                block = digits[d : d + 20]
-                key = key * 3.0 ** len(block) + _POW3[: len(block)] @ block
-            order = np.argsort(key, kind="stable")
-            key = key[order]
-            starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-            pmf = self._masses(np.add.reduceat(self._limbs[:, order], starts, axis=1))
-            by_mass = np.argsort(pmf, kind="stable")
-            self._cells[sent] = digits[:, order[starts[by_mass]]] - 1, pmf[by_mass]
-        return self._cells[sent]
+        under a constant metric) over 2^n.  A row is zero-mass padding
+        (signs -1), then its cells in increasing mass: numpy's multinomial
+        gives the last category the leftover mass, so that lands on the
+        heaviest cell."""
+        scores = self.scores
+        k, types = len(sents), scores.shape[1]
+        # each (sent, type) pair's cell id: its row, then per decoder a
+        # base-3 digit (0 below, 1 equal, 2 above).  The ids are renumbered
+        # densely, in order, before a fold would take them past K * T bins,
+        # so any number of decoders fits in an intp, and a row's ids stay
+        # contiguous and in the same order in any batch
+        ids, count = np.repeat(np.arange(k), types), k
+        for row in scores:
+            if count * 3 > ids.size:
+                ids, count = _relabel(ids, count)
+            s = row[sents, None]
+            ids *= 3
+            ids += ((row > s).view(np.int8) + (row >= s).view(np.int8)).reshape(-1)
+            count *= 3
+        ids, count = _relabel(ids, count)
+        # the limb sums of a cell are integers below 2^53: exact
+        pmf = self._masses(
+            np.array([np.bincount(ids, weights=np.tile(limb, k), minlength=count) for limb in self._limbs])
+        )
+        # any (sent, type) pair of a cell stands for it
+        rep = np.empty(count, dtype=np.intp)
+        rep[ids] = np.arange(ids.size)
+        cell_row, cell_type = np.divmod(rep, types)
+        # each row's cells by increasing mass, placed right-aligned
+        order = np.lexsort((pmf, cell_row))
+        per_row = np.bincount(cell_row, minlength=k)
+        width = int(per_row.max())
+        cell_row, cell_type = cell_row[order], cell_type[order]
+        col = np.arange(count) - np.repeat(np.cumsum(per_row) - width, per_row)
+        signs = np.full((k, len(scores), width), -1, dtype=np.int8)
+        signs[cell_row, :, col] = _signs(scores[:, cell_type], scores[:, sents[cell_row]]).T
+        pmf_rows = np.zeros((k, width))
+        pmf_rows[cell_row, col] = pmf[order]
+        return signs, pmf_rows
+
+
+def _relabel(ids: np.ndarray, count: int) -> tuple[np.ndarray, int]:
+    """The ids (below ``count``) renumbered densely in the same order, and
+    how many distinct ones there are: no sort, one bincount."""
+    relabel = np.cumsum(np.bincount(ids, minlength=count) > 0) - 1
+    return relabel[ids], int(relabel[-1]) + 1
 
 
 def _type_tables(decoder_specs, ensemble, channel):
@@ -743,15 +776,16 @@ def _signs(scores: np.ndarray, sent: np.ndarray) -> np.ndarray:
 
 
 def _read(signs: np.ndarray, others: np.ndarray, earlier) -> np.ndarray:
-    """Error indicator per decoder (row of ``signs``) from ``others``, the
-    competitors' counts per category (a joint type or a decision cell),
-    whose scores compare with the sent word's as ``signs`` says.  An error
-    is a competitor scoring at least the sent word; with ``earlier``, the
-    counts of the competitors indexed below the sent word, ties go to the
-    lowest index instead, so an equal score errs only there."""
+    """Error indicators (trials x decoders) from ``others``, each trial's
+    competitor counts per category (a joint type or a decision cell), whose
+    scores compare with the sent word's as that trial's ``signs``
+    (trials x decoders x categories) say.  An error is a competitor
+    scoring at least the sent word; with ``earlier``, the counts of the
+    competitors indexed below the sent word, ties go to the lowest index
+    instead, so an equal score errs only there."""
     if earlier is None:
-        return (signs >= 0) @ others > 0
-    return ((signs > 0) @ others > 0) | ((signs == 0) @ earlier > 0)
+        return ((signs >= 0) & (others[:, None] > 0)).any(-1)
+    return ((signs > 0) & (others[:, None] > 0)).any(-1) | ((signs == 0) & (earlier[:, None] > 0)).any(-1)
 
 
 def _joint_types(words: np.ndarray, y, n: int, ny: int) -> np.ndarray:
@@ -824,15 +858,27 @@ def _sent_types(rng, channel, n: int, count: int) -> tuple[np.ndarray, np.ndarra
     return ny, a11 * (n - ny + 1) + a10
 
 
-def _sent_type_groups(ny: np.ndarray, sent: np.ndarray, n: int):
-    """The trials grouped by their (ny, flat index) sent type: one
-    (ny, sent, trial indices) per distinct type, in increasing (ny, sent),
-    each group's trials in increasing order."""
+def _sent_type_chunks(ny: np.ndarray, sent: np.ndarray, n: int, types_of):
+    """The trials grouped by their distinct (ny, flat index) sent types, in
+    increasing (ny, sent), and cut into chunks of one output weight and at
+    most _CELL_PAIRS (sent type, joint type) pairs, or one sent type.  Per
+    chunk: the _Types of its ny, its sent types, its trials in increasing
+    (sent, trial index) order, and each trial's position among those sent
+    types."""
     key = ny * (n + 1) ** 2 + sent
     order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    for group in np.split(order, starts[1:]):
-        yield int(ny[group[0]]), int(sent[group[0]]), group
+    ordered = key[order]
+    first = np.flatnonzero(np.diff(ordered, prepend=-1))
+    counts = np.diff(first, append=len(key))
+    weights, sents = np.divmod(ordered[first], (n + 1) ** 2)
+    starts = np.flatnonzero(np.diff(weights, prepend=-1))
+    for lo, hi in zip(starts.tolist(), np.append(starts[1:], len(first)).tolist()):
+        w = int(weights[lo])
+        step = max(1, _CELL_PAIRS // ((w + 1) * (n - w + 1)))
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            group = order[first[a] : first[b - 1] + counts[b - 1]]
+            yield types_of(w), sents[a:b], group, np.repeat(np.arange(b - a), counts[a:b])
 
 
 #: SeedSequence keys (seed, tag) of the type-domain arms' generators.  A key
@@ -888,10 +934,11 @@ def _packed_trial(ensemble, channel, m: int, seed: int, t: int):
 
 # ---------------------------------------------------------------------------
 # joint-type paths.  A source yields groups of trials as (trial indices,
-# signs, competitor counts, counts of the competitors indexed below the sent
-# word or None when ties count as errors), counts as categories x trials:
-# a category is a joint type or a decision cell, ranked against the sent
-# word by signs; _run_fast reads every source the same way.
+# signs, counts, earlier), all per trial: signs (trials x decoders x
+# categories) rank each category, a joint type or a decision cell, against
+# the sent word; counts (trials x categories) are the competitors in each,
+# and earlier those indexed below the sent word, or None when ties count as
+# errors.  _run_fast reads every source the same way.
 # ---------------------------------------------------------------------------
 
 
@@ -909,38 +956,40 @@ def _packed_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types
         true_type = int(types[true_idx])
         others = np.bincount(types, minlength=bins)
         others[true_type] -= 1
-        earlier = None if ties_as_errors else np.bincount(types[:true_idx], minlength=bins)[:, None]
+        earlier = None if ties_as_errors else np.bincount(types[:true_idx], minlength=bins)[None]
         scores = types_of(ny).scores
-        yield [t], _signs(scores, scores[:, true_type, None]), others[:, None], earlier
+        yield [t], _signs(scores, scores[:, true_type, None])[None], others[None], earlier
 
 
 def _drawn_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_of):
     """The trials' cell counts drawn in the type domain, from one generator:
-    first every sent pair's joint type, then the counts of each group of
-    trials that share one.  Given the sent pair, the M - 1 independent
-    uniform competitors' joint types with y are iid, so their counts in the
-    sent type's decision cells are one multinomial draw per trial; the sent
-    index i is uniform, and the i competitors below it are a multinomial of
-    their own."""
+    first every sent pair's joint type, then per output weight and chunk of
+    distinct sent types (_sent_type_chunks), one batch of decision cells
+    and the counts of all the chunk's trials.  Given the sent pair, the
+    M - 1 independent uniform competitors' joint types with y are iid, so
+    their counts in the sent type's decision cells are one multinomial draw
+    per trial; the sent index i is uniform, and the i competitors below it
+    are a multinomial of their own."""
     if m - 1 >= 1 << 63:
         raise InstanceTooLargeError(f"type-domain draws need M - 1 < 2^63 codewords, not M = 2^{math.log2(m):.2f}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, _DRAWN_TAG)))
     ny, sent = _sent_types(rng, channel, ensemble.n, trials)
-    for ny_g, sent_g, group in _sent_type_groups(ny, sent, ensemble.n):
-        signs, pmf = types_of(ny_g).cells(sent_g)
+    for types, sents, group, rows in _sent_type_chunks(ny, sent, ensemble.n, types_of):
+        signs, pmf = types.cell_rows(sents)
+        signs, pmf = signs[rows], pmf[rows]
         if ties_as_errors:
-            yield group, signs, rng.multinomial(m - 1, pmf, size=len(group)).T, None
+            yield group, signs, rng.multinomial(m - 1, pmf), None
         else:
             i = rng.integers(m, size=len(group))
             earlier = rng.multinomial(i, pmf)
-            yield group, signs, (earlier + rng.multinomial(m - 1 - i, pmf)).T, earlier.T
+            yield group, signs, earlier + rng.multinomial(m - 1 - i, pmf), earlier
 
 
 def _run_fast(ensemble, channel, types_of, m, trials, seed, ties_as_errors, source):
     """Per-trial error indicators (trials x decoders), each group of trials
     read at once off the counts that ``source`` yields for it."""
     groups = source(ensemble, channel, m, seed, trials, ties_as_errors, types_of)
-    return _by_trial((group, _read(signs, others, earlier).T) for group, signs, others, earlier in groups)
+    return _by_trial((group, _read(signs, others, earlier)) for group, signs, others, earlier in groups)
 
 
 def _by_trial(parts) -> np.ndarray:
@@ -1115,10 +1164,11 @@ def _competitor_masses(channel, types_of, n, trials, seed) -> np.ndarray:
     tables) of the shifted-rate arm, the probability that one uniform
     codeword scores at least as high as the sent one, read off the exact
     tail masses of the sent joint type.  The sent types come from one
-    generator, and each distinct one's tails are computed once."""
+    generator, and the tails of each chunk of distinct ones
+    (_sent_type_chunks) are computed at once."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, _SHIFTED_TAG)))
-    groups = _sent_type_groups(*_sent_types(rng, channel, n, trials), n)
-    return _by_trial((group, np.tile(types_of(ny).tail_masses(sent), (len(group), 1))) for ny, sent, group in groups)
+    chunks = _sent_type_chunks(*_sent_types(rng, channel, n, trials), n, types_of)
+    return _by_trial((group, types.tail_rows(sents)[rows]) for types, sents, group, rows in chunks)
 
 
 # ---------------------------------------------------------------------------

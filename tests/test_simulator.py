@@ -202,7 +202,7 @@ def test_universal_rows_equal_per_type_scores(n):
     scored by decoders.universal_score itself."""
     for ens in (uniform_ensemble(2, n), iid_ensemble((0.5, 0.5), n), linear_dithered_ensemble(n, 3)):
         for ny in range(n + 1):
-            table = simulator._type_table(ens, n, ny)
+            table = simulator._type_table(ens, n, ny, simulator._class_sizes(n, ny))
             want = [
                 -ensembles._type_class_log_mass(ens, (n - a11 - a10, a11 + a10), math.comb(ny, a11) * math.comb(n - ny, a10)) / n
                 for a11 in range(ny + 1)
@@ -848,6 +848,22 @@ def _shifted_arm_sent_types(ch, n, trials, seed):
     return list(zip(*(a.tolist() for a in simulator._sent_types(rng, ch, n, trials))))
 
 
+def _batched_cells(types, sent):
+    """The sent type's (signs, pmf, tails), read from a batch of it alone
+    and from its row of a batch of every fifth type besides, each row's
+    zero-mass padding (first, with signs -1) removed."""
+    out = []
+    for sents in (np.array([sent]), np.union1d(np.arange(0, types.scores.shape[1], 5), [sent])):
+        row = int(np.searchsorted(sents, sent))
+        signs, pmf = types.cell_rows(sents)
+        assert signs.dtype == np.int8
+        assert signs.shape == (len(sents), len(types.scores), pmf.shape[1])
+        pad = int(np.count_nonzero(pmf[row] == 0))
+        assert (pmf[row, :pad] == 0).all() and (signs[row, :, :pad] == -1).all()
+        out.append((signs[row, :, pad:], pmf[row, pad:], types.tail_rows(sents)[row]))
+    return out
+
+
 class TestTypeDomain:
     def test_sent_type_has_the_channel_law(self):
         """The directly drawn sent joint type has the law of a uniform word
@@ -877,11 +893,11 @@ class TestTypeDomain:
 
     def test_drawn_groups_cover_every_trial_once(self):
         """The type-domain source draws all sent types first, from its own
-        generator, then yields one group per distinct sent type: every
-        trial lies in exactly one group, whose signs are the cells of each
-        of its trials' sent type; every count column holds the M - 1
-        competitors, and the ones indexed below the sent word are among
-        them."""
+        generator, then yields one group per chunk of distinct sent types:
+        every trial lies in exactly one group; its signs are the decision
+        cells of its sent type (a batch of that type alone) after padding
+        that holds no competitor; its counts hold the M - 1 competitors,
+        and the ones indexed below the sent word are among them."""
         trials, seed = 300, 6
         for ens, ch, rate, specs in JOINT_TYPE_CASES:
             if ens.kind == "linear_dithered":
@@ -890,14 +906,21 @@ class TestTypeDomain:
             types_of = simulator._type_tables(specs, ens, ch)
             rng = np.random.default_rng(np.random.SeedSequence((seed, simulator._DRAWN_TAG)))
             ny, sent = simulator._sent_types(rng, ch, n, trials)
+            cells = {}
             for ties in (True, False):
                 seen = []
                 for group, signs, others, earlier in simulator._drawn_histograms(ens, ch, m, seed, trials, ties, types_of):
                     seen += group.tolist()
-                    for t in group:
-                        assert (signs == types_of(int(ny[t])).cells(int(sent[t]))[0]).all()
-                    assert others.shape == (signs.shape[1], len(group))
-                    assert (others.sum(axis=0) == m - 1).all()
+                    assert signs.shape == (len(group), len(specs), others.shape[1])
+                    assert others.shape == (len(group), signs.shape[2])
+                    for t, trial_signs, counts in zip(group.tolist(), signs, others):
+                        key = int(ny[t]), int(sent[t])
+                        if key not in cells:
+                            cells[key] = types_of(key[0]).cell_rows(np.array([key[1]]))[0][0]
+                        width = cells[key].shape[1]
+                        assert (trial_signs[:, -width:] == cells[key]).all()
+                        assert (counts[:-width] == 0).all()
+                    assert (others.sum(axis=1) == m - 1).all()
                     assert (earlier is None) if ties else (earlier <= others).all()
                 assert sorted(seen) == list(range(trials))
 
@@ -906,7 +929,8 @@ class TestTypeDomain:
         against the sent word (above, equal, below, per decoder) are the
         cell's, over 2^n, exactly; every pattern is one cell; cells come in
         increasing mass; and each decoder's cells at or above the sent type
-        sum to its tail mass."""
+        sum to its tail mass; read from a batch of the sent type alone and
+        from its row of a batch of several."""
         specs = SPECS + [DecoderSpec("metric", theta=((0.5, 0.5), (0.5, 0.5)))]
         for n, ch in ((7, dmc(((1.0, 0.0), (0.3, 0.7)))), (10, bsc(0.1))):
             ens = uniform_ensemble(2, n)
@@ -922,15 +946,13 @@ class TestTypeDomain:
                     scores = [scorer(w, y).value for scorer in scorers]
                     key = tuple((v > s0) - (v < s0) for v, s0 in zip(scores, sent_scores))
                     patterns[key] = patterns.get(key, 0) + 1
-                signs, pmf = types_of(ny).cells(sent)
-                assert signs.dtype == np.int8
-                got = {tuple(col.tolist()): p for col, p in zip(signs.T, pmf)}
-                assert len(got) == signs.shape[1]
-                assert got == {key: count / 2**n for key, count in patterns.items()}
-                assert (np.diff(pmf) >= 0).all()
-                tails = types_of(ny).tail_masses(sent)
-                for d in range(len(specs)):
-                    assert math.fsum(pmf[signs[d] >= 0]) == tails[d]
+                for signs, pmf, tails in _batched_cells(types_of(ny), sent):
+                    got = {tuple(col.tolist()): p for col, p in zip(signs.T, pmf)}
+                    assert len(got) == signs.shape[1]
+                    assert got == {key: count / 2**n for key, count in patterns.items()}
+                    assert (np.diff(pmf) >= 0).all()
+                    for d in range(len(specs)):
+                        assert math.fsum(pmf[signs[d] >= 0]) == tails[d]
 
     def test_cell_masses_are_exact_at_64_bits(self):
         """At n = 64 the class sizes reach 2^59 and a cell can hold all
@@ -939,15 +961,17 @@ class TestTypeDomain:
         n = 64
         ens = uniform_ensemble(2, n)
         constant = [DecoderSpec("metric", theta=((0.5, 0.5), (0.5, 0.5)))]
-        assert simulator._type_tables(constant, ens, bsc(0.1))(32).cells(500)[1].tolist() == [1.0]
+        for sents in ([500], [0, 500, 1088]):
+            pmf = simulator._type_tables(constant, ens, bsc(0.1))(32).cell_rows(np.array(sents))[1]
+            assert pmf.tolist() == [[1.0]] * len(sents)
         types_of = simulator._type_tables(SPECS, ens, bsc(0.1))
         for ny, sent in ((32, 520), (30, 17), (64, 40), (0, 0)):
             types = types_of(ny)
-            signs, pmf = types.cells(sent)
             per_type = simulator._signs(types.scores, types.scores[:, sent, None]).T.tolist()
             sizes = simulator._class_sizes(n, ny)
-            for col, p in zip(signs.T.tolist(), pmf):
-                assert p == sum(size for size, key in zip(sizes, per_type) if key == col) / 2**n
+            for signs, pmf, _ in _batched_cells(types, sent):
+                for col, p in zip(signs.T.tolist(), pmf):
+                    assert p == sum(size for size, key in zip(sizes, per_type) if key == col) / 2**n
 
     def test_cells_for_many_decoders(self):
         """A grid of any size is grouped exactly: 60 metrics, past what a
@@ -957,18 +981,61 @@ class TestTypeDomain:
         specs = [DecoderSpec("metric", theta=th) for th in grid]
         types = simulator._type_tables(specs, uniform_ensemble(2, n), bsc(0.1))(ny)
         for sent in (0, 9, 40):
-            signs, pmf = types.cells(sent)
             per_type = simulator._signs(types.scores, types.scores[:, sent, None]).T.tolist()
             sizes = simulator._class_sizes(n, ny)
             want = {}
             for size, key in zip(sizes, per_type):
                 want[tuple(key)] = want.get(tuple(key), 0) + size
-            got = {tuple(c): p for c, p in zip(signs.T.tolist(), pmf)}
-            assert got == {key: size / 2**n for key, size in want.items()}
+            for signs, pmf, _ in _batched_cells(types, sent):
+                got = {tuple(c): p for c, p in zip(signs.T.tolist(), pmf)}
+                assert got == {key: size / 2**n for key, size in want.items()}
+
+    def test_chunked_batches_equal_per_type_cells(self, monkeypatch):
+        """With a pair budget below one output weight's joint types, an
+        output weight's sent types span several chunks, and the 61-decoder
+        grid is folded in several passes: every chunk's rows still equal
+        each sent type's per-type decision patterns and tails, exactly, and
+        its trials are those of its sent types.  Zero-mass padding draws no
+        random numbers, so with ties as errors the chunking does not change
+        a run's counts."""
+        n, budget, trials = 12, 100, 400
+        ch = bsc(0.1)
+        specs = [DecoderSpec("universal")] + [DecoderSpec("metric", theta=th) for th in default_theta_grid(60, ch, seed=4)]
+        ens = uniform_ensemble(2, n)
+        m = simulator.ensembles.message_count(n, 0.25)
+        unchunked = _fast(ens, ch, specs, m, 300, 2, True, simulator._drawn_histograms)
+        monkeypatch.setattr(simulator, "_CELL_PAIRS", budget)
+        relabel, relabels = simulator._relabel, []
+        monkeypatch.setattr(simulator, "_relabel", lambda ids, count: relabels.append(count) or relabel(ids, count))
+        types_of = simulator._type_tables(specs, ens, ch)
+        ny, sent = simulator._sent_types(np.random.default_rng(5), ch, n, trials)
+        chunks, seen = [], []
+        for types, sents, group, rows in simulator._sent_type_chunks(ny, sent, n, types_of):
+            assert len(sents) * types.scores.shape[1] <= budget or len(sents) == 1
+            assert (ny[group] == types.ny).all() and (sent[group] == sents[rows]).all()
+            chunks.append(types.ny)
+            seen += group.tolist()
+            signs, pmf = types.cell_rows(sents)
+            tails = types.tail_rows(sents)
+            sizes = simulator._class_sizes(n, types.ny)
+            for k, s in enumerate(sents.tolist()):
+                per_type = simulator._signs(types.scores, types.scores[:, s, None]).T.tolist()
+                want = {}
+                for size, key in zip(sizes, per_type):
+                    want[tuple(key)] = want.get(tuple(key), 0) + size
+                got = {tuple(c): p for c, p in zip(signs[k].T.tolist(), pmf[k]) if p > 0}
+                assert got == {key: size / 2**n for key, size in want.items()}
+                assert tails[k].tolist() == [
+                    sum(size for size, key in zip(sizes, per_type) if key[d] >= 0) / 2**n for d in range(len(specs))
+                ]
+        assert sorted(seen) == list(range(trials))
+        assert max(chunks.count(w) for w in chunks) > 1
+        assert len(relabels) > 2 * len(chunks)
+        assert (_fast(ens, ch, specs, m, 300, 2, True, simulator._drawn_histograms) == unchunked).all()
 
     def test_no_type_tables_outlive_a_call(self, monkeypatch):
-        """Every table and cell memo lives on its call's _Types objects,
-        which are freed when the call returns."""
+        """Every table lives on its call's _Types objects, which are freed
+        when the call returns."""
         alive = []
 
         class Tracked(simulator._Types):
