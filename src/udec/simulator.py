@@ -8,13 +8,8 @@ codebook and channel realization.  Results are deterministic given the
 master seed.  The scalar, bit-packed and two-user paths key each trial's
 generator by (master seed, trial index), so a trial's realization does not
 depend on the others.  The type-domain arms (any n) draw every trial from
-one generator per arm and call: first all the sent joint types, then, per
-output weight and chunk of its distinct sent types (at most _CELL_PAIRS
-sent-type x joint-type pairs), in increasing order of (output weight,
-type), the competitor counts of the chunk's trials, ordered by (type,
-trial index).  Zero-mass padding draws nothing, so with ties as errors
-the chunking does not change the draws; with ties to the lowest index,
-each chunk first draws its trials' sent indices.
+one generator per arm and call: first all the sent joint types, then the
+competitor counts of the trials, in increasing order of their sent type.
 """
 
 from __future__ import annotations
@@ -859,26 +854,21 @@ def _sent_types(rng, channel, n: int, count: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _sent_type_chunks(ny: np.ndarray, sent: np.ndarray, n: int, types_of):
-    """The trials grouped by their distinct (ny, flat index) sent types, in
-    increasing (ny, sent), and cut into chunks of one output weight and at
-    most _CELL_PAIRS (sent type, joint type) pairs, or one sent type.  Per
-    chunk: the _Types of its ny, its sent types, its trials in increasing
-    (sent, trial index) order, and each trial's position among those sent
-    types."""
-    key = ny * (n + 1) ** 2 + sent
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    first = np.flatnonzero(np.diff(ordered, prepend=-1))
-    counts = np.diff(first, append=len(key))
-    weights, sents = np.divmod(ordered[first], (n + 1) ** 2)
+    """The trials' distinct (ny, flat index) sent types, in increasing
+    (ny, sent), cut into chunks of one output weight and at most
+    _CELL_PAIRS (sent type, joint type) pairs, or one sent type.  Per
+    chunk: the _Types of its ny, its sent types, and one row per trial that
+    drew one of them, the position of its sent type among them, in
+    increasing order."""
+    keys, counts = np.unique(ny * (n + 1) ** 2 + sent, return_counts=True)
+    weights, sents = np.divmod(keys, (n + 1) ** 2)
     starts = np.flatnonzero(np.diff(weights, prepend=-1))
-    for lo, hi in zip(starts.tolist(), np.append(starts[1:], len(first)).tolist()):
+    for lo, hi in zip(starts.tolist(), np.append(starts[1:], len(keys)).tolist()):
         w = int(weights[lo])
         step = max(1, _CELL_PAIRS // ((w + 1) * (n - w + 1)))
         for a in range(lo, hi, step):
             b = min(a + step, hi)
-            group = order[first[a] : first[b - 1] + counts[b - 1]]
-            yield types_of(w), sents[a:b], group, np.repeat(np.arange(b - a), counts[a:b])
+            yield types_of(w), sents[a:b], np.repeat(np.arange(b - a), counts[a:b])
 
 
 #: SeedSequence keys (seed, tag) of the type-domain arms' generators.  A key
@@ -933,20 +923,21 @@ def _packed_trial(ensemble, channel, m: int, seed: int, t: int):
 
 
 # ---------------------------------------------------------------------------
-# joint-type paths.  A source yields groups of trials as (trial indices,
-# signs, counts, earlier), all per trial: signs (trials x decoders x
-# categories) rank each category, a joint type or a decision cell, against
-# the sent word; counts (trials x categories) are the competitors in each,
-# and earlier those indexed below the sent word, or None when ties count as
-# errors.  _run_fast reads every source the same way.
+# joint-type paths.  A source yields groups of trials as (signs, counts,
+# earlier), all per trial: signs (trials x decoders x categories) rank each
+# category, a joint type or a decision cell, against the sent word; counts
+# (trials x categories) are the competitors in each, and earlier those
+# indexed below the sent word, or None when ties count as errors.
+# _run_fast reads every source the same way.
 # ---------------------------------------------------------------------------
 
 
 def _packed_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_of):
     """Each trial's joint-type histograms, counted from its bit-packed
-    codebook, as a group of one.  A trial's arrays are released only once
-    the next trial's exist, so the allocator keeps their pages instead of
-    returning them to the system and faulting them in again every trial."""
+    codebook, as a group of one, in trial order.  A trial's arrays are
+    released only once the next trial's exist, so the allocator keeps their
+    pages instead of returning them to the system and faulting them in
+    again every trial."""
     n = ensemble.n
     for t in range(trials):
         code, true_idx, y = _packed_trial(ensemble, channel, m, seed, t)
@@ -958,45 +949,40 @@ def _packed_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types
         others[true_type] -= 1
         earlier = None if ties_as_errors else np.bincount(types[:true_idx], minlength=bins)[None]
         scores = types_of(ny).scores
-        yield [t], _signs(scores, scores[:, true_type, None])[None], others[None], earlier
+        yield _signs(scores, scores[:, true_type, None])[None], others[None], earlier
 
 
 def _drawn_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_of):
     """The trials' cell counts drawn in the type domain, from one generator:
-    first every sent pair's joint type, then per output weight and chunk of
-    distinct sent types (_sent_type_chunks), one batch of decision cells
-    and the counts of all the chunk's trials.  Given the sent pair, the
-    M - 1 independent uniform competitors' joint types with y are iid, so
-    their counts in the sent type's decision cells are one multinomial draw
-    per trial; the sent index i is uniform, and the i competitors below it
-    are a multinomial of their own."""
+    first every sent pair's joint type, then per chunk of distinct sent
+    types (_sent_type_chunks), one batch of decision cells and the counts
+    of all the chunk's trials, which come in increasing sent type, not in
+    trial order.  Given the sent pair, the M - 1 independent uniform
+    competitors' joint types with y are iid, so their counts in the sent
+    type's decision cells are one multinomial draw per trial; the sent
+    index i is uniform, and the i competitors below it are a multinomial of
+    their own."""
     if m - 1 >= 1 << 63:
         raise InstanceTooLargeError(f"type-domain draws need M - 1 < 2^63 codewords, not M = 2^{math.log2(m):.2f}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, _DRAWN_TAG)))
     ny, sent = _sent_types(rng, channel, ensemble.n, trials)
-    for types, sents, group, rows in _sent_type_chunks(ny, sent, ensemble.n, types_of):
+    for types, sents, rows in _sent_type_chunks(ny, sent, ensemble.n, types_of):
         signs, pmf = types.cell_rows(sents)
         signs, pmf = signs[rows], pmf[rows]
         if ties_as_errors:
-            yield group, signs, rng.multinomial(m - 1, pmf), None
+            yield signs, rng.multinomial(m - 1, pmf), None
         else:
-            i = rng.integers(m, size=len(group))
+            i = rng.integers(m, size=len(rows))
             earlier = rng.multinomial(i, pmf)
-            yield group, signs, earlier + rng.multinomial(m - 1 - i, pmf), earlier
+            yield signs, earlier + rng.multinomial(m - 1 - i, pmf), earlier
 
 
 def _run_fast(ensemble, channel, types_of, m, trials, seed, ties_as_errors, source):
     """Per-trial error indicators (trials x decoders), each group of trials
-    read at once off the counts that ``source`` yields for it."""
+    read at once off the counts that ``source`` yields for it, in the order
+    the source yields them."""
     groups = source(ensemble, channel, m, seed, trials, ties_as_errors, types_of)
-    return _by_trial((group, _read(signs, others, earlier)) for group, signs, others, earlier in groups)
-
-
-def _by_trial(parts) -> np.ndarray:
-    """The rows of (trial indices, rows) parts, whose indices cover every
-    trial once, stacked in trial order."""
-    indices, rows = zip(*parts)
-    return np.concatenate(rows)[np.argsort(np.concatenate(indices))]
+    return np.concatenate([_read(signs, others, earlier) for signs, others, earlier in groups])
 
 
 def _run_slow(ensemble, channel, family, decoder_specs, m, trials, seed, ties_as_errors):
@@ -1103,6 +1089,9 @@ def monte_carlo_audit(
     """
     if shifted_trials < 1:
         raise InputError("at least one shifted-arm trial required")
+    # the shifted arm needs a memoryless binary channel: refuse any other
+    # before the main arm runs a trial
+    _channel_matrix(channel)
     ensemble = ensembles.uniform_ensemble(2, n)
     specs = [DecoderSpec("universal"), DecoderSpec("ml")]
     for i, th in enumerate(metric_thetas):
@@ -1119,10 +1108,9 @@ def monte_carlo_audit(
 
     shifted_rate = rate + delta_n
     shifted_m = ensembles.message_count(n, shifted_rate)
-    # the universal decoder is not run at the shifted rate: its column is
+    # the universal decoder is not run at the shifted rate: its estimate is
     # dropped
-    masses = _competitor_masses(channel, types_of, n, shifted_trials, seed + 1)[:, 1:]
-    shifted = _analytic_error_estimates(masses, specs[1:], n, shifted_m, shifted_rate, seed + 1)
+    shifted = _shifted_estimates(channel, types_of, specs, n, shifted_m, shifted_rate, shifted_trials, seed + 1)[1:]
     ineq_rate_ok = est_u.ci_hi <= 2.0 * min(e.ci_lo for e in shifted)
     est_ml = estimates[1]
     ratio = (
@@ -1141,34 +1129,30 @@ def monte_carlo_audit(
     )
 
 
-def _analytic_error_estimates(masses, decoder_specs, n, m, rate, seed) -> list[ErrorEstimate]:
-    """Error probability of additive-metric decoders over the uniform binary
-    ensemble, exact over the codebook randomness: per sampled (input,
-    output) pair (rows of ``masses``) the competitor mass is exact and the
-    conditional error is 1-(1-mass)^(M-1)."""
-    trials = len(masses)
-    with np.errstate(divide="ignore"):  # mass 1: log1p(-1) = -inf, error 1
-        cond = -np.expm1(float(m - 1) * np.log1p(-masses))
+def _shifted_estimates(channel, types_of, specs, n, m, rate, trials, seed) -> list[ErrorEstimate]:
+    """Error probability of each decoder (the rows of ``types_of``'s tables)
+    over the uniform binary ensemble, exact over the codebook randomness:
+    given a sampled sent pair, the probability q that one uniform codeword
+    scores at least as high is the exact tail mass of its joint type, and
+    the conditional error is 1 - (1 - q)^(M - 1).  The sent types come from
+    one generator; each chunk of distinct ones (_sent_type_chunks) takes
+    its tails once, and their conditional errors are added, weighted by how
+    many trials drew each, to running sums and sums of squares."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, _SHIFTED_TAG)))
+    total, square = np.zeros(len(specs)), np.zeros(len(specs))
+    for types, sents, rows in _sent_type_chunks(*_sent_types(rng, channel, n, trials), n, types_of):
+        with np.errstate(divide="ignore"):  # q = 1: log1p(-1) = -inf, error 1
+            cond = -np.expm1(float(m - 1) * np.log1p(-types.tail_rows(sents)))
+        weight = np.bincount(rows)
+        total += weight @ cond
+        square += weight @ (cond * cond)
     out = []
-    for spec, col in zip(decoder_specs, cond.T):
-        mean = float(col.mean())
-        var = max(float((col * col).mean()) - mean * mean, 0.0)
-        half = _Z95 * math.sqrt(var / trials)
+    for spec, s, s2 in zip(specs, total.tolist(), square.tolist()):
+        mean = s / trials
+        half = _Z95 * math.sqrt(max(s2 / trials - mean * mean, 0.0) / trials)
         lo, hi = max(0.0, mean - half), min(1.0, mean + half)
         out.append(ErrorEstimate(f"{spec.name}@shifted", n, rate, trials, -1, mean, lo, hi, seed))
     return out
-
-
-def _competitor_masses(channel, types_of, n, trials, seed) -> np.ndarray:
-    """Per trial (rows) and decoder (columns, the rows of ``types_of``'s
-    tables) of the shifted-rate arm, the probability that one uniform
-    codeword scores at least as high as the sent one, read off the exact
-    tail masses of the sent joint type.  The sent types come from one
-    generator, and the tails of each chunk of distinct ones
-    (_sent_type_chunks) are computed at once."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, _SHIFTED_TAG)))
-    chunks = _sent_type_chunks(*_sent_types(rng, channel, n, trials), n, types_of)
-    return _by_trial((group, types.tail_rows(sents)[rows]) for types, sents, group, rows in chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -1280,6 +1264,8 @@ def mac_run_experiment(
     """
     if channel.kind != channels.MAC_XOR:
         raise InputError("two-user experiment needs a mac_xor channel")
+    if rate1 < 0 or rate2 < 0:
+        raise InputError("rates must be non-negative")
     _check_alphabets(2, family, channel.inner)
     _check_metrics(family, [MetricIndex.additive(s.theta) for s in decoder_specs if s.kind == "metric"])
     _channel_matrix(channel.inner)  # a memoryless binary inner channel
@@ -1327,10 +1313,10 @@ def _mac_trials(channel, decoder_specs, rate1, rate2, n, trials, seed) -> np.nda
     @functools.cache
     def tables(ny):
         # uniform users: the three class masses of decoders.mac_universal_score
-        # all equal the single-user class mass of the modulo-sum
+        # all equal the single-user class mass of the modulo-sum, so with
+        # non-negative rates the least of its three components is u - R1 - R2
         return [
-            np.minimum(np.minimum(u - rate1 - rate2, u - rate1), u - rate2)
-            if spec.kind == "universal" else u
+            u - rate1 - rate2 if spec.kind == "universal" else u
             for spec, u in zip(decoder_specs, base(ny).scores)
         ]
 

@@ -1,5 +1,7 @@
+import collections
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,6 +13,7 @@ from udec import (
     InputError,
     InstanceTooLargeError,
     MetricIndex,
+    UnsupportedCombinationError,
     additive_family,
     bsc,
     dmc,
@@ -796,23 +799,39 @@ class TestMonteCarloAudit:
 
 
     def test_shifted_masses_equal_exhaustive_sums(self):
+        """Each replayed sent type's tails are its exhaustive competitor
+        masses, and the arm's estimate is the mean, over its trials, of
+        1 - (1 - q)^(M - 1) for those masses, with the normal interval of
+        their sample variance."""
         specs = [
             DecoderSpec("ml"),
             DecoderSpec("metric", theta=((1.0, 0.0), (0.0, 1.0))),
             DecoderSpec("metric", theta=((0.3, -0.7), (0.1, 0.9))),
         ]
+        trials, m = 12, 5
         for n, ch in ((10, bsc(0.1)), (7, dmc(((1.0, 0.0), (0.3, 0.7))))):
             types_of = simulator._type_tables(specs, uniform_ensemble(2, n), ch)
-            masses = simulator._competitor_masses(ch, types_of, n, 12, 5)
+            keys, tails = _shifted_arm_tails(ch, types_of, n, trials, 5)
             words = list(all_sequences(2, n))
-            sent_types = _shifted_arm_sent_types(ch, n, 12, 5)
-            for t in range(12):
-                x, y = _type_word(n, *sent_types[t])
+            cond = []
+            for key in keys:
+                x, y = _type_word(n, *key)
+                row = []
                 for d, spec in enumerate(specs):
                     scorer = _scalar_scorer(spec, None, ch)
                     s0 = scorer(x, y).value
                     exhaustive = math.fsum(2.0**-n for w in words if scorer(w, y).value >= s0)
-                    assert masses[t, d] == pytest.approx(exhaustive, rel=1e-12)
+                    assert tails[key][d] == pytest.approx(exhaustive, rel=1e-12)
+                    row.append(1 - (1 - exhaustive) ** (m - 1))
+                cond.append(row)
+            estimates = simulator._shifted_estimates(ch, types_of, specs, n, m, 0.5, trials, 5)
+            for spec, est, col in zip(specs, estimates, zip(*cond)):
+                mean = math.fsum(col) / trials
+                half = simulator._Z95 * math.sqrt(max(math.fsum(c * c for c in col) / trials - mean**2, 0) / trials)
+                assert (est.decoder, est.trials, est.errors, est.seed) == (f"{spec.name}@shifted", trials, -1, 5)
+                assert est.estimate == pytest.approx(mean, rel=1e-12)
+                assert est.ci_lo == pytest.approx(max(0.0, mean - half), abs=1e-12)
+                assert est.ci_hi == pytest.approx(min(1.0, mean + half), abs=1e-12)
 
     def test_shifted_masses_past_64_bits(self):
         """Past n = 64 the class sizes exceed 2^64: the shifted arm's uint64
@@ -824,10 +843,8 @@ class TestMonteCarloAudit:
         specs = SPECS[1:]
         for n in (65, 70, 96):
             types_of = simulator._type_tables(specs, uniform_ensemble(2, n), ch)
-            masses = simulator._competitor_masses(ch, types_of, n, 2, 11)
-            sent_types = _shifted_arm_sent_types(ch, n, 2, 11)
-            for t in range(2):
-                ny, sent = sent_types[t]
+            keys, tails = _shifted_arm_tails(ch, types_of, n, 2, 11)
+            for ny, sent in keys:
                 x, y = _type_word(n, ny, sent)
                 scorers = [_scalar_scorer(spec, None, ch) for spec in specs]
                 sent_scores = [scorer(x, y).value for scorer in scorers]
@@ -838,14 +855,56 @@ class TestMonteCarloAudit:
                     w = _type_word(n, ny, flat)[0]
                     for d, scorer in enumerate(scorers):
                         totals[d] += size if scorer(w, y).value >= sent_scores[d] else 0
-                assert masses[t].tolist() == [total / 2**n for total in totals]
+                assert tails[ny, sent].tolist() == [total / 2**n for total in totals]
+
+    def test_shifted_arm_memory_does_not_grow_with_trials(self):
+        """The shifted arm adds its trials to running sums: the traced heap
+        peak grows by under 100 bytes per extra trial (n = 12, the 25-metric
+        default grid), where a (trials x decoders) matrix of conditional
+        errors took 664."""
+        grid = default_theta_grid(25, bsc(0.1))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for shifted in (20000, 200000):
+                tracemalloc.reset_peak()
+                monte_carlo_audit(bsc(0.1), FAM, grid, 0.25, 12, 10, 1, shifted_trials=shifted)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 180000 < 100
+
+    def test_unsupported_channel_refused_before_any_trial(self, monkeypatch):
+        """The shifted arm needs a memoryless binary channel; any other is
+        refused before the main arm runs a trial."""
+
+        def boom(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(simulator, "_run_slow", boom)
+        monkeypatch.setattr(simulator, "_drawn_histograms", boom)
+        fixed = mod_additive_fixed([1, 0, 0, 0] * 4)
+        state = channels.finite_state_channel(2, 2, 2, lambda x, y, s: y, [[[0.9, 0.1], [0.1, 0.9]], [[0.6, 0.4], [0.4, 0.6]]])
+        for ch in (fixed, state):
+            with pytest.raises(UnsupportedCombinationError, match="memoryless binary"):
+                monte_carlo_audit(ch, FAM, [((1.0, 0.0), (0.0, 1.0))], 0.5, 16, 200, 0)
 
 
-def _shifted_arm_sent_types(ch, n, trials, seed):
+def _shifted_arm_tails(ch, types_of, n, trials, seed):
     """The (ny, flat index) sent type of each trial of the shifted arm,
-    replayed through the arm's generator."""
+    replayed through the arm's generator, and the tails that the arm's
+    chunks take of each distinct one; the chunks' rows count every trial's
+    sent type once."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, simulator._SHIFTED_TAG)))
-    return list(zip(*(a.tolist() for a in simulator._sent_types(rng, ch, n, trials))))
+    ny, sent = simulator._sent_types(rng, ch, n, trials)
+    tails, drawn = {}, collections.Counter()
+    for types, sents, rows in simulator._sent_type_chunks(ny, sent, n, types_of):
+        for s, row, count in zip(sents.tolist(), types.tail_rows(sents), np.bincount(rows).tolist()):
+            tails[types.ny, s] = row
+            drawn[types.ny, s] += count
+    keys = list(zip(ny.tolist(), sent.tolist()))
+    assert drawn == collections.Counter(keys)
+    return keys, tails
 
 
 def _batched_cells(types, sent):
@@ -893,11 +952,12 @@ class TestTypeDomain:
 
     def test_drawn_groups_cover_every_trial_once(self):
         """The type-domain source draws all sent types first, from its own
-        generator, then yields one group per chunk of distinct sent types:
-        every trial lies in exactly one group; its signs are the decision
-        cells of its sent type (a batch of that type alone) after padding
-        that holds no competitor; its counts hold the M - 1 competitors,
-        and the ones indexed below the sent word are among them."""
+        generator, then yields one group per chunk of distinct sent types,
+        its rows in increasing sent type: the rows are the trials, each
+        once; a row's signs are the decision cells of its sent type (a batch
+        of that type alone) after padding that holds no competitor; its
+        counts hold the M - 1 competitors, and the ones indexed below the
+        sent word are among them."""
         trials, seed = 300, 6
         for ens, ch, rate, specs in JOINT_TYPE_CASES:
             if ens.kind == "linear_dithered":
@@ -905,24 +965,22 @@ class TestTypeDomain:
             n, m = ens.n, simulator.ensembles.message_count(ens.n, rate)
             types_of = simulator._type_tables(specs, ens, ch)
             rng = np.random.default_rng(np.random.SeedSequence((seed, simulator._DRAWN_TAG)))
-            ny, sent = simulator._sent_types(rng, ch, n, trials)
+            keys = sorted(zip(*(a.tolist() for a in simulator._sent_types(rng, ch, n, trials))))
             cells = {}
             for ties in (True, False):
-                seen = []
-                for group, signs, others, earlier in simulator._drawn_histograms(ens, ch, m, seed, trials, ties, types_of):
-                    seen += group.tolist()
-                    assert signs.shape == (len(group), len(specs), others.shape[1])
-                    assert others.shape == (len(group), signs.shape[2])
-                    for t, trial_signs, counts in zip(group.tolist(), signs, others):
-                        key = int(ny[t]), int(sent[t])
+                seen = 0
+                for signs, others, earlier in simulator._drawn_histograms(ens, ch, m, seed, trials, ties, types_of):
+                    assert signs.shape == (len(others), len(specs), others.shape[1])
+                    for key, trial_signs, counts in zip(keys[seen:], signs, others):
                         if key not in cells:
                             cells[key] = types_of(key[0]).cell_rows(np.array([key[1]]))[0][0]
                         width = cells[key].shape[1]
                         assert (trial_signs[:, -width:] == cells[key]).all()
                         assert (counts[:-width] == 0).all()
+                    seen += len(others)
                     assert (others.sum(axis=1) == m - 1).all()
                     assert (earlier is None) if ties else (earlier <= others).all()
-                assert sorted(seen) == list(range(trials))
+                assert seen == trials
 
     def test_cells_equal_exhaustive_decision_patterns(self):
         """Every cell's mass is the number of the 2^n words whose decisions
@@ -995,7 +1053,7 @@ class TestTypeDomain:
         output weight's sent types span several chunks, and the 61-decoder
         grid is folded in several passes: every chunk's rows still equal
         each sent type's per-type decision patterns and tails, exactly, and
-        its trials are those of its sent types.  Zero-mass padding draws no
+        the chunks' rows are the trials' sent types, each trial once.  Zero-mass padding draws no
         random numbers, so with ties as errors the chunking does not change
         a run's counts."""
         n, budget, trials = 12, 100, 400
@@ -1010,11 +1068,10 @@ class TestTypeDomain:
         types_of = simulator._type_tables(specs, ens, ch)
         ny, sent = simulator._sent_types(np.random.default_rng(5), ch, n, trials)
         chunks, seen = [], []
-        for types, sents, group, rows in simulator._sent_type_chunks(ny, sent, n, types_of):
+        for types, sents, rows in simulator._sent_type_chunks(ny, sent, n, types_of):
             assert len(sents) * types.scores.shape[1] <= budget or len(sents) == 1
-            assert (ny[group] == types.ny).all() and (sent[group] == sents[rows]).all()
             chunks.append(types.ny)
-            seen += group.tolist()
+            seen += [(types.ny, s) for s in sents[rows].tolist()]
             signs, pmf = types.cell_rows(sents)
             tails = types.tail_rows(sents)
             sizes = simulator._class_sizes(n, types.ny)
@@ -1028,7 +1085,7 @@ class TestTypeDomain:
                 assert tails[k].tolist() == [
                     sum(size for size, key in zip(sizes, per_type) if key[d] >= 0) / 2**n for d in range(len(specs))
                 ]
-        assert sorted(seen) == list(range(trials))
+        assert seen == sorted(zip(ny.tolist(), sent.tolist()))
         assert max(chunks.count(w) for w in chunks) > 1
         assert len(relabels) > 2 * len(chunks)
         assert (_fast(ens, ch, specs, m, 300, 2, True, simulator._drawn_histograms) == unchunked).all()
@@ -1119,6 +1176,16 @@ class TestMacSimulator:
             mac_xor(bsc(0.1)), self.FAM2, specs, 0.2, 0.2, 12, 500, 6
         )[0]
         assert est.errors_both + est.errors_user1 + est.errors_user2 == est.errors
+
+    def test_negative_rates_refused(self):
+        # as decoders.mac_universal_score, the scalar reference, refuses them
+        specs = [DecoderSpec("universal"), DecoderSpec("ml")]
+        q, w = uniform_ensemble(2, 4), seq([0, 1, 1, 0])
+        for r1, r2 in ((-0.1, 0.2), (0.2, -0.1)):
+            with pytest.raises(InputError, match="non-negative"):
+                mac_run_experiment(mac_xor(bsc(0.1)), self.FAM2, specs, r1, r2, 8, 10, 0)
+            with pytest.raises(InputError, match="non-negative"):
+                decoders.mac_universal_score(self.FAM2, q, q, w, w, w, r1, r2)
 
     def test_envelope_audit(self):
         grid = default_theta_grid(4, bsc(0.1), seed=5)
