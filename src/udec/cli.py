@@ -262,9 +262,10 @@ def _build_decoders(descs) -> list[simulator.DecoderSpec]:
             if "theta" not in d:
                 raise ConfigError("metric decoder needs a 'theta' matrix")
             theta = _matrix(d["theta"], "metric decoder 'theta'")
-        specs.append(
-            simulator.DecoderSpec(kind, label=d.get("label", ""), theta=theta)
-        )
+        label = d.get("label", "")
+        if not isinstance(label, str):
+            raise ConfigError(f"decoder 'label' must be a string, got {label!r}")
+        specs.append(simulator.DecoderSpec(kind, label=label, theta=theta))
     return specs
 
 
@@ -523,9 +524,16 @@ def _build_event_family(desc) -> simulator.EventFamilySpec:
     build, size_key, *optional = builders[desc["kind"]]
     if size_key not in desc:
         raise ConfigError(f"{desc['kind']} event family needs {size_key!r}")
-    return build(
-        _positive_int(desc, size_key), *(desc.get(k) for k in optional), desc.get("label", "")
-    )
+    if "num_events" in desc:
+        _positive_int(desc, "num_events")
+    for key in ("subsets", "targets", "shifts"):
+        v = desc.get(key)
+        if v is not None and not (isinstance(v, list) and all(_is_int(i) for i in v)):
+            raise ConfigError(f"{key!r} must be a list of integers, got {v!r}")
+    label = desc.get("label", "")
+    if not isinstance(label, str):
+        raise ConfigError(f"event family 'label' must be a string, got {label!r}")
+    return build(_positive_int(desc, size_key), *(desc.get(k) for k in optional), label)
 
 
 def _cmd_surrogate(config, config_hash, seed, out) -> int:

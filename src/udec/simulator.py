@@ -8,8 +8,8 @@ codebook and channel realization.  Results are deterministic given the
 master seed.  The scalar, bit-packed and two-user paths key each trial's
 generator by (master seed, trial index), so a trial's realization does not
 depend on the others.  The type-domain arms (any n) draw every trial from
-one generator per arm and call: first all the sent joint types, then the
-competitor counts of the trials, in increasing order of their sent type.
+one generator per arm and call: first all the sent joint types; the main
+arm then draws its trials' competitor counts in increasing sent type.
 """
 
 from __future__ import annotations
@@ -318,9 +318,16 @@ def shulman_check(spec: EventFamilySpec, require_independence: bool = True) -> S
 def xor_parity_family(num_bits: int, subsets=None, targets=None, label="") -> EventFamilySpec:
     """Events over uniform bits: each event fixes the parity of a nonempty
     bit subset.  Distinct subsets give pairwise independent events."""
+    # every event is a mask over all the outcomes: refuse too many first
+    if num_bits > typeclasses.EXHAUSTIVE_BITS:
+        raise InstanceTooLargeError(f"2^{num_bits} outcomes are over the 2^{typeclasses.EXHAUSTIVE_BITS} limit")
     space = 1 << num_bits
     if subsets is None:
         subsets = [s for s in range(1, space if num_bits <= 16 else 0)]
+    if not all(0 < s < space for s in subsets):
+        raise InputError(f"a subset must be a nonempty set of the {num_bits} bits, an integer in [1, 2^{num_bits})")
+    if targets is not None and len(targets) != len(subsets):
+        raise InputError("need one target per subset")
     outcomes = np.arange(space, dtype=np.uint64)
     events = []
     for idx, s in enumerate(subsets):
@@ -334,9 +341,13 @@ def projective_line_family(q: int, num_events: int | None = None, shifts=None, l
     """Events over the uniform q x q grid (q prime): each event is a line
     a*u + b*v = c with pairwise non-proportional normals, so any two events
     intersect in exactly one point and are pairwise independent."""
+    if q * q > 1 << typeclasses.EXHAUSTIVE_BITS:
+        raise InstanceTooLargeError(f"{q}^2 outcomes are over the 2^{typeclasses.EXHAUSTIVE_BITS} limit")
     directions = [(1, b) for b in range(q)] + [(0, 1)]
     if num_events is not None:
         directions = directions[:num_events]
+    if shifts is not None and len(shifts) < len(directions):
+        raise InputError(f"need one shift per event, {len(directions)} of them")
     u = np.arange(q * q) // q
     v = np.arange(q * q) % q
     events = []
@@ -618,17 +629,24 @@ def _type_table(rule, n: int, ny: int, sizes: list[int]) -> np.ndarray:
 
 
 def _tail_masses(scores: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """For each entry of each row of ``scores``, the total of ``masses``
-    over the row's entries that score at least as high.  Each row is sorted
-    once and summed from the top; a score looks up the tail at its first
-    equal, so ties are decided by exact score comparison.  The result keeps
-    the dtype of ``masses``: Python ints (object dtype) stay exact."""
-    out = np.empty(scores.shape, dtype=masses.dtype)
-    for row, tails in zip(scores, out):
-        order = np.argsort(row, kind="stable")
-        from_top = np.cumsum(masses[order][::-1])[::-1]
-        tails[:] = from_top[np.searchsorted(row[order], row, side="left")]
-    return out
+    """For each entry of each row of ``scores`` (rows x T), the total of
+    ``masses`` (T, or leading axes x T, such as a _Types' limbs) over the
+    row's entries that score at least as high, shaped (leading axes x rows
+    x T).  Every row is sorted at once and summed from the top; a score
+    looks up the tail at its first equal, so ties are decided by exact
+    score comparison.  Python-int masses (object dtype) stay exact."""
+    rows, cols = scores.shape
+    order = np.argsort(scores, axis=-1, kind="stable")
+    from_top = np.take(masses, order, axis=-1)
+    np.cumsum(from_top[..., ::-1], axis=-1, out=from_top[..., ::-1])
+    # flat indices: of each sorted position's entry, then of its first equal
+    at = (order + cols * np.arange(rows)[:, None]).reshape(-1)
+    ranked = scores.take(at).reshape(rows, cols)
+    start = np.arange(rows * cols).reshape(rows, cols)
+    start[:, 1:][ranked[:, 1:] == ranked[:, :-1]] = 0
+    first = np.empty_like(at)
+    first[at] = np.maximum.accumulate(start, axis=-1).reshape(-1)
+    return from_top.reshape(masses.shape[:-1] + (-1,)).take(first, axis=-1).reshape(from_top.shape)
 
 
 def _class_sizes(n: int, ny: int) -> list[int]:
@@ -638,8 +656,9 @@ def _class_sizes(n: int, ny: int) -> list[int]:
 
 
 #: the most (sent type, joint type) pairs whose decision cells one batch
-#: builds (a batch holds at least one sent type); it bounds a batch's id
-#: and bin arrays to a few hundred KB
+#: builds (a batch holds at least one sent type), and the most (trial,
+#: cell) entries one slice of its trials draws; it bounds a batch's id and
+#: bin arrays, and a slice's cells, to a few hundred KB per decoder
 _CELL_PAIRS = 1 << 15
 
 
@@ -662,26 +681,15 @@ class _Types:
         self._limbs = np.frombuffer(words, dtype="<u4").reshape(-1, width // 4).T.astype(float)
 
     def _masses(self, limb_sums: np.ndarray) -> np.ndarray:
-        """Each column of exact limb sums as the integer it stands for over
-        2^n, correctly rounded while 2^-n is a normal float (n <= 1022).
-        Each limb's term is exact; up to n = 64 there are at most two, and
-        one IEEE addition of them rounds correctly; past that, math.fsum
-        does."""
-        terms = limb_sums * 2.0 ** (32 * np.arange(len(limb_sums)) - self.n)[:, None]
-        if len(terms) <= 2:
-            return terms.sum(axis=0)
-        return np.array([math.fsum(col) for col in terms.T.tolist()])
-
-    def tail_rows(self, sents: np.ndarray) -> np.ndarray:
-        """(sent types x decoders): for each flat index in ``sents`` and
-        decoder, the probability that a uniform word scores at least as
-        high as that sent type does: the exact class-size total of those
-        types over 2^n.  A product of 0/1 floats with the limbs sums
-        integers below 2^53, so it is exact."""
-        return np.stack(
-            [self._masses(((row >= row[sents, None]).astype(float) @ self._limbs.T).T) for row in self.scores],
-            axis=1,
-        )
+        """Exact limb sums (limbs x any shape) as the integers they stand
+        for over 2^n, correctly rounded while 2^-n is a normal float (n <=
+        1022).  Each limb's term is exact; up to n = 64 there are at most
+        two, and one IEEE addition of them rounds correctly; past that,
+        math.fsum does."""
+        terms = np.moveaxis(limb_sums, 0, -1) * 2.0 ** (32 * np.arange(len(limb_sums)) - self.n)
+        if len(limb_sums) <= 2:
+            return terms.sum(axis=-1)
+        return np.array([math.fsum(t) for t in terms.reshape(-1, len(limb_sums)).tolist()]).reshape(terms.shape[:-1])
 
     def cell_rows(self, sents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(signs, pmf): the decision cells of each of the K distinct flat
@@ -956,8 +964,8 @@ def _drawn_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_
     """The trials' cell counts drawn in the type domain, from one generator:
     first every sent pair's joint type, then per chunk of distinct sent
     types (_sent_type_chunks), one batch of decision cells and the counts
-    of all the chunk's trials, which come in increasing sent type, not in
-    trial order.  Given the sent pair, the M - 1 independent uniform
+    of the chunk's trials, in slices of at most _CELL_PAIRS (trial, cell)
+    entries, in increasing sent type, not in trial order.  Given the sent pair, the M - 1 independent uniform
     competitors' joint types with y are iid, so their counts in the sent
     type's decision cells are one multinomial draw per trial; the sent
     index i is uniform, and the i competitors below it are a multinomial of
@@ -968,13 +976,14 @@ def _drawn_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_
     ny, sent = _sent_types(rng, channel, ensemble.n, trials)
     for types, sents, rows in _sent_type_chunks(ny, sent, ensemble.n, types_of):
         signs, pmf = types.cell_rows(sents)
-        signs, pmf = signs[rows], pmf[rows]
-        if ties_as_errors:
-            yield signs, rng.multinomial(m - 1, pmf), None
-        else:
-            i = rng.integers(m, size=len(rows))
-            earlier = rng.multinomial(i, pmf)
-            yield signs, earlier + rng.multinomial(m - 1 - i, pmf), earlier
+        step = max(1, _CELL_PAIRS // pmf.shape[1])
+        for part in (rows[a : a + step] for a in range(0, len(rows), step)):
+            if ties_as_errors:
+                yield signs[part], rng.multinomial(m - 1, pmf[part]), None
+            else:
+                i = rng.integers(m, size=len(part))
+                earlier = rng.multinomial(i, pmf[part])
+                yield signs[part], earlier + rng.multinomial(m - 1 - i, pmf[part]), earlier
 
 
 def _run_fast(ensemble, channel, types_of, m, trials, seed, ties_as_errors, source):
@@ -1108,9 +1117,8 @@ def monte_carlo_audit(
 
     shifted_rate = rate + delta_n
     shifted_m = ensembles.message_count(n, shifted_rate)
-    # the universal decoder is not run at the shifted rate: its estimate is
-    # dropped
-    shifted = _shifted_estimates(channel, types_of, specs, n, shifted_m, shifted_rate, shifted_trials, seed + 1)[1:]
+    # the universal decoder is not run at the shifted rate
+    shifted = _shifted_estimates(channel, types_of, specs[1:], n, shifted_m, shifted_rate, shifted_trials, seed + 1)
     ineq_rate_ok = est_u.ci_hi <= 2.0 * min(e.ci_lo for e in shifted)
     est_ml = estimates[1]
     ratio = (
@@ -1130,22 +1138,25 @@ def monte_carlo_audit(
 
 
 def _shifted_estimates(channel, types_of, specs, n, m, rate, trials, seed) -> list[ErrorEstimate]:
-    """Error probability of each decoder (the rows of ``types_of``'s tables)
-    over the uniform binary ensemble, exact over the codebook randomness:
-    given a sampled sent pair, the probability q that one uniform codeword
-    scores at least as high is the exact tail mass of its joint type, and
-    the conditional error is 1 - (1 - q)^(M - 1).  The sent types come from
-    one generator; each chunk of distinct ones (_sent_type_chunks) takes
-    its tails once, and their conditional errors are added, weighted by how
-    many trials drew each, to running sums and sums of squares."""
+    """Error probability of each decoder in ``specs`` (the last rows of
+    ``types_of``'s tables) over the uniform binary ensemble, exact over the
+    codebook randomness: given a sampled sent pair, the probability q that
+    one uniform codeword scores at least as high is the exact tail mass of
+    its joint type, and the conditional error is 1 - (1 - q)^(M - 1).  Per
+    output weight drawn, one _tail_masses table gives the tails of its
+    distinct sent types, whose conditional errors, weighted by how many
+    trials drew each, go to running sums and sums of squares."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, _SHIFTED_TAG)))
     total, square = np.zeros(len(specs)), np.zeros(len(specs))
-    for types, sents, rows in _sent_type_chunks(*_sent_types(rng, channel, n, trials), n, types_of):
+    ny, sent = _sent_types(rng, channel, n, trials)
+    for w in np.flatnonzero(np.bincount(ny)).tolist():
+        types = types_of(w)
+        sents, weight = np.unique(sent[ny == w], return_counts=True)
+        tails = types._masses(_tail_masses(types.scores[-len(specs):], types._limbs)[..., sents])
         with np.errstate(divide="ignore"):  # q = 1: log1p(-1) = -inf, error 1
-            cond = -np.expm1(float(m - 1) * np.log1p(-types.tail_rows(sents)))
-        weight = np.bincount(rows)
-        total += weight @ cond
-        square += weight @ (cond * cond)
+            cond = -np.expm1(float(m - 1) * np.log1p(-tails))
+        total += cond @ weight
+        square += (cond * cond) @ weight
     out = []
     for spec, s, s2 in zip(specs, total.tolist(), square.tolist()):
         mean = s / trials

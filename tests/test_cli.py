@@ -235,12 +235,24 @@ class TestErrorHandling:
             ("simulate", dict(SIMULATE, ensemble={"kind": "uniform", "alphabet_size": 2.7}), []),
             ("simulate", dict(SIMULATE, ensemble={"kind": "linear_dithered", "message_bits": 4.9}), []),
             ("simulate", dict(SIMULATE, family={"kind": "additive", "x_alphabet_size": 2.9}), []),
+            ("shulman", {"families": [{"kind": "xor_parity", "num_bits": 40, "subsets": [1, 2]}]}, []),
+            ("shulman", {"families": [{"kind": "projective_lines", "q": 100003}]}, []),
+            ("shulman", {"families": [{"kind": "xor_parity", "num_bits": 4, "subsets": "ab"}]}, []),
+            ("simulate", dict(SIMULATE, decoders=[{"kind": "ml", "label": ["x"]}]), []),
+            ("shulman", {"families": [{"kind": "xor_parity", "num_bits": 4, "subsets": [1, 2], "targets": [1]}]}, []),
+            ("shulman", {"families": [{"kind": "xor_parity", "num_bits": 4, "subsets": [-1]}]}, []),
+            ("shulman", {"families": [{"kind": "projective_lines", "q": 5, "shifts": [1]}]}, []),
+            ("shulman", {"families": [{"kind": "projective_lines", "q": 5, "num_events": "x"}]}, []),
+            ("shulman", {"families": [{"kind": "projective_lines", "q": 5, "label": 3}]}, []),
         ],
         ids=["bool-trials", "negative-seed", "parity-no-num_bits", "lines-no-q", "unknown-key",
              "non-numeric-theta", "non-numeric-theta_grid", "unwritable-out", "nan-theta",
              "2x3-theta_grid-mc", "2x3-theta_grid-exact", "bool-rate", "bool-p",
              "string-ties_as_errors", "nan-rate", "over-2^63-codewords", "2^1200-codewords",
-             "float-alphabet_size", "float-message_bits", "float-x_alphabet_size"],
+             "float-alphabet_size", "float-message_bits", "float-x_alphabet_size",
+             "parity-2^40-outcomes", "lines-q100003", "string-subsets", "list-label",
+             "parity-short-targets", "parity-negative-subset", "lines-short-shifts",
+             "string-num_events", "int-family-label"],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, subcommand, payload, extra):
         cfg = write_config(tmp_path, "c.json", payload)

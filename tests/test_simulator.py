@@ -228,7 +228,9 @@ def test_tail_masses_equal_brute_force(data, rows, cols):
     """_tail_masses is the per-row `>=` broadcast that the exact audit held
     in O(N^2) memory, ties included, and it stays exact on Python-int
     masses above 2^64, where the shifted arm's uint64 counts wrapped.  The
-    float masses are dyadic, so every order of summation is exact."""
+    float masses are dyadic, so every order of summation is exact.  Masses
+    with a leading limb axis (limbs x cols) give each limb row its own
+    broadcast."""
     row = st.lists(TAIL_SCORES, min_size=cols, max_size=cols)
     scores = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
     ints = data.draw(st.lists(st.integers(0, 2**100), min_size=cols, max_size=cols))
@@ -236,6 +238,11 @@ def test_tail_masses_equal_brute_force(data, rows, cols):
         got = simulator._tail_masses(scores, masses)
         assert got.dtype == masses.dtype
         assert got.tolist() == [((r[None, :] >= r[:, None]) @ masses).tolist() for r in scores]
+    limbs = np.array([[(i >> (32 * k)) % 2**32 for i in ints] for k in range(4)], dtype=float)
+    got = simulator._tail_masses(scores, limbs)
+    assert got.shape == (len(limbs),) + scores.shape
+    for limb, tails in zip(limbs, got):
+        assert tails.tolist() == [((r[None, :] >= r[:, None]) @ limb).tolist() for r in scores]
 
 
 @pytest.mark.parametrize("n", [1, 31, 32, 33, 63, 64])
@@ -833,6 +840,18 @@ class TestMonteCarloAudit:
                 assert est.ci_lo == pytest.approx(max(0.0, mean - half), abs=1e-12)
                 assert est.ci_hi == pytest.approx(min(1.0, mean + half), abs=1e-12)
 
+    def test_shifted_arm_reads_the_metric_rows(self):
+        """The audit's shifted arm runs ML and the metrics on the tables it
+        shares with the main arm, whose first row is U: its estimates are
+        those of the arm run on tables of ML and the metrics alone."""
+        ch, n, grid = bsc(0.1), 16, default_theta_grid(4, bsc(0.1), seed=2)
+        report = monte_carlo_audit(ch, FAM, grid, 0.25, n, 50, 17, shifted_trials=300)
+        specs = [DecoderSpec("ml")] + [DecoderSpec("metric", f"metric{i}", th) for i, th in enumerate(grid)]
+        types_of = simulator._type_tables(specs, uniform_ensemble(2, n), ch)
+        m = simulator.ensembles.message_count(n, report.shifted_rate)
+        alone = simulator._shifted_estimates(ch, types_of, specs, n, m, report.shifted_rate, 300, 18)
+        assert report.shifted_estimates == tuple(alone)
+
     def test_shifted_masses_past_64_bits(self):
         """Past n = 64 the class sizes exceed 2^64: the shifted arm's uint64
         counts wrapped at n = 65 (every estimate read 1.0) and overflowed at
@@ -890,18 +909,25 @@ class TestMonteCarloAudit:
                 monte_carlo_audit(ch, FAM, [((1.0, 0.0), (0.0, 1.0))], 0.5, 16, 200, 0)
 
 
+def _tails(types, sents):
+    """(sent types x decoders) tail masses of ``sents``, as the arms read
+    them: one _tail_masses table over the limbs, as exact floats."""
+    return types._masses(simulator._tail_masses(types.scores, types._limbs)[..., sents]).T
+
+
 def _shifted_arm_tails(ch, types_of, n, trials, seed):
     """The (ny, flat index) sent type of each trial of the shifted arm,
-    replayed through the arm's generator, and the tails that the arm's
-    chunks take of each distinct one; the chunks' rows count every trial's
-    sent type once."""
+    replayed through the arm's generator, and the tails that the arm's one
+    table per output weight gives each distinct one; the groups' counts
+    count every trial's sent type once."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, simulator._SHIFTED_TAG)))
     ny, sent = simulator._sent_types(rng, ch, n, trials)
     tails, drawn = {}, collections.Counter()
-    for types, sents, rows in simulator._sent_type_chunks(ny, sent, n, types_of):
-        for s, row, count in zip(sents.tolist(), types.tail_rows(sents), np.bincount(rows).tolist()):
-            tails[types.ny, s] = row
-            drawn[types.ny, s] += count
+    for w in np.flatnonzero(np.bincount(ny)).tolist():
+        sents, counts = np.unique(sent[ny == w], return_counts=True)
+        for s, row, count in zip(sents.tolist(), _tails(types_of(w), sents), counts.tolist()):
+            tails[w, s] = row
+            drawn[w, s] += count
     keys = list(zip(ny.tolist(), sent.tolist()))
     assert drawn == collections.Counter(keys)
     return keys, tails
@@ -919,7 +945,7 @@ def _batched_cells(types, sent):
         assert signs.shape == (len(sents), len(types.scores), pmf.shape[1])
         pad = int(np.count_nonzero(pmf[row] == 0))
         assert (pmf[row, :pad] == 0).all() and (signs[row, :, :pad] == -1).all()
-        out.append((signs[row, :, pad:], pmf[row, pad:], types.tail_rows(sents)[row]))
+        out.append((signs[row, :, pad:], pmf[row, pad:], _tails(types, sents)[row]))
     return out
 
 
@@ -1073,7 +1099,7 @@ class TestTypeDomain:
             chunks.append(types.ny)
             seen += [(types.ny, s) for s in sents[rows].tolist()]
             signs, pmf = types.cell_rows(sents)
-            tails = types.tail_rows(sents)
+            tails = _tails(types, sents)
             sizes = simulator._class_sizes(n, types.ny)
             for k, s in enumerate(sents.tolist()):
                 per_type = simulator._signs(types.scores, types.scores[:, s, None]).T.tolist()
@@ -1089,6 +1115,24 @@ class TestTypeDomain:
         assert max(chunks.count(w) for w in chunks) > 1
         assert len(relabels) > 2 * len(chunks)
         assert (_fast(ens, ch, specs, m, 300, 2, True, simulator._drawn_histograms) == unchunked).all()
+
+    def test_main_arm_memory_does_not_grow_with_trials(self):
+        """The type-domain source gathers its cells for at most _CELL_PAIRS
+        (trial, cell) entries at once: the traced heap peak grows by under
+        200 bytes per extra trial (n = 16, U, ML and the 25-metric default
+        grid), where one copy of the cells per trial of a chunk took 834."""
+        ch = bsc(0.1)
+        specs = SPECS[:2] + [DecoderSpec("metric", theta=th) for th in default_theta_grid(25, ch)]
+        peaks = []
+        tracemalloc.start()
+        try:
+            for trials in (20000, 100000):
+                tracemalloc.reset_peak()
+                run_experiment(uniform_ensemble(2, 16), ch, FAM, specs, 0.25, trials, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 80000 < 200
 
     def test_no_type_tables_outlive_a_call(self, monkeypatch):
         """Every table lives on its call's _Types objects, which are freed
