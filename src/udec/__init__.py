@@ -5,7 +5,7 @@ surrogate, two-user and feedback extensions, and exhaustive/Monte-Carlo
 audits of the competitive error bounds that justify them.
 """
 
-from . import channels, cli, decoders, ensembles, families, lz, simulator, typeclasses
+from . import channels, decoders, ensembles, families, lz, simulator, typeclasses
 from .channels import bsc, dmc, mac_xor, mod_additive_fixed, mod_additive_iid
 from .decoders import (
     DecodeResult,

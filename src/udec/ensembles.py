@@ -73,6 +73,8 @@ class CodingEnsemble:
     feedback: FeedbackStateMachine | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise InputError(f"block length must be at least 1, got {self.n}")
         if self.kind == IID:
             if len(self.probs) != self.alphabet_size:
                 raise InputError("iid ensemble needs one probability per symbol")

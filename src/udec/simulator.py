@@ -8,8 +8,8 @@ codebook and channel realization.  Results are deterministic given the
 master seed.  The scalar, bit-packed and two-user paths key each trial's
 generator by (master seed, trial index), so a trial's realization does not
 depend on the others.  The type-domain arms (any n) draw every trial from
-one generator per arm and call: first all the sent joint types; the main
-arm then draws its trials' competitor counts in increasing sent type.
+one generator per arm and call: all the sent joint types first, then one
+output weight at a time, in increasing sent type (_by_weight).
 """
 
 from __future__ import annotations
@@ -165,6 +165,8 @@ def exact_bound_audit(
     theta) is reported, in the order y, x, lower bounds by theta, upper
     bound.
     """
+    if not thetas:
+        raise InputError("at least one metric required")
     _check_metrics(family, thetas)
     xa = family.x_alphabet_size
     ya = family.y_alphabet_size
@@ -481,6 +483,8 @@ def run_experiment(
     """Paired decoding trials: per trial, draw a codebook, transmit a
     uniformly chosen message, and decode the same realization with every
     configured decoder.  Deterministic given the master seed."""
+    if not decoder_specs:
+        raise InputError("at least one decoder required")
     types_of = _type_tables(decoder_specs, ensemble, channel)
     return _experiment(ensemble, channel, family, decoder_specs, rate, trials, seed, ties_as_errors, types_of)
 
@@ -504,7 +508,8 @@ def _experiment(ensemble, channel, family, decoder_specs, rate, trials, seed, ti
         errors = _run_slow(ensemble, channel, family, decoder_specs, m, trials, seed, ties_as_errors)
     else:
         source = _drawn_histograms if path == "types" else _packed_histograms
-        errors = _run_fast(ensemble, channel, types_of, m, trials, seed, ties_as_errors, source)
+        groups = source(ensemble, channel, m, seed, trials, ties_as_errors, types_of)
+        errors = np.concatenate([_read(*group) for group in groups])
     return [
         ErrorEstimate(spec.name, n, rate, trials, err, err / trials, *wilson_interval(err, trials), seed)
         for spec, err in zip(decoder_specs, errors.sum(axis=0).tolist())
@@ -861,22 +866,17 @@ def _sent_types(rng, channel, n: int, count: int) -> tuple[np.ndarray, np.ndarra
     return ny, a11 * (n - ny + 1) + a10
 
 
-def _sent_type_chunks(ny: np.ndarray, sent: np.ndarray, n: int, types_of):
-    """The trials' distinct (ny, flat index) sent types, in increasing
-    (ny, sent), cut into chunks of one output weight and at most
-    _CELL_PAIRS (sent type, joint type) pairs, or one sent type.  Per
-    chunk: the _Types of its ny, its sent types, and one row per trial that
-    drew one of them, the position of its sent type among them, in
-    increasing order."""
+def _by_weight(rng, channel, n: int, trials: int, types_of):
+    """Draw the sent joint types of ``trials`` trials (_sent_types), then
+    per output weight drawn, in increasing (ny, flat index) order, yield
+    (types, sents, counts): the weight's _Types, its distinct sent types
+    and how many trials drew each."""
+    ny, sent = _sent_types(rng, channel, n, trials)
     keys, counts = np.unique(ny * (n + 1) ** 2 + sent, return_counts=True)
     weights, sents = np.divmod(keys, (n + 1) ** 2)
-    starts = np.flatnonzero(np.diff(weights, prepend=-1))
-    for lo, hi in zip(starts.tolist(), np.append(starts[1:], len(keys)).tolist()):
-        w = int(weights[lo])
-        step = max(1, _CELL_PAIRS // ((w + 1) * (n - w + 1)))
-        for a in range(lo, hi, step):
-            b = min(a + step, hi)
-            yield types_of(w), sents[a:b], np.repeat(np.arange(b - a), counts[a:b])
+    starts = np.flatnonzero(np.diff(weights, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(keys)]):
+        yield types_of(int(weights[lo])), sents[lo:hi], counts[lo:hi]
 
 
 #: SeedSequence keys (seed, tag) of the type-domain arms' generators.  A key
@@ -936,7 +936,7 @@ def _packed_trial(ensemble, channel, m: int, seed: int, t: int):
 # category, a joint type or a decision cell, against the sent word; counts
 # (trials x categories) are the competitors in each, and earlier those
 # indexed below the sent word, or None when ties count as errors.
-# _run_fast reads every source the same way.
+# _experiment reads every source the same way.
 # ---------------------------------------------------------------------------
 
 
@@ -962,36 +962,31 @@ def _packed_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types
 
 def _drawn_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_of):
     """The trials' cell counts drawn in the type domain, from one generator:
-    first every sent pair's joint type, then per chunk of distinct sent
-    types (_sent_type_chunks), one batch of decision cells and the counts
-    of the chunk's trials, in slices of at most _CELL_PAIRS (trial, cell)
-    entries, in increasing sent type, not in trial order.  Given the sent pair, the M - 1 independent uniform
-    competitors' joint types with y are iid, so their counts in the sent
-    type's decision cells are one multinomial draw per trial; the sent
-    index i is uniform, and the i competitors below it are a multinomial of
-    their own."""
+    every sent pair's joint type first, then per output weight (_by_weight)
+    and chunk of at most _CELL_PAIRS (sent type, joint type) pairs, or one
+    sent type, one batch of decision cells and the counts of the chunk's
+    trials, in slices of at most _CELL_PAIRS (trial, cell) entries, in
+    increasing sent type, not in trial order.  Given the sent pair, the M - 1
+    independent uniform competitors' joint types with y are iid, so their
+    counts in the sent type's decision cells are one multinomial draw per
+    trial; the sent index i is uniform, and the i competitors below it are
+    a multinomial of their own."""
     if m - 1 >= 1 << 63:
         raise InstanceTooLargeError(f"type-domain draws need M - 1 < 2^63 codewords, not M = 2^{math.log2(m):.2f}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, _DRAWN_TAG)))
-    ny, sent = _sent_types(rng, channel, ensemble.n, trials)
-    for types, sents, rows in _sent_type_chunks(ny, sent, ensemble.n, types_of):
-        signs, pmf = types.cell_rows(sents)
-        step = max(1, _CELL_PAIRS // pmf.shape[1])
-        for part in (rows[a : a + step] for a in range(0, len(rows), step)):
-            if ties_as_errors:
-                yield signs[part], rng.multinomial(m - 1, pmf[part]), None
-            else:
-                i = rng.integers(m, size=len(part))
-                earlier = rng.multinomial(i, pmf[part])
-                yield signs[part], earlier + rng.multinomial(m - 1 - i, pmf[part]), earlier
-
-
-def _run_fast(ensemble, channel, types_of, m, trials, seed, ties_as_errors, source):
-    """Per-trial error indicators (trials x decoders), each group of trials
-    read at once off the counts that ``source`` yields for it, in the order
-    the source yields them."""
-    groups = source(ensemble, channel, m, seed, trials, ties_as_errors, types_of)
-    return np.concatenate([_read(signs, others, earlier) for signs, others, earlier in groups])
+    for types, sents, counts in _by_weight(rng, channel, ensemble.n, trials, types_of):
+        chunk = max(1, _CELL_PAIRS // types.scores.shape[1])
+        for a in range(0, len(sents), chunk):
+            signs, pmf = types.cell_rows(sents[a : a + chunk])
+            rows = np.repeat(np.arange(len(pmf)), counts[a : a + chunk])
+            step = max(1, _CELL_PAIRS // pmf.shape[1])
+            for part in (rows[b : b + step] for b in range(0, len(rows), step)):
+                if ties_as_errors:
+                    yield signs[part], rng.multinomial(m - 1, pmf[part]), None
+                else:
+                    i = rng.integers(m, size=len(part))
+                    earlier = rng.multinomial(i, pmf[part])
+                    yield signs[part], earlier + rng.multinomial(m - 1 - i, pmf[part]), earlier
 
 
 def _run_slow(ensemble, channel, family, decoder_specs, m, trials, seed, ties_as_errors):
@@ -1143,20 +1138,17 @@ def _shifted_estimates(channel, types_of, specs, n, m, rate, trials, seed) -> li
     codebook randomness: given a sampled sent pair, the probability q that
     one uniform codeword scores at least as high is the exact tail mass of
     its joint type, and the conditional error is 1 - (1 - q)^(M - 1).  Per
-    output weight drawn, one _tail_masses table gives the tails of its
-    distinct sent types, whose conditional errors, weighted by how many
-    trials drew each, go to running sums and sums of squares."""
+    output weight drawn (_by_weight), one _tail_masses table gives the
+    tails of its distinct sent types, whose conditional errors, weighted by
+    how many trials drew each, go to running sums and sums of squares."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, _SHIFTED_TAG)))
     total, square = np.zeros(len(specs)), np.zeros(len(specs))
-    ny, sent = _sent_types(rng, channel, n, trials)
-    for w in np.flatnonzero(np.bincount(ny)).tolist():
-        types = types_of(w)
-        sents, weight = np.unique(sent[ny == w], return_counts=True)
+    for types, sents, counts in _by_weight(rng, channel, n, trials, types_of):
         tails = types._masses(_tail_masses(types.scores[-len(specs):], types._limbs)[..., sents])
         with np.errstate(divide="ignore"):  # q = 1: log1p(-1) = -inf, error 1
             cond = -np.expm1(float(m - 1) * np.log1p(-tails))
-        total += cond @ weight
-        square += (cond * cond) @ weight
+        total += cond @ counts
+        square += (cond * cond) @ counts
     out = []
     for spec, s, s2 in zip(specs, total.tolist(), square.tolist()):
         mean = s / trials
@@ -1273,6 +1265,8 @@ def mac_run_experiment(
     Error types are attributed to the best competitor pair: both messages
     wrong, or only one user's message wrong.
     """
+    if not decoder_specs:
+        raise InputError("at least one decoder required")
     if channel.kind != channels.MAC_XOR:
         raise InputError("two-user experiment needs a mac_xor channel")
     if rate1 < 0 or rate2 < 0:
@@ -1372,6 +1366,8 @@ def mac_envelope_audit(
     The finite-n constant is 96 = 3 error types x 2 (pairwise-independent
     union lower bound) x 16 (keeping only half of each user's competitors
     in the independent sub-family costs at most 4 per user)."""
+    if not metric_thetas:
+        raise InputError("at least one metric required")
     specs = [DecoderSpec("universal")]
     for i, th in enumerate(metric_thetas):
         specs.append(

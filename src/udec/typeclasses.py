@@ -18,6 +18,11 @@ from .errors import InputError, InstanceTooLargeError, UnsupportedCombinationErr
 #: guard for exhaustive enumeration of an input alphabet power
 EXHAUSTIVE_BITS = 24
 
+#: the most output compositions count_classes tabulates: an entry (its dict
+#: slot, key tuple and count) takes about 200 bytes traced and up to about
+#: 310 resident, so 2^20 of them take about 256 MiB, the simulator's limit
+_MAX_COMPOSITIONS = 1 << 20
+
 
 @dataclass(frozen=True)
 class Sequence:
@@ -259,6 +264,15 @@ def count_classes(
     ``exhaustive`` (enumerates inputs, and for finite-state families outputs
     as well; guarded by size).
     """
+    if n < 1:
+        raise InputError(f"block length must be at least 1, got {n}")
+    # one table entry per output composition, for every strategy
+    entries = math.comb(n + family.y_alphabet_size - 1, family.y_alphabet_size - 1)
+    if entries > _MAX_COMPOSITIONS:
+        raise InstanceTooLargeError(
+            f"{entries} output compositions at n = {n} are over the limit of "
+            f"{_MAX_COMPOSITIONS} (about 256 MiB)"
+        )
     additive_like = family.kind in (families.ADDITIVE, families.MAC_XOR_ADDITIVE)
     if strategy == "auto":
         strategy = "combinatorial" if additive_like else "exhaustive"

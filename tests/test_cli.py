@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import udec
 from udec.cli import main
 
 
@@ -244,6 +248,7 @@ class TestErrorHandling:
             ("shulman", {"families": [{"kind": "projective_lines", "q": 5, "shifts": [1]}]}, []),
             ("shulman", {"families": [{"kind": "projective_lines", "q": 5, "num_events": "x"}]}, []),
             ("shulman", {"families": [{"kind": "projective_lines", "q": 5, "label": 3}]}, []),
+            ("count-classes", {"family": {"kind": "additive"}, "n_values": [30000000]}, []),
         ],
         ids=["bool-trials", "negative-seed", "parity-no-num_bits", "lines-no-q", "unknown-key",
              "non-numeric-theta", "non-numeric-theta_grid", "unwritable-out", "nan-theta",
@@ -252,7 +257,7 @@ class TestErrorHandling:
              "float-alphabet_size", "float-message_bits", "float-x_alphabet_size",
              "parity-2^40-outcomes", "lines-q100003", "string-subsets", "list-label",
              "parity-short-targets", "parity-negative-subset", "lines-short-shifts",
-             "string-num_events", "int-family-label"],
+             "string-num_events", "int-family-label", "count-classes-30000001-compositions"],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, subcommand, payload, extra):
         cfg = write_config(tmp_path, "c.json", payload)
@@ -262,3 +267,11 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+
+
+def test_library_import_leaves_the_cli_out():
+    """``import udec`` loads the library only: the CLI and what it imports
+    (argparse, csv, json, logging) load with ``udec.cli``."""
+    src = os.path.dirname(os.path.dirname(udec.__file__))
+    code = "import sys, udec; sys.exit('udec.cli' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src)).returncode == 0

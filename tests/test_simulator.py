@@ -16,6 +16,7 @@ from udec import (
     UnsupportedCombinationError,
     additive_family,
     bsc,
+    count_classes,
     dmc,
     iid_ensemble,
     linear_dithered_ensemble,
@@ -75,9 +76,11 @@ def _unpack(word, n):
 
 
 def _fast(ens, ch, specs, m, trials, seed, ties_as_errors, source):
-    """_run_fast with fresh type tables for these decoders."""
+    """Per-trial error indicators (trials x decoders) read off the groups
+    that ``source`` yields, with fresh type tables for these decoders."""
     types_of = simulator._type_tables(specs, ens, ch)
-    return simulator._run_fast(ens, ch, types_of, m, trials, seed, ties_as_errors, source)
+    groups = source(ens, ch, m, seed, trials, ties_as_errors, types_of)
+    return np.concatenate([simulator._read(*group) for group in groups])
 
 
 def _type_word(n: int, ny: int, flat: int):
@@ -795,6 +798,27 @@ class TestRunExperiment:
             monte_carlo_audit(bsc(0.1), FAM, [], 0.25, 8, 10, 0, shifted_trials=0)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: count_classes(FAM, 0), "block length"),
+        (lambda: count_classes(FAM, -3), "block length"),
+        (lambda: uniform_ensemble(2, 0), "block length"),
+        (lambda: exact_bound_audit(uniform_ensemble(2, 4), bsc(0.1), FAM, [], 0.25, 4), "metric"),
+        (lambda: mac_envelope_audit(mac_xor(bsc(0.1)), mac_xor_additive_family(2, 2), [], 0.2, 0.2, 8, 10, 0), "metric"),
+        (lambda: run_experiment(uniform_ensemble(2, 8), bsc(0.1), FAM, [], 0.25, 10, 0), "decoder"),
+        (lambda: mac_run_experiment(mac_xor(bsc(0.1)), mac_xor_additive_family(2, 2), [], 0.2, 0.2, 8, 10, 0), "decoder"),
+    ],
+    ids=["count_classes-n0", "count_classes-n-3", "ensemble-n0", "exact-no-metrics", "mac-envelope-no-metrics",
+         "run-no-decoders", "mac-run-no-decoders"],
+)
+def test_degenerate_inputs_raise_input_error(call, match):
+    """A zero or negative block length and an empty metric or decoder list
+    are refused as input errors, before any work."""
+    with pytest.raises(InputError, match=match):
+        call()
+
+
 class TestMonteCarloAudit:
     def test_inequalities_hold(self):
         grid = default_theta_grid(4, bsc(0.1), seed=2)
@@ -917,17 +941,22 @@ def _tails(types, sents):
 
 def _shifted_arm_tails(ch, types_of, n, trials, seed):
     """The (ny, flat index) sent type of each trial of the shifted arm,
-    replayed through the arm's generator, and the tails that the arm's one
-    table per output weight gives each distinct one; the groups' counts
-    count every trial's sent type once."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, simulator._SHIFTED_TAG)))
-    ny, sent = simulator._sent_types(rng, ch, n, trials)
-    tails, drawn = {}, collections.Counter()
-    for w in np.flatnonzero(np.bincount(ny)).tolist():
-        sents, counts = np.unique(sent[ny == w], return_counts=True)
-        for s, row, count in zip(sents.tolist(), _tails(types_of(w), sents), counts.tolist()):
-            tails[w, s] = row
-            drawn[w, s] += count
+    drawn through the arm's generator, and the tails that the arm's one
+    table per output weight gives each distinct one, read off the weights
+    that _by_weight yields: they strictly increase, each weight's sent
+    types strictly increase, and the counts count every trial's sent type
+    once."""
+    tag = (seed, simulator._SHIFTED_TAG)
+    ny, sent = simulator._sent_types(np.random.default_rng(np.random.SeedSequence(tag)), ch, n, trials)
+    walk = simulator._by_weight(np.random.default_rng(np.random.SeedSequence(tag)), ch, n, trials, types_of)
+    tails, drawn, weights = {}, collections.Counter(), []
+    for types, sents, counts in walk:
+        weights.append(types.ny)
+        assert (np.diff(sents) > 0).all()
+        for s, row, count in zip(sents.tolist(), _tails(types, sents), counts.tolist()):
+            tails[types.ny, s] = row
+            drawn[types.ny, s] += count
+    assert weights == sorted(set(weights))
     keys = list(zip(ny.tolist(), sent.tolist()))
     assert drawn == collections.Counter(keys)
     return keys, tails
@@ -1077,28 +1106,47 @@ class TestTypeDomain:
     def test_chunked_batches_equal_per_type_cells(self, monkeypatch):
         """With a pair budget below one output weight's joint types, an
         output weight's sent types span several chunks, and the 61-decoder
-        grid is folded in several passes: every chunk's rows still equal
-        each sent type's per-type decision patterns and tails, exactly, and
-        the chunks' rows are the trials' sent types, each trial once.  Zero-mass padding draws no
-        random numbers, so with ties as errors the chunking does not change
-        a run's counts."""
-        n, budget, trials = 12, 100, 400
+        grid is folded in several passes: every chunk that the type-domain
+        source builds still equals each sent type's per-type decision
+        patterns and tails, exactly; the chunks cut each weight that
+        _by_weight yields, in order; and the trials read off each chunk are
+        its sent types' trials, so every trial is read once.  Zero-mass
+        padding draws no random numbers, so with ties as errors the chunking
+        does not change a run's counts."""
+        n, budget, trials, seed = 12, 100, 300, 2
         ch = bsc(0.1)
         specs = [DecoderSpec("universal")] + [DecoderSpec("metric", theta=th) for th in default_theta_grid(60, ch, seed=4)]
         ens = uniform_ensemble(2, n)
         m = simulator.ensembles.message_count(n, 0.25)
-        unchunked = _fast(ens, ch, specs, m, 300, 2, True, simulator._drawn_histograms)
+        unchunked = _fast(ens, ch, specs, m, trials, seed, True, simulator._drawn_histograms)
         monkeypatch.setattr(simulator, "_CELL_PAIRS", budget)
         relabel, relabels = simulator._relabel, []
         monkeypatch.setattr(simulator, "_relabel", lambda ids, count: relabels.append(count) or relabel(ids, count))
+        by_weight, walk, chunks = simulator._by_weight, [], []
+        monkeypatch.setattr(simulator, "_by_weight", lambda *args: (walk.append(w) or w for w in by_weight(*args)))
+        cell_rows = simulator._Types.cell_rows
+
+        def recorded(types, sents):
+            chunks.append([types, sents, cell_rows(types, sents), 0])
+            return chunks[-1][2]
+
+        monkeypatch.setattr(simulator._Types, "cell_rows", recorded)
         types_of = simulator._type_tables(specs, ens, ch)
-        ny, sent = simulator._sent_types(np.random.default_rng(5), ch, n, trials)
-        chunks, seen = [], []
-        for types, sents, rows in simulator._sent_type_chunks(ny, sent, n, types_of):
+        chunked = []
+        for signs, others, earlier in simulator._drawn_histograms(ens, ch, m, seed, trials, True, types_of):
+            chunks[-1][3] += len(others)  # a group holds trials of the chunk built last
+            chunked.append(simulator._read(signs, others, earlier))
+        assert (np.concatenate(chunked) == unchunked).all()
+        assert len(relabels) > 2 * len(chunks)
+        counts = {(types.ny, s): c for types, sents, cs in walk for s, c in zip(sents.tolist(), cs.tolist())}
+        for types, sents, _ in walk:
+            assert np.concatenate([c[1] for c in chunks if c[0] is types]).tolist() == sents.tolist()
+        seen = []
+        for types, sents, (signs, pmf), read in chunks:
             assert len(sents) * types.scores.shape[1] <= budget or len(sents) == 1
-            chunks.append(types.ny)
-            seen += [(types.ny, s) for s in sents[rows].tolist()]
-            signs, pmf = types.cell_rows(sents)
+            drew = [counts[types.ny, s] for s in sents.tolist()]
+            assert read == sum(drew)
+            seen += [(types.ny, s) for s, c in zip(sents.tolist(), drew) for _ in range(c)]
             tails = _tails(types, sents)
             sizes = simulator._class_sizes(n, types.ny)
             for k, s in enumerate(sents.tolist()):
@@ -1111,10 +1159,11 @@ class TestTypeDomain:
                 assert tails[k].tolist() == [
                     sum(size for size, key in zip(sizes, per_type) if key[d] >= 0) / 2**n for d in range(len(specs))
                 ]
+        rng = np.random.default_rng(np.random.SeedSequence((seed, simulator._DRAWN_TAG)))
+        ny, sent = simulator._sent_types(rng, ch, n, trials)
         assert seen == sorted(zip(ny.tolist(), sent.tolist()))
-        assert max(chunks.count(w) for w in chunks) > 1
-        assert len(relabels) > 2 * len(chunks)
-        assert (_fast(ens, ch, specs, m, 300, 2, True, simulator._drawn_histograms) == unchunked).all()
+        weights = [c[0].ny for c in chunks]
+        assert max(weights.count(w) for w in weights) > 1
 
     def test_main_arm_memory_does_not_grow_with_trials(self):
         """The type-domain source gathers its cells for at most _CELL_PAIRS
