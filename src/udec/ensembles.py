@@ -1,10 +1,8 @@
 """Random coding ensembles.
 
 Every ensemble exposes an exact base-2 log-probability, an exact
-equivalence-class mass, and reproducible codebook sampling.  Codeword i is
-drawn from a stream keyed by (master seed, i), so sampling is
-order-independent and safe to parallelize; determinism is guaranteed within
-this implementation, not across RNG algorithms.
+equivalence-class mass, and codebook sampling from one seeded generator,
+reproducible within this implementation, not across RNG algorithms.
 """
 
 from __future__ import annotations
@@ -73,8 +71,7 @@ class CodingEnsemble:
     feedback: FeedbackStateMachine | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"block length must be at least 1, got {self.n}")
+        typeclasses.check_block_length(self.n)
         if self.kind == IID:
             if len(self.probs) != self.alphabet_size:
                 raise InputError("iid ensemble needs one probability per symbol")
@@ -239,12 +236,19 @@ class Codebook:
         return len(self.codewords)
 
 
+def check_rate(rate: float) -> None:
+    """Refuse a negative, NaN or infinite coding rate."""
+    if not 0 <= rate < math.inf:
+        raise InputError(f"rate must be non-negative and finite, got {rate!r}")
+
+
 def message_count(n: int, rate: float) -> int:
     """Number of codewords at a given rate: floor(2^(n*rate)), at least 2.
 
     Past the float range (n*rate >= 1024) the power is split into
     2^frac * 2^int, so the count keeps 53 significant bits instead of
     overflowing."""
+    check_rate(rate)
     e = n * rate
     if e < 1024:
         return max(2, math.floor(2.0**e))
@@ -252,9 +256,17 @@ def message_count(n: int, rate: float) -> int:
     return math.floor(2.0 ** (e - k) * 2.0**52) << (k - 52)
 
 
+# symbols per drawn block: each block becomes Sequences before the next is
+# drawn, so the draw's arrays stay small beside the codebook they fill
+_BLOCK_SYMBOLS = 1 << 14
+
+
 def sample_codebook(ensemble: CodingEnsemble, m: int, seed: int) -> Codebook:
     """Draw m codewords, deterministically in (ensemble, m, seed).
 
+    All words come from one generator keyed (seed, 0xC0DE), in blocks of
+    whole words.  A dithered linear code first draws its generator rows and
+    dither; message i's word is the dither XOR the rows at i's one bits.
     Feedback ensembles describe output-adaptive strategies, not fixed words,
     and cannot be materialized here.
     """
@@ -264,38 +276,28 @@ def sample_codebook(ensemble: CodingEnsemble, m: int, seed: int) -> Codebook:
         raise UnsupportedCombinationError(
             "feedback ensembles sample adaptively; no static codebook exists"
         )
-    n = ensemble.n
+    n, a = ensemble.n, ensemble.alphabet_size
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0DE)))
     if ensemble.kind == LINEAR_DITHERED:
         if m > 2**ensemble.message_bits:
             raise InputError("more codewords than linear messages available")
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0DE)))
         gen_rows = rng.integers(0, 2, size=(ensemble.message_bits, n), dtype=np.uint8)
         dither = rng.integers(0, 2, size=n, dtype=np.uint8)
-        words = []
-        for i in range(m):
-            word = dither.copy()
-            for j in range(ensemble.message_bits):
-                if (i >> j) & 1:
-                    word ^= gen_rows[j]
-            words.append(Sequence(tuple(int(v) for v in word), 2))
-    else:
-        words = [
-            _sample_word(ensemble, np.random.default_rng(np.random.SeedSequence((seed, i))))
-            for i in range(m)
-        ]
-    rate = math.log2(m) / n
-    return Codebook(tuple(words), rate=rate, seed=seed, ensemble=ensemble)
-
-
-def _sample_word(ensemble: CodingEnsemble, rng) -> Sequence:
-    n, a = ensemble.n, ensemble.alphabet_size
-    if ensemble.kind == UNIFORM:
-        vals = rng.integers(0, a, size=n)
-    elif ensemble.kind == IID:
-        vals = rng.choice(a, size=n, p=np.asarray(ensemble.probs))
-    elif ensemble.kind == UNIFORM_OVER_TYPE:
-        base = np.repeat(np.arange(a), ensemble.composition)
-        vals = rng.permutation(base)
-    else:
-        raise UnsupportedCombinationError(ensemble.kind)
-    return Sequence(tuple(int(v) for v in vals), a)
+        gen_rows = gen_rows[: int(m - 1).bit_length()]  # the rows any i < m uses
+    rows = max(1, _BLOCK_SYMBOLS // n)
+    words = []
+    for start in range(0, m, rows):
+        size = (min(rows, m - start), n)
+        if ensemble.kind == UNIFORM:
+            block = rng.integers(0, a, size=size)
+        elif ensemble.kind == IID:
+            block = rng.choice(a, size=size, p=ensemble.probs)
+        elif ensemble.kind == UNIFORM_OVER_TYPE:
+            base = np.repeat(np.arange(a), ensemble.composition)
+            block = rng.permuted(np.broadcast_to(base, size), axis=1)
+        else:
+            msgs = np.arange(start, start + size[0])[:, None]
+            bits = (msgs >> np.arange(len(gen_rows)) & 1).astype(np.uint8)
+            block = dither ^ (bits @ gen_rows & 1)
+        words.extend(Sequence(tuple(w), a) for w in block.tolist())
+    return Codebook(tuple(words), rate=math.log2(m) / n, seed=seed, ensemble=ensemble)

@@ -167,6 +167,7 @@ def exact_bound_audit(
     """
     if not thetas:
         raise InputError("at least one metric required")
+    ensembles.check_rate(rate)
     _check_metrics(family, thetas)
     xa = family.x_alphabet_size
     ya = family.y_alphabet_size
@@ -409,6 +410,8 @@ def surrogate_condition_check(
     summand reduces exactly to 2^(-conditional complexity), so the sum is
     over the support only.
     """
+    if samples_per_y < 1:
+        raise InputError(f"samples_per_y must be at least 1, got {samples_per_y}")
     per_n: dict[int, tuple] = {}
     max_per_n: dict[int, float] = {}
     for n in n_values:
@@ -1269,8 +1272,6 @@ def mac_run_experiment(
         raise InputError("at least one decoder required")
     if channel.kind != channels.MAC_XOR:
         raise InputError("two-user experiment needs a mac_xor channel")
-    if rate1 < 0 or rate2 < 0:
-        raise InputError("rates must be non-negative")
     _check_alphabets(2, family, channel.inner)
     _check_metrics(family, [MetricIndex.additive(s.theta) for s in decoder_specs if s.kind == "metric"])
     _channel_matrix(channel.inner)  # a memoryless binary inner channel

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import families
@@ -254,6 +255,17 @@ class ClassCountReport:
     strategy: str
 
 
+def check_block_length(n) -> None:
+    """Refuse a block length that is below 1 or not an integer: bools are
+    refused, numpy integers pass."""
+    try:
+        valid = not isinstance(n, bool) and operator.index(n) >= 1
+    except TypeError:
+        valid = False
+    if not valid:
+        raise InputError(f"block length must be an integer of at least 1, got {n!r}")
+
+
 def count_classes(
     family: families.MetricFamily, n: int, strategy: str = "auto"
 ) -> ClassCountReport:
@@ -264,8 +276,7 @@ def count_classes(
     ``exhaustive`` (enumerates inputs, and for finite-state families outputs
     as well; guarded by size).
     """
-    if n < 1:
-        raise InputError(f"block length must be at least 1, got {n}")
+    check_block_length(n)
     # one table entry per output composition, for every strategy
     entries = math.comb(n + family.y_alphabet_size - 1, family.y_alphabet_size - 1)
     if entries > _MAX_COMPOSITIONS:

@@ -1,5 +1,7 @@
+import collections
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from udec import (
     UnsupportedCombinationError,
     additive_family,
     class_key,
+    count_classes,
     feedback_tree_ensemble,
     iid_ensemble,
     linear_dithered_ensemble,
@@ -226,3 +229,116 @@ class TestSampling:
                     for b in itertools.product(range(2), repeat=n):
                         c = joint.get((i, j, tuple(a), tuple(b)), 0)
                         assert c * total == marg[(i, tuple(a))] * marg[(j, tuple(b))]
+
+    def test_numpy_integer_block_length(self):
+        assert uniform_ensemble(2, np.int64(8)).n == 8
+        assert count_classes(additive_family(2, 2), np.int64(4)).n == 4
+
+
+# total false-alarm rate of each law test, split over its binomial tests by
+# the union bound
+FALSE_ALARM = 1e-6
+
+
+def binomial_p_value(k: int, trials: int, p: float) -> float:
+    """Exact two-sided p-value of k successes in Binomial(trials, p): twice
+    the tail on k's side of the mean, walked outward from k until the
+    terms no longer change the sum."""
+    def pmf(i):
+        return math.exp(
+            math.lgamma(trials + 1) - math.lgamma(i + 1) - math.lgamma(trials - i + 1)
+            + i * math.log(p) + (trials - i) * math.log1p(-p)
+        )
+
+    step = -1 if k <= trials * p else 1
+    terms = []
+    for i in range(k, -1 if step < 0 else trials + 1, step):
+        terms.append(pmf(i))
+        if terms[-1] < 1e-20 * terms[0]:
+            break
+    return min(1.0, 2.0 * math.fsum(terms))
+
+
+class TestSamplerLaw:
+    """A codebook is m independent draws from the ensemble: every word's
+    frequency, and every symbol's frequency at every position, passes an
+    exact binomial test against the ensemble's law."""
+
+    @pytest.mark.parametrize(
+        "ens, m",
+        [
+            (uniform_over_type_ensemble((5, 3), 8), 56 * 300),  # C(8, 3) = 56 words
+            (uniform_ensemble(3, 3), 27 * 300),
+            (iid_ensemble((0.2, 0.8), 4), 5000),
+        ],
+        ids=["uniform_over_type", "uniform", "iid"],
+    )
+    def test_word_frequencies(self, ens, m):
+        counts = collections.Counter(w.symbols for w in sample_codebook(ens, m, 7).codewords)
+        support = [x for x in all_sequences(ens.alphabet_size, ens.n) if log_prob(ens, x) != -math.inf]
+        assert set(counts) <= {x.symbols for x in support}
+        for x in support:
+            p = 2.0 ** log_prob(ens, x)
+            assert binomial_p_value(counts[x.symbols], m, p) >= FALSE_ALARM / len(support), x.symbols
+
+    @pytest.mark.parametrize(
+        "ens", [uniform_ensemble(3, 32), iid_ensemble((0.2, 0.8), 200)], ids=["uniform", "iid"]
+    )
+    def test_symbol_frequencies(self, ens):
+        m = 4096
+        probs = ens.probs or (1 / ens.alphabet_size,) * ens.alphabet_size
+        words = np.array([w.symbols for w in sample_codebook(ens, m, 11).codewords])
+        tests = ens.n * len(probs)
+        for a, p in enumerate(probs):
+            for count in np.count_nonzero(words == a, axis=0).tolist():
+                assert binomial_p_value(count, m, p) >= FALSE_ALARM / tests, (a, count)
+
+
+def linear_reference(ens, m: int, seed: int):
+    """A dithered linear codebook word by word: the dither XOR the generator
+    rows at each message's one bits."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0DE)))
+    gen_rows = rng.integers(0, 2, size=(ens.message_bits, ens.n), dtype=np.uint8)
+    dither = rng.integers(0, 2, size=ens.n, dtype=np.uint8)
+    words = []
+    for i in range(m):
+        word = dither.copy()
+        for j in range(ens.message_bits):
+            if (i >> j) & 1:
+                word ^= gen_rows[j]
+        words.append(tuple(int(v) for v in word))
+    return words
+
+
+@pytest.mark.parametrize("n, k, m", [(8, 3, 8), (33, 10, 1000), (70, 66, 300), (20, 12, 4096)])
+def test_linear_codebook_matches_the_word_loop(n, k, m):
+    ens = linear_dithered_ensemble(n, k)
+    for seed in (0, 5, 2**40 + 3):
+        book = sample_codebook(ens, m, seed)
+        assert [w.symbols for w in book.codewords] == linear_reference(ens, m, seed)
+
+
+@pytest.mark.parametrize(
+    "ens",
+    [
+        uniform_ensemble(3, 32),
+        iid_ensemble((0.2, 0.8), 200),
+        uniform_over_type_ensemble((40, 60), 100),
+        linear_dithered_ensemble(64, 20),
+    ],
+    ids=["uniform", "iid", "uniform_over_type", "linear_dithered"],
+)
+def test_codebook_memory_within_the_scalar_guard(ens):
+    """The traced peak of drawing a codebook stays within the bytes per word
+    that simulator._run_slow passes to _check_codebook, 8 n + 400: a
+    Sequence of n symbols and its objects, with the draw's own arrays."""
+    m = 8192
+    sample_codebook(ens, 2, 0)  # first-call allocations of numpy and the module
+    tracemalloc.start()
+    try:
+        book = sample_codebook(ens, m, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(book) == m
+    assert peak / m <= 8 * ens.n + 400

@@ -808,13 +808,25 @@ class TestRunExperiment:
         (lambda: mac_envelope_audit(mac_xor(bsc(0.1)), mac_xor_additive_family(2, 2), [], 0.2, 0.2, 8, 10, 0), "metric"),
         (lambda: run_experiment(uniform_ensemble(2, 8), bsc(0.1), FAM, [], 0.25, 10, 0), "decoder"),
         (lambda: mac_run_experiment(mac_xor(bsc(0.1)), mac_xor_additive_family(2, 2), [], 0.2, 0.2, 8, 10, 0), "decoder"),
+        (lambda: run_experiment(uniform_ensemble(2, 8), bsc(0.1), FAM, [DecoderSpec("ml")], -0.25, 10, 0), "non-negative"),
+        (lambda: run_experiment(uniform_ensemble(2, 8), bsc(0.1), FAM, [DecoderSpec("ml")], math.nan, 10, 0), "non-negative"),
+        (lambda: run_experiment(uniform_ensemble(2, 8), bsc(0.1), FAM, [DecoderSpec("ml")], math.inf, 10, 0), "non-negative"),
+        (lambda: monte_carlo_audit(bsc(0.1), FAM, [((1.0, 0.0), (0.0, 1.0))], -0.25, 8, 10, 0), "non-negative"),
+        (lambda: exact_bound_audit(uniform_ensemble(2, 4), bsc(0.1), FAM, [MetricIndex.additive(((1.0, 0.0), (0.0, 1.0)))], -1.0, 4), "non-negative"),
+        (lambda: uniform_ensemble(2, 2.5), "block length"),
+        (lambda: uniform_ensemble(2, True), "block length"),
+        (lambda: count_classes(FAM, 2.5), "block length"),
+        (lambda: surrogate_condition_check(lambda n: uniform_ensemble(2, n), [2], samples_per_y=0), "samples_per_y"),
     ],
     ids=["count_classes-n0", "count_classes-n-3", "ensemble-n0", "exact-no-metrics", "mac-envelope-no-metrics",
-         "run-no-decoders", "mac-run-no-decoders"],
+         "run-no-decoders", "mac-run-no-decoders", "run-negative-rate", "run-nan-rate", "run-infinite-rate",
+         "mc-audit-negative-rate", "exact-negative-rate", "ensemble-n-float", "ensemble-n-bool",
+         "count_classes-n-float", "surrogate-no-samples"],
 )
 def test_degenerate_inputs_raise_input_error(call, match):
-    """A zero or negative block length and an empty metric or decoder list
-    are refused as input errors, before any work."""
+    """A zero, negative, fractional or bool block length, a negative or
+    non-finite rate, no samples, and an empty metric or decoder list are
+    refused as input errors, before any work."""
     with pytest.raises(InputError, match=match):
         call()
 
