@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import families, typeclasses
 from .errors import InputError, UnsupportedCombinationError
 from .typeclasses import Sequence
 
@@ -85,15 +86,6 @@ def finite_state_channel(
 ) -> ChannelModel:
     """``next_state`` is a callable g(x, y, s) -> s' or a flat table;
     ``state_matrix[s][x]`` is the output distribution in state s."""
-    if callable(next_state):
-        table = tuple(
-            next_state(x, y, s)
-            for x in range(x_alphabet_size)
-            for y in range(y_alphabet_size)
-            for s in range(num_states)
-        )
-    else:
-        table = tuple(next_state)
     sm = tuple(
         tuple(tuple(float(p) for p in row) for row in per_state)
         for per_state in state_matrix
@@ -105,7 +97,9 @@ def finite_state_channel(
         x_alphabet_size,
         y_alphabet_size,
         num_states=num_states,
-        next_state=table,
+        next_state=families.state_table(
+            x_alphabet_size, y_alphabet_size, num_states, next_state
+        ),
         initial_state=initial_state,
         state_matrix=sm,
     )
@@ -172,13 +166,13 @@ def log_likelihood(channel: ChannelModel, x: Sequence, y: Sequence) -> float:
     if len(x) != len(y):
         raise InputError("length mismatch")
     if channel.kind == DMC:
-        return _sum_logs(channel.matrix[v][w] for v, w in zip(x, y))
+        return typeclasses.log2_product(channel.matrix[v][w] for v, w in zip(x, y))
     if channel.kind == MOD_ADDITIVE:
         ya = channel.y_alphabet_size
         noise = [(w - v) % ya for v, w in zip(x, y)]
         if channel.noise_word:
             return 0.0 if tuple(noise) == channel.noise_word else -math.inf
-        return _sum_logs(channel.noise_probs[z] for z in noise)
+        return typeclasses.log2_product(channel.noise_probs[z] for z in noise)
     if channel.kind == FINITE_STATE:
         s = channel.initial_state
         terms = []
@@ -198,14 +192,3 @@ def mac_log_likelihood(
     if channel.kind != MAC_XOR:
         raise InputError("mac_log_likelihood requires a two-user channel")
     return log_likelihood(channel.inner, mod_sum(x1, x2), y)
-
-
-def _sum_logs(values) -> float:
-    # fsum: scores of words with the same per-symbol probability multiset
-    # must compare exactly equal, independent of symbol order
-    terms = []
-    for p in values:
-        if p == 0.0:
-            return -math.inf
-        terms.append(math.log2(p))
-    return math.fsum(terms)

@@ -171,21 +171,11 @@ def mac_universal_score(
         raise InputError("rates must be non-negative")
     if len(x1) != len(x2) or len(x1) != len(y):
         raise InputError("length mismatch")
-    n = len(y)
-    z = channels.mod_sum(x1, x2)
-    a = x1.alphabet_size
-    uniform_users = (
-        q1.kind in (ensembles.UNIFORM, ensembles.LINEAR_DITHERED)
-        and q2.kind in (ensembles.UNIFORM, ensembles.LINEAR_DITHERED)
-    )
-    if uniform_users:
+    uniform = (ensembles.UNIFORM, ensembles.LINEAR_DITHERED)
+    if q1.kind in uniform and q2.kind in uniform:
         # pair class: one free user word per modulo-sum class member;
         # single-user classes biject onto the modulo-sum class
-        size = typeclasses.conditional_class_size(
-            typeclasses.empirical_joint_type(z, y)
-        )
-        u = -(math.log2(size) - n * math.log2(a)) / n
-        u0 = u1 = u2 = u
+        u0 = u1 = u2 = universal_score(family, q1, channels.mod_sum(x1, x2), y).value
     else:
         u0, u1, u2 = _mac_masses_exhaustive(family, q1, q2, x1, x2, y)
     value = min(u0 - r1 - r2, u1 - r1, u2 - r2)
@@ -194,38 +184,28 @@ def mac_universal_score(
     )
 
 
-def _mac_masses_exhaustive(family, q1, q2, x1, x2, y):
-    n = len(y)
-    a = x1.alphabet_size
+def pair_masses(q1, q2, x1: Sequence, x2: Sequence, keep) -> tuple[float, float, float]:
+    """Masses, under the user ensembles ``q1`` and ``q2``, of the word pairs
+    (c1, c2), (c1, x2) and (x1, c2) whose modulo-sum satisfies ``keep``;
+    enumerated exhaustively under a size guard."""
+    n, a = len(x1), x1.alphabet_size
     if 2 * n * math.log2(a) > _MAC_EXHAUSTIVE_BITS:
         raise InstanceTooLargeError("pair enumeration refused at this size")
+    words = list(typeclasses.all_sequences(a, n))
+    p1 = [2.0 ** ensembles.log_prob(q1, w) for w in words]
+    p2 = [2.0 ** ensembles.log_prob(q2, w) for w in words]
+    both = sum(m1 * m2 for c1, m1 in zip(words, p1) for c2, m2 in zip(words, p2)
+               if keep(channels.mod_sum(c1, c2)))
+    user1 = sum(m for c, m in zip(words, p1) if keep(channels.mod_sum(c, x2)))
+    user2 = sum(m for c, m in zip(words, p2) if keep(channels.mod_sum(x1, c)))
+    return both, user1, user2
+
+
+def _mac_masses_exhaustive(family, q1, q2, x1, x2, y):
+    n = len(y)
     ref = typeclasses.class_key(family, channels.mod_sum(x1, x2), y)
-    m0 = 0.0
-    m1 = 0.0
-    m2 = 0.0
-    probs1 = {
-        s.symbols: 2.0 ** ensembles.log_prob(q1, s)
-        for s in typeclasses.all_sequences(a, n)
-    }
-    probs2 = {
-        s.symbols: 2.0 ** ensembles.log_prob(q2, s)
-        for s in typeclasses.all_sequences(a, n)
-    }
-    for c1 in typeclasses.all_sequences(a, n):
-        for c2 in typeclasses.all_sequences(a, n):
-            if typeclasses.class_key(family, channels.mod_sum(c1, c2), y) == ref:
-                m0 += probs1[c1.symbols] * probs2[c2.symbols]
-    for c1 in typeclasses.all_sequences(a, n):
-        if typeclasses.class_key(family, channels.mod_sum(c1, x2), y) == ref:
-            m1 += probs1[c1.symbols]
-    for c2 in typeclasses.all_sequences(a, n):
-        if typeclasses.class_key(family, channels.mod_sum(x1, c2), y) == ref:
-            m2 += probs2[c2.symbols]
-
-    def to_score(mass):
-        return math.inf if mass == 0.0 else -math.log2(mass) / n
-
-    return to_score(m0), to_score(m1), to_score(m2)
+    masses = pair_masses(q1, q2, x1, x2, lambda z: typeclasses.class_key(family, z, y) == ref)
+    return tuple(math.inf if m == 0.0 else -math.log2(m) / n for m in masses)
 
 
 def mac_lz_score(
@@ -235,8 +215,8 @@ def mac_lz_score(
     ensembles: empirical entropies of the user words minus normalized
     conditional complexities, combined like the exact composite."""
     n = len(y)
-    h1 = _empirical_entropy(x1)
-    h2 = _empirical_entropy(x2)
+    h1, h2 = (typeclasses.entropy([x.symbols.count(a) for a in range(x.alphabet_size)])
+              for x in (x1, x2))
     c0 = lz.joint_lz_length(tuple(x1), tuple(x2), tuple(y)) / n
     c1 = lz.conditional_lz_length(tuple(x1), tuple(zip(tuple(x2), tuple(y)))) / n
     c2 = lz.conditional_lz_length(tuple(x2), tuple(zip(tuple(x1), tuple(y)))) / n
@@ -247,14 +227,6 @@ def mac_lz_score(
     return ScoreValue(
         value, "mac_lz", components=(u0, u1, u2, float(r1), float(r2))
     )
-
-
-def _empirical_entropy(x: Sequence) -> float:
-    n = len(x)
-    counts = [0] * x.alphabet_size
-    for v in x:
-        counts[v] += 1
-    return -math.fsum(c / n * math.log2(c / n) for c in counts if c > 0)
 
 
 @dataclass(frozen=True)
@@ -290,18 +262,9 @@ def decode(codebook, y: Sequence, scorer) -> DecodeResult:
 def mac_decode(codebook1, codebook2, y: Sequence, pair_scorer) -> DecodeResult:
     """Argmax over message pairs; the decision index encodes the pair as
     (i, j), both 1-based, via the ``tied`` tuple of flat indices."""
-    words1 = getattr(codebook1, "codewords", codebook1)
     words2 = getattr(codebook2, "codewords", codebook2)
-    scores = []
-    for w1 in words1:
-        for w2 in words2:
-            s = pair_scorer(w1, w2, y)
-            scores.append(s.value if isinstance(s, ScoreValue) else float(s))
-    best = max(scores)
-    tied = tuple(i + 1 for i, s in enumerate(scores) if s == best)
-    return DecodeResult(
-        chosen=tied[0], best_score=best, tie=len(tied) > 1, tied=tied
-    )
+    pairs = [(w1, w2) for w1 in getattr(codebook1, "codewords", codebook1) for w2 in words2]
+    return decode(pairs, y, lambda pair, y: pair_scorer(*pair, y))
 
 
 def metric_scorer(family, theta):

@@ -133,14 +133,7 @@ def log_prob(
         # the per-codeword marginal of the dithered linear map is uniform
         return -ensemble.n * math.log2(ensemble.alphabet_size)
     if ensemble.kind == IID:
-        # fsum: words with equal symbol compositions must score exactly equal
-        terms = []
-        for v in x:
-            p = ensemble.probs[v]
-            if p == 0.0:
-                return -math.inf
-            terms.append(math.log2(p))
-        return math.fsum(terms)
+        return typeclasses.log2_product(ensemble.probs[v] for v in x)
     if ensemble.kind == UNIFORM_OVER_TYPE:
         comp = tuple(sum(1 for v in x if v == a) for a in range(ensemble.alphabet_size))
         if comp != ensemble.composition:
@@ -177,13 +170,9 @@ def class_probability(
     family = key.family
     additive_like = family.kind in (families.ADDITIVE, families.MAC_XOR_ADDITIVE)
     if additive_like and ensemble.kind in (IID, UNIFORM, UNIFORM_OVER_TYPE, LINEAR_DITHERED):
-        size = typeclasses.key_class_size(key)
-        ya = family.y_alphabet_size
-        xa = len(key.discriminant) // ya
-        row_sums = tuple(
-            sum(key.discriminant[a * ya + b] for b in range(ya)) for a in range(xa)
-        )
-        return _type_class_log_mass(ensemble, row_sums, size)
+        joint = typeclasses.key_joint_type(key)
+        size = typeclasses.conditional_class_size(joint)
+        return _type_class_log_mass(ensemble, joint.x_marginal(), size)
     # exhaustive fallback (finite-state keys, feedback ensembles)
     total = 0.0
     found = False

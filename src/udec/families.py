@@ -98,20 +98,21 @@ def finite_state_family(
     ``next_state`` may be a callable ``g(x, y, s) -> s'`` or an already
     flattened tuple in ``(x, y, s)`` row-major order.
     """
-    if callable(next_state):
-        table = tuple(
-            next_state(x, y, s)
-            for x in range(x_alphabet_size)
-            for y in range(y_alphabet_size)
-            for s in range(num_states)
-        )
-    else:
-        table = tuple(next_state)
     return MetricFamily(
         FINITE_STATE,
         x_alphabet_size,
         y_alphabet_size,
         num_states=num_states,
-        next_state=table,
+        next_state=state_table(x_alphabet_size, y_alphabet_size, num_states, next_state),
         initial_state=initial_state,
     )
+
+
+def state_table(xa: int, ya: int, num_states: int, next_state) -> tuple[int, ...]:
+    """A next-state map as a flat table in ``(x, y, s)`` row-major order:
+    a callable ``g(x, y, s) -> s'`` is tabulated, a table is copied."""
+    if callable(next_state):
+        return tuple(
+            next_state(x, y, s) for x in range(xa) for y in range(ya) for s in range(num_states)
+        )
+    return tuple(next_state)

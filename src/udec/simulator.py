@@ -1192,29 +1192,11 @@ def mac_pairwise_error_exact(
 ) -> MacPairwiseReport:
     """Exhaustive three-way sandwich check for one parametric metric."""
     n = len(y)
-    a = x1.alphabet_size
-    if 2 * n * math.log2(a) > 20:
-        raise InstanceTooLargeError("pair enumeration refused at this size")
     s0 = decoders.mac_metric_score(family, theta, x1, x2, y).value
     u = decoders.mac_universal_score(family, q1, q2, x1, x2, y, 0.0, 0.0)
     u0, u1, u2 = u.components[0], u.components[1], u.components[2]
-    words = list(typeclasses.all_sequences(a, n))
-    p1 = {w.symbols: 2.0 ** ensembles.log_prob(q1, w) for w in words}
-    p2 = {w.symbols: 2.0 ** ensembles.log_prob(q2, w) for w in words}
-    mass_both = 0.0
-    for c1 in words:
-        for c2 in words:
-            if decoders.mac_metric_score(family, theta, c1, c2, y).value >= s0:
-                mass_both += p1[c1.symbols] * p2[c2.symbols]
-    mass_user1 = sum(
-        p1[c1.symbols]
-        for c1 in words
-        if decoders.mac_metric_score(family, theta, c1, x2, y).value >= s0
-    )
-    mass_user2 = sum(
-        p2[c2.symbols]
-        for c2 in words
-        if decoders.mac_metric_score(family, theta, x1, c2, y).value >= s0
+    mass_both, mass_user1, mass_user2 = decoders.pair_masses(
+        q1, q2, x1, x2, lambda z: decoders.metric_score(family, theta, z, y).value >= s0
     )
     b0, b1, b2 = 2.0 ** (-n * u0), 2.0 ** (-n * u1), 2.0 ** (-n * u2)
     ok = (

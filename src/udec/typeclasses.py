@@ -129,6 +129,25 @@ def _multinomial(total: int, parts: list[int]) -> int:
     return coeff
 
 
+def entropy(counts) -> float:
+    """Empirical entropy in bits of a count vector, with 0*log(0) = 0."""
+    n = sum(counts)
+    return -math.fsum(c / n * math.log2(c / n) for c in counts if c > 0)
+
+
+def log2_product(probs) -> float:
+    """log2 of a product of probabilities; -inf if one of them is 0.
+
+    Summed with fsum, so words whose probability multisets are equal score
+    exactly equal, whatever their symbol order."""
+    terms = []
+    for p in probs:
+        if p == 0.0:
+            return -math.inf
+        terms.append(math.log2(p))
+    return math.fsum(terms)
+
+
 @dataclass(frozen=True)
 class InfoMeasures:
     """Empirical information measures, in bits per symbol."""
@@ -149,15 +168,9 @@ def empirical_measures(joint: JointType, reference_q=None) -> InfoMeasures:
     """
     n = joint.n
     x_marg = joint.x_marginal()
-    y_marg = joint.y_marginal()
-
-    h_x = -math.fsum(
-        c / n * math.log2(c / n) for c in x_marg if c > 0
-    )
-    h_xy = -math.fsum(
-        c / n * math.log2(c / n) for row in joint.counts for c in row if c > 0
-    )
-    h_y = -math.fsum(c / n * math.log2(c / n) for c in y_marg if c > 0)
+    h_x = entropy(x_marg)
+    h_xy = entropy([c for row in joint.counts for c in row])
+    h_y = entropy(joint.y_marginal())
     h_x_given_y = max(h_xy - h_y, 0.0)
     i_xy = max(h_x - h_x_given_y, 0.0)
 
@@ -227,15 +240,16 @@ def key_class_size(key: EquivalenceClassKey) -> int | None:
     finite-state keys the cardinality depends on the output sequence, so
     callers must enumerate; returns None in that case.
     """
-    family = key.family
-    if family.kind not in (families.ADDITIVE, families.MAC_XOR_ADDITIVE):
+    if key.family.kind not in (families.ADDITIVE, families.MAC_XOR_ADDITIVE):
         return None
-    ya = family.y_alphabet_size
-    xa = len(key.discriminant) // ya
-    counts = tuple(
-        tuple(key.discriminant[a * ya + b] for b in range(ya)) for a in range(xa)
-    )
-    return conditional_class_size(JointType(counts, sum(key.discriminant)))
+    return conditional_class_size(key_joint_type(key))
+
+
+def key_joint_type(key: EquivalenceClassKey) -> JointType:
+    """The joint type an additive-style key flattens row-major."""
+    ya = key.family.y_alphabet_size
+    d = key.discriminant
+    return JointType(tuple(d[i : i + ya] for i in range(0, len(d), ya)), sum(d))
 
 
 @dataclass(frozen=True)
