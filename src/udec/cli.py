@@ -4,8 +4,10 @@ Subcommands: ``simulate``, ``audit``, ``count-classes``, ``shulman``,
 ``surrogate-check``.  Every subcommand reads a JSON config (``--config``),
 optionally overridden by ``--seed`` and ``--out``, and writes a CSV result
 file plus a ``<out>.manifest.json`` run manifest (config hash, seed,
-versions).  Exit codes: 0 success (all audited inequalities pass), 1 audit
-failure, 2 config or usage error.  Output is byte-identical for identical
+versions).  Exit codes: 0 success, 1 a checked bound or condition is
+violated, 2 config or usage error.  A Monte Carlo audit whose intervals
+neither separate nor contradict exits 0, with ``inconclusive`` in the
+universal row's ``pass`` cell.  Output is byte-identical for identical
 (config, seed).
 
 CSV schema for decoder results (simulate and audit) uses the fixed column
@@ -164,6 +166,13 @@ def _positive_int(config, key, default=None):
     if not _is_int(v) or v < 1:
         raise ConfigError(f"{key!r} must be a positive integer, got {v!r}")
     return v
+
+
+def _n_values(config) -> list:
+    n_values = _require(config, "n_values")
+    if not isinstance(n_values, list) or not all(_is_int(v) and v >= 1 for v in n_values):
+        raise ConfigError("'n_values' must be a list of positive integers")
+    return n_values
 
 
 def _check_writable(out: str) -> None:
@@ -420,6 +429,10 @@ def _audit_exact(config, config_hash, seed, out) -> int:
     return 0 if ok else 1
 
 
+#: the universal row's ``pass`` cell for each Monte Carlo audit verdict
+_VERDICT_CELL = {"holds": "true", "violated": "false", "inconclusive": "inconclusive"}
+
+
 def _audit_mc(config, config_hash, seed, out) -> int:
     n = _positive_int(config, "n")
     rate = _rate(config, "rate")
@@ -432,13 +445,12 @@ def _audit_mc(config, config_hash, seed, out) -> int:
         channel, family, grid, rate, n, trials, seed,
         shifted_trials=shifted_trials,
     )
-    ok = report.ineq_factor_ok and report.ineq_rate_ok
     factor = 2.0 * 2.0 ** (n * report.delta_n)
     min_theta_lo = min(e.ci_lo for e in report.estimates[1:])
     rows = []
     for e in report.estimates:
         bound = factor * min_theta_lo if e.decoder == "universal" else ""
-        row_pass = ok if e.decoder == "universal" else ""
+        row_pass = _VERDICT_CELL[report.verdict] if e.decoder == "universal" else ""
         rows.append(
             (
                 e.decoder, e.n, e.rate, e.trials, e.errors, e.estimate,
@@ -454,16 +466,12 @@ def _audit_mc(config, config_hash, seed, out) -> int:
         )
     _write_csv(out, RESULT_COLUMNS + PROVENANCE_COLUMNS, rows)
     _write_manifest(out, "audit", config_hash, seed)
-    return 0 if ok else 1
+    return 1 if report.verdict == "violated" else 0
 
 
 def _cmd_count_classes(config, config_hash, seed, out) -> int:
     family = _build_family(_require(config, "family"))
-    n_values = _require(config, "n_values")
-    if not isinstance(n_values, list) or not all(
-        _is_int(v) and v >= 1 for v in n_values
-    ):
-        raise ConfigError("'n_values' must be a list of positive integers")
+    n_values = _n_values(config)
     strategy = config.get("strategy", "auto")
     rows = []
     for n in n_values:
@@ -537,11 +545,7 @@ def _build_event_family(desc) -> simulator.EventFamilySpec:
 
 
 def _cmd_surrogate(config, config_hash, seed, out) -> int:
-    n_values = _require(config, "n_values")
-    if not isinstance(n_values, list) or not all(
-        _is_int(v) and v >= 1 for v in n_values
-    ):
-        raise ConfigError("'n_values' must be a list of positive integers")
+    n_values = _n_values(config)
     samples = _positive_int(config, "samples_per_y", 20)
     desc = config.get("ensemble", {"kind": "uniform", "alphabet_size": 2})
     report = simulator.surrogate_condition_check(

@@ -262,8 +262,9 @@ def decode(codebook, y: Sequence, scorer) -> DecodeResult:
 def mac_decode(codebook1, codebook2, y: Sequence, pair_scorer) -> DecodeResult:
     """Argmax over message pairs; the decision index encodes the pair as
     (i, j), both 1-based, via the ``tied`` tuple of flat indices."""
+    words1 = getattr(codebook1, "codewords", codebook1)
     words2 = getattr(codebook2, "codewords", codebook2)
-    pairs = [(w1, w2) for w1 in getattr(codebook1, "codewords", codebook1) for w2 in words2]
+    pairs = [(w1, w2) for w1 in words1 for w2 in words2]
     return decode(pairs, y, lambda pair, y: pair_scorer(*pair, y))
 
 

@@ -231,14 +231,24 @@ def check_rate(rate: float) -> None:
         raise InputError(f"rate must be non-negative and finite, got {rate!r}")
 
 
+#: the most bits n*rate a message count may have: far past the 2^63
+#: codewords any path can run, yet the count is built in microseconds
+_MAX_MESSAGE_BITS = 1 << 16
+
+
 def message_count(n: int, rate: float) -> int:
     """Number of codewords at a given rate: floor(2^(n*rate)), at least 2.
 
     Past the float range (n*rate >= 1024) the power is split into
     2^frac * 2^int, so the count keeps 53 significant bits instead of
-    overflowing."""
+    overflowing.  Past n*rate = 2^16 the count is refused before it is
+    built, since its size grows with the rate."""
     check_rate(rate)
     e = n * rate
+    if e > _MAX_MESSAGE_BITS:
+        raise InstanceTooLargeError(
+            f"2^{e:.6g} codewords are over the limit of 2^{_MAX_MESSAGE_BITS}"
+        )
     if e < 1024:
         return max(2, math.floor(2.0**e))
     k = math.floor(e)

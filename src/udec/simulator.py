@@ -1061,7 +1061,13 @@ class MonteCarloAuditReport:
     Inequality B compares it against twice the best grid metric run at the
     class-growth-inflated rate; that arm is estimated with the
     codebook-exact conditional error estimator (valid for fully independent
-    codewords)."""
+    codewords).
+
+    ``verdict`` is ``"holds"`` when both inequalities hold at CI
+    separation, ``"violated"`` when the universal decoder's ``ci_lo`` is
+    above either right-hand side taken at the competitors' ``ci_hi``, and
+    ``"inconclusive"`` otherwise, for instance when the decoders made too
+    few errors for their intervals to separate."""
 
     estimates: tuple[ErrorEstimate, ...]
     delta_n: float
@@ -1069,6 +1075,7 @@ class MonteCarloAuditReport:
     shifted_estimates: tuple[ErrorEstimate, ...]
     ineq_factor_ok: bool
     ineq_rate_ok: bool
+    verdict: str
     ratio_universal_to_ml: float
     #: ratio divided by the envelope factor 2*2^(n*delta_n); the raw ratio
     #: grows polynomially with n (prefactor loss of the universal decoder),
@@ -1118,6 +1125,14 @@ def monte_carlo_audit(
     # the universal decoder is not run at the shifted rate
     shifted = _shifted_estimates(channel, types_of, specs[1:], n, shifted_m, shifted_rate, shifted_trials, seed + 1)
     ineq_rate_ok = est_u.ci_hi <= 2.0 * min(e.ci_lo for e in shifted)
+    if ineq_factor_ok and ineq_rate_ok:
+        verdict = "holds"
+    elif est_u.ci_lo > min(
+        factor * min(e.ci_hi for e in theta_estimates), 2.0 * min(e.ci_hi for e in shifted)
+    ):
+        verdict = "violated"
+    else:
+        verdict = "inconclusive"
     est_ml = estimates[1]
     ratio = (
         est_u.estimate / est_ml.estimate if est_ml.estimate > 0 else math.inf
@@ -1130,6 +1145,7 @@ def monte_carlo_audit(
         shifted_estimates=tuple(shifted),
         ineq_factor_ok=ineq_factor_ok,
         ineq_rate_ok=ineq_rate_ok,
+        verdict=verdict,
         ratio_universal_to_ml=ratio,
         envelope_slack=slack,
     )

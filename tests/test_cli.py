@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 import udec
+from udec import simulator
 from udec.cli import main
 
 
@@ -141,6 +143,33 @@ class TestAudit:
         assert [r[0] for r in rows] == ["universal", "theta0", "theta1", "theta2"]
         assert all(float(r[5]) == 1.0 and r[9] == "true" for r in rows)
 
+    def test_mc_mode_inconclusive_exits_0(self, tmp_path):
+        # no decoder errs in 500 trials at n = 128, so no interval separates:
+        # an inconclusive audit, which exited 1 ("bound failed")
+        payload = dict(AUDIT_MC, n=128, trials=500, shifted_trials=500, theta_grid_size=5)
+        cfg = write_config(tmp_path, "a.json", payload)
+        out = str(tmp_path / "a.csv")
+        assert main(["audit", "--config", cfg, "--out", out, "--seed", "1"]) == 0
+        rows = [r.split(",") for r in (tmp_path / "a.csv").read_text().splitlines()[1:]]
+        assert rows[0][0] == "universal" and rows[0][4] == "0"
+        assert rows[0][9] == "inconclusive"
+
+    def test_mc_mode_violated_exits_1(self, tmp_path, monkeypatch):
+        # a shifted arm far below the universal decoder's errors violates
+        # inequality B at CI separation
+        shifted = simulator._shifted_estimates
+
+        def tiny(*args):
+            return [dataclasses.replace(e, estimate=1e-12, ci_lo=0.0, ci_hi=1e-12) for e in shifted(*args)]
+
+        monkeypatch.setattr(simulator, "_shifted_estimates", tiny)
+        cfg = write_config(tmp_path, "a.json", dict(AUDIT_MC, rate=0.75))
+        out = str(tmp_path / "a.csv")
+        assert main(["audit", "--config", cfg, "--out", out]) == 1
+        rows = [r.split(",") for r in (tmp_path / "a.csv").read_text().splitlines()[1:]]
+        assert rows[0][0] == "universal" and float(rows[0][6]) > 0
+        assert rows[0][9] == "false"
+
     def test_unknown_mode_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "a.json", {"audit_mode": "bogus"})
         assert main(["audit", "--config", cfg]) == 2
@@ -236,6 +265,7 @@ class TestErrorHandling:
             ("audit", dict(AUDIT_MC, rate=NAN), []),
             ("simulate", dict(SIMULATE, n=64, rate=1.0), []),
             ("simulate", dict(SIMULATE, n=2000, rate=0.6), []),
+            ("simulate", dict(SIMULATE, rate=1e9), []),
             ("simulate", dict(SIMULATE, ensemble={"kind": "uniform", "alphabet_size": 2.7}), []),
             ("simulate", dict(SIMULATE, ensemble={"kind": "linear_dithered", "message_bits": 4.9}), []),
             ("simulate", dict(SIMULATE, family={"kind": "additive", "x_alphabet_size": 2.9}), []),
@@ -249,15 +279,18 @@ class TestErrorHandling:
             ("shulman", {"families": [{"kind": "projective_lines", "q": 5, "num_events": "x"}]}, []),
             ("shulman", {"families": [{"kind": "projective_lines", "q": 5, "label": 3}]}, []),
             ("count-classes", {"family": {"kind": "additive"}, "n_values": [30000000]}, []),
+            ("count-classes", {"family": {"kind": "additive"}, "n_values": [2, 0]}, []),
+            ("surrogate-check", {"n_values": "4"}, []),
         ],
         ids=["bool-trials", "negative-seed", "parity-no-num_bits", "lines-no-q", "unknown-key",
              "non-numeric-theta", "non-numeric-theta_grid", "unwritable-out", "nan-theta",
              "2x3-theta_grid-mc", "2x3-theta_grid-exact", "bool-rate", "bool-p",
-             "string-ties_as_errors", "nan-rate", "over-2^63-codewords", "2^1200-codewords",
+             "string-ties_as_errors", "nan-rate", "over-2^63-codewords", "2^1200-codewords", "rate-1e9",
              "float-alphabet_size", "float-message_bits", "float-x_alphabet_size",
              "parity-2^40-outcomes", "lines-q100003", "string-subsets", "list-label",
              "parity-short-targets", "parity-negative-subset", "lines-short-shifts",
-             "string-num_events", "int-family-label", "count-classes-30000001-compositions"],
+             "string-num_events", "int-family-label", "count-classes-30000001-compositions",
+             "count-classes-zero-n", "surrogate-string-n_values"],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, subcommand, payload, extra):
         cfg = write_config(tmp_path, "c.json", payload)

@@ -179,6 +179,47 @@ class TestMacScores:
             assert s.components[1] == pytest.approx(u1, abs=1e-9)
             assert s.components[2] == pytest.approx(u2, abs=1e-9)
 
+    def test_pair_masses_by_user_brute_force(self):
+        """Unequal iid users: user k's single-user mass is taken under its
+        own ensemble with the other user's sent word held fixed."""
+        from udec.decoders import _mac_masses_exhaustive
+        from udec.simulator import mac_pairwise_error_exact
+
+        n = 3
+        p1, p2 = (0.3, 0.7), (0.6, 0.4)
+        q1, q2 = iid_ensemble(p1, n), iid_ensemble(p2, n)
+        # dyadic entries: every score is exact, so ties compare exactly
+        theta = MetricIndex.additive(((0.5, -0.25), (0.125, 0.75)))
+        words = [w.symbols for w in all_sequences(2, n)]
+
+        def prob(p, w):
+            return math.prod(p[v] for v in w)
+
+        def masses(x1, x2, keep):
+            both = sum(prob(p1, c1) * prob(p2, c2) for c1 in words for c2 in words
+                       if keep(tuple(a ^ b for a, b in zip(c1, c2))))
+            user1 = sum(prob(p1, c) for c in words if keep(tuple(a ^ b for a, b in zip(c, x2))))
+            user2 = sum(prob(p2, c) for c in words if keep(tuple(a ^ b for a, b in zip(x1, c))))
+            return both, user1, user2
+
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            x1, x2, y = (tuple(rng.integers(0, 2, n).tolist()) for _ in range(3))
+            z = tuple(a ^ b for a, b in zip(x1, x2))
+
+            def score(w):
+                return sum(theta.values[a][b] for a, b in zip(w, y))
+
+            def joint(w):
+                return sorted(zip(w, y))
+
+            want = masses(x1, x2, lambda w: score(w) >= score(z))
+            r = mac_pairwise_error_exact(self.FAM2, q1, q2, theta, seq(x1), seq(x2), seq(y))
+            assert (r.mass_both, r.mass_user1, r.mass_user2) == pytest.approx(want, rel=1e-12)
+            want = [-math.log2(m) / n for m in masses(x1, x2, lambda w: joint(w) == joint(z))]
+            got = _mac_masses_exhaustive(self.FAM2, q1, q2, seq(x1), seq(x2), seq(y))
+            assert got == pytest.approx(want, rel=1e-12)
+
     def test_composite_is_min_of_components(self):
         q = uniform_ensemble(2, 4)
         s = mac_universal_score(
@@ -246,3 +287,5 @@ class TestDecode:
     def test_empty_codebook_rejected(self):
         with pytest.raises(InputError):
             decode([], seq([0]), lambda x, y: 0.0)
+        with pytest.raises(InputError):
+            mac_decode([], [seq([0])], seq([0]), lambda a, b, y: 0.0)

@@ -8,6 +8,7 @@ import pytest
 
 from udec import (
     InputError,
+    InstanceTooLargeError,
     UnsupportedCombinationError,
     additive_family,
     class_key,
@@ -179,6 +180,18 @@ class TestSampling:
                     assert m.bit_length() == k + 1
                     assert m / 2**k == pytest.approx(2.0 ** (e - k), rel=2**-52)
         assert message_count(2048, 0.5) == 2**1024
+
+    def test_absurd_message_count_refused_before_it_is_built(self):
+        """The count 2^(8e7) would take about 10 MB; it is refused before
+        any power is formed."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(InstanceTooLargeError):
+                message_count(8, 1e7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_uniform_over_type_words_have_composition(self):
         ens = uniform_over_type_ensemble((3, 5), 8)
