@@ -445,25 +445,22 @@ def _audit_mc(config, config_hash, seed, out) -> int:
         channel, family, grid, rate, n, trials, seed,
         shifted_trials=shifted_trials,
     )
+    # each competitor row's bound_rhs is its arm's right-hand side at its
+    # ci_lo, and U's is the least of them: U's ci_hi is at most its
+    # bound_rhs exactly when the verdict is holds
     factor = 2.0 * 2.0 ** (n * report.delta_n)
-    min_theta_lo = min(e.ci_lo for e in report.estimates[1:])
-    rows = []
-    for e in report.estimates:
-        bound = factor * min_theta_lo if e.decoder == "universal" else ""
-        row_pass = _VERDICT_CELL[report.verdict] if e.decoder == "universal" else ""
-        rows.append(
-            (
-                e.decoder, e.n, e.rate, e.trials, e.errors, e.estimate,
-                e.ci_lo, e.ci_hi, bound, row_pass, config_hash, seed,
-            )
+    est_u, thetas, shifted = report.estimates[0], report.estimates[1:], report.shifted_estimates
+    bounds = [factor * e.ci_lo for e in thetas] + [2.0 * e.ci_lo for e in shifted]
+    cells = [(est_u, est_u.errors, min(bounds), _VERDICT_CELL[report.verdict])]
+    cells += [(e, e.errors, bound, "") for e, bound in zip(thetas, bounds)]
+    cells += [(e, "", bound, "") for e, bound in zip(shifted, bounds[len(thetas) :])]
+    rows = [
+        (
+            e.decoder, e.n, e.rate, e.trials, errors, e.estimate,
+            e.ci_lo, e.ci_hi, bound, row_pass, config_hash, seed,
         )
-    for e in report.shifted_estimates:
-        rows.append(
-            (
-                e.decoder, e.n, e.rate, e.trials, "", e.estimate,
-                e.ci_lo, e.ci_hi, "", "", config_hash, seed,
-            )
-        )
+        for e, errors, bound, row_pass in cells
+    ]
     _write_csv(out, RESULT_COLUMNS + PROVENANCE_COLUMNS, rows)
     _write_manifest(out, "audit", config_hash, seed)
     return 1 if report.verdict == "violated" else 0

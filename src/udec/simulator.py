@@ -610,26 +610,41 @@ def _type_rule(spec: DecoderSpec, ensemble, channel):
     return tuple(None if r is None else r[0] * (den // r[1]) for r in ratios), den
 
 
-def _type_table(rule, n: int, ny: int, sizes: list[int]) -> np.ndarray:
+def _type_table(rule, n: int, ny: int, limbs: np.ndarray) -> np.ndarray:
     """Flat score table of the joint types (a11, a10) with a y of weight ny,
-    whose class sizes (_class_sizes) are ``sizes``; each entry is
+    whose class sizes are ``limbs`` (as in _Types); each entry is
     bit-identical to decoders.universal_score, ml_score or metric_score on
     any pair of that type."""
     if isinstance(rule, ensembles.CodingEnsemble):
         # the paths' ensembles (uniform, fair iid, linear_dithered) give
         # every binary word mass 2^-n: _type_class_log_mass's log2 mass of
         # a class is log2 size - n * log2 2, or for fair iid the same float
-        # as -n + log2 size
-        log2_sizes = np.array([math.log2(size) for size in sizes])
+        # as -n + log2 size.  math.log2 of an int is math.log2 of its
+        # correctly rounded float; np.log2 can differ in the last bit
+        log2_sizes = np.array([math.log2(size) for size in _from_limbs(limbs, 0).tolist()])
         return -(log2_sizes - n * math.log2(2)) / n
     # a letter sum is one integer numerator, affine in (a11, a10), over the
-    # rule's denominator; int / int rounds half to even, as math.fsum does
+    # rule's denominator 2^k; int / int rounds half to even, as math.fsum does
     nums, den = rule
     c00, c01, c10, c11 = (v or 0 for v in nums)
-    a11 = np.arange(ny + 1, dtype=object)[:, None]
-    a10 = np.arange(n - ny + 1, dtype=object)
-    num = c00 * (n - ny) + c01 * ny + a11 * (c11 - c01) + a10 * (c10 - c00)
-    table = (num / den).astype(float)
+    base, b, c = c00 * (n - ny) + c01 * ny, c11 - c01, c10 - c00
+    k = den.bit_length() - 1
+    a11 = np.arange(ny + 1)[:, None]
+    a10 = np.arange(n - ny + 1)
+    # num = base + a11 * b + a10 * c, so |num| <= |base| + ny |b| + (n - ny) |c|;
+    # one more |b| and |c| bounds them too where a11 or a10 is only ever 0
+    if k <= 1022 and abs(base) + (ny + 1) * abs(b) + (n - ny + 1) * abs(c) < 2**85:
+        # num = hi * 2^32 + lo with |hi| <= 2^53 and 0 <= lo < 2^32, both
+        # exact floats, so float(hi) * 2^32 + lo rounds num once, and the
+        # scaling by 2^-k to a normal float is exact
+        (hi, lo), (hb, lb), (hc, lc) = (divmod(v, 1 << 32) for v in (base, b, c))
+        hi = hi + a11 * hb + a10 * hc
+        lo = lo + a11 * lb + a10 * lc
+        hi += lo >> 32
+        lo &= 0xFFFFFFFF
+        table = (hi * 2.0**32 + lo) * 2.0**-k
+    else:  # subnormal or wide-exponent letters: Python ints
+        table = ((base + a11.astype(object) * b + a10.astype(object) * c) / den).astype(float)
     for count, v in zip((n - ny - a10, ny - a11, a10, a11), nums):
         if v is None:  # a -inf letter that occurs
             table[np.broadcast_to(count > 0, table.shape)] = -math.inf
@@ -657,10 +672,54 @@ def _tail_masses(scores: np.ndarray, masses: np.ndarray) -> np.ndarray:
     return from_top.reshape(masses.shape[:-1] + (-1,)).take(first, axis=-1).reshape(from_top.shape)
 
 
-def _class_sizes(n: int, ny: int) -> list[int]:
-    """Exact class sizes C(ny, a11) * C(n - ny, a10), in flat order."""
-    zeros = [math.comb(n - ny, a10) for a10 in range(n - ny + 1)]
-    return [math.comb(ny, a11) * c for a11 in range(ny + 1) for c in zeros]
+def _class_limbs(n: int, ny: int) -> np.ndarray:
+    """Exact class sizes C(ny, a11) * C(n - ny, a10), in flat order, as
+    (limbs x types) uint64 32-bit limbs, least significant first (a class
+    has fewer than 2^n words): the outer product of the two Pascal rows,
+    limb by limb, with one carry pass."""
+    width = (n + 31) // 32
+    a, b = _pascal_limbs(ny), _pascal_limbs(n - ny)
+    out = np.zeros((len(a) + len(b), ny + 1, n - ny + 1), dtype=np.uint64)
+    for i, row in enumerate(a):
+        for j, col in enumerate(b):
+            product = np.multiply.outer(row, col)  # below 2^64
+            out[i + j] += product & np.uint64(0xFFFFFFFF)
+            out[i + j + 1] += product >> np.uint64(32)
+    for i in range(len(out) - 1):
+        out[i + 1] += out[i] >> np.uint64(32)
+        out[i] &= np.uint64(0xFFFFFFFF)
+    return out[:width].reshape(width, -1)
+
+
+def _pascal_limbs(m: int) -> np.ndarray:
+    """C(m, j) for j = 0..m as (limbs x m + 1) uint64 32-bit limbs."""
+    row = [math.comb(m, j) for j in range(m + 1)]
+    return np.array([[(c >> s) & 0xFFFFFFFF for c in row] for s in range(0, max(m, 1), 32)], dtype=np.uint64)
+
+
+def _from_limbs(limb_sums: np.ndarray, exponent: int) -> np.ndarray:
+    """The integers that exact limb sums (limbs x any shape) stand for, in
+    32-bit limbs, times 2^exponent, correctly rounded while the results
+    are normal floats.  Each limb's term is exact; up to two limbs, one
+    IEEE addition of them rounds correctly; past that, math.fsum does."""
+    terms = np.moveaxis(limb_sums, 0, -1) * 2.0 ** (32 * np.arange(len(limb_sums)) + exponent)
+    if len(limb_sums) <= 2:
+        return terms.sum(axis=-1)
+    return np.array([math.fsum(t) for t in terms.reshape(-1, len(limb_sums)).tolist()]).reshape(terms.shape[:-1])
+
+
+def _dense_ranks(scores: np.ndarray) -> np.ndarray:
+    """The distinct rows of the dense ranks of each row of ``scores`` (0
+    for its lowest score, one more per next distinct score), in order of
+    first occurrence, as int16 below 2^15 columns: equal ranks are equal
+    scores, a higher rank a higher score."""
+    order = np.argsort(scores, axis=-1)
+    ranked = np.take_along_axis(scores, order, axis=-1)
+    steps = np.zeros(scores.shape, dtype=np.int16 if scores.shape[1] < 1 << 15 else np.int32)
+    np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=-1, out=steps[:, 1:])
+    ranks = np.empty_like(steps)
+    ranks[np.arange(len(scores))[:, None], order] = steps
+    return np.array(list({row.tobytes(): row for row in ranks}.values()))
 
 
 #: the most (sent type, joint type) pairs whose decision cells one batch
@@ -672,32 +731,26 @@ _CELL_PAIRS = 1 << 15
 
 class _Types:
     """The joint types of binary words with a y of weight ny, in flat
-    order, and what the paths read off them, all built from one list of
-    the types' class sizes: ``scores``, (decoders x types) exact scores,
-    one row per rule, and ``_limbs``, (limbs x types) floats, each class
-    size in 32-bit limbs, least significant first (a class has fewer than
-    2^n words).  A limb is below 2^32, so any sum of up to 2^21 of them is
-    an exact float."""
+    order, and what the paths read off them, all built from the types'
+    class sizes (_class_limbs): ``scores``, (decoders x types) exact
+    scores, one row per rule; ``_limbs``, (limbs x types) floats, each
+    class size in 32-bit limbs, least significant first, so any sum of up
+    to 2^21 of them is an exact float; and ``_ranks``, the distinct rows of
+    the scores' dense ranks (_dense_ranks), which decoders that rank every
+    type alike share."""
 
     def __init__(self, rules, n: int, ny: int):
         self.n, self.ny = n, ny
-        sizes = _class_sizes(n, ny)
-        rows = [_type_table(rule, n, ny, sizes) for rule in rules]
+        self._limbs = _class_limbs(n, ny).astype(float)
+        rows = [_type_table(rule, n, ny, self._limbs) for rule in rules]
         self.scores = np.array(rows, dtype=float).reshape(len(rows), -1)
-        width = 4 * ((n + 31) // 32)
-        words = b"".join(size.to_bytes(width, "little") for size in sizes)
-        self._limbs = np.frombuffer(words, dtype="<u4").reshape(-1, width // 4).T.astype(float)
+        self._ranks = _dense_ranks(self.scores)
 
     def _masses(self, limb_sums: np.ndarray) -> np.ndarray:
         """Exact limb sums (limbs x any shape) as the integers they stand
         for over 2^n, correctly rounded while 2^-n is a normal float (n <=
-        1022).  Each limb's term is exact; up to n = 64 there are at most
-        two, and one IEEE addition of them rounds correctly; past that,
-        math.fsum does."""
-        terms = np.moveaxis(limb_sums, 0, -1) * 2.0 ** (32 * np.arange(len(limb_sums)) - self.n)
-        if len(limb_sums) <= 2:
-            return terms.sum(axis=-1)
-        return np.array([math.fsum(t) for t in terms.reshape(-1, len(limb_sums)).tolist()]).reshape(terms.shape[:-1])
+        1022)."""
+        return _from_limbs(limb_sums, -self.n)
 
     def cell_rows(self, sents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(signs, pmf): the decision cells of each of the K distinct flat
@@ -714,33 +767,36 @@ class _Types:
         scores = self.scores
         k, types = len(sents), scores.shape[1]
         # each (sent, type) pair's cell id: its row, then per decoder a
-        # base-3 digit (0 below, 1 equal, 2 above).  The ids are renumbered
-        # densely, in order, before a fold would take them past K * T bins,
-        # so any number of decoders fits in an intp, and a row's ids stay
-        # contiguous and in the same order in any batch
+        # base-3 digit (0 below, 1 equal, 2 above).  Decoders with equal
+        # rank rows give equal digits, so one digit per distinct rank row
+        # orders the ids alike.  The ids are renumbered densely, in order,
+        # before a fold would take them past K * T bins, so any number of
+        # decoders fits in an intp, and a row's ids stay contiguous and in
+        # the same order in any batch
         ids, count = np.repeat(np.arange(k), types), k
-        for row in scores:
+        for row in self._ranks:
             if count * 3 > ids.size:
                 ids, count = _relabel(ids, count)
             s = row[sents, None]
             ids *= 3
             ids += ((row > s).view(np.int8) + (row >= s).view(np.int8)).reshape(-1)
             count *= 3
-        ids, count = _relabel(ids, count)
-        # the limb sums of a cell are integers below 2^53: exact
-        pmf = self._masses(
-            np.array([np.bincount(ids, weights=np.tile(limb, k), minlength=count) for limb in self._limbs])
-        )
+        # the limb sums of an id are integers below 2^53: exact.  Every
+        # class holds a word, so the ids in use, the cells in order, are
+        # those with a nonzero limb sum
+        sums = np.array([np.bincount(ids, weights=np.tile(limb, k), minlength=count) for limb in self._limbs])
+        cells = np.flatnonzero(sums.any(axis=0))
+        pmf = self._masses(sums[:, cells])
         # any (sent, type) pair of a cell stands for it
         rep = np.empty(count, dtype=np.intp)
         rep[ids] = np.arange(ids.size)
-        cell_row, cell_type = np.divmod(rep, types)
+        cell_row, cell_type = np.divmod(rep[cells], types)
         # each row's cells by increasing mass, placed right-aligned
         order = np.lexsort((pmf, cell_row))
         per_row = np.bincount(cell_row, minlength=k)
         width = int(per_row.max())
         cell_row, cell_type = cell_row[order], cell_type[order]
-        col = np.arange(count) - np.repeat(np.cumsum(per_row) - width, per_row)
+        col = np.arange(len(cells)) - np.repeat(np.cumsum(per_row) - width, per_row)
         signs = np.full((k, len(scores), width), -1, dtype=np.int8)
         signs[cell_row, :, col] = _signs(scores[:, cell_type], scores[:, sents[cell_row]]).T
         pmf_rows = np.zeros((k, width))
@@ -759,13 +815,15 @@ def _type_tables(decoder_specs, ensemble, channel):
     """ny -> the _Types of these decoders at the ensemble's block length,
     built on first use, so a run that reads no table builds no rule.  The
     first use refuses tables that could outgrow _TABLE_BYTES: the
-    C(n + 3, 3) joint types of all output weights, each with one float per
-    decoder and per 32-bit limb of its class size."""
+    C(n + 3, 3) joint types of all output weights, each with one float
+    score and at most one int16 rank per decoder, and one float per 32-bit
+    limb of its class size.  (Ranks are int16 below 2^15 types per weight,
+    and every n with 2^15 types at one weight is over the limit.)"""
 
     @functools.cache
     def types_of(ny):
         n = ensemble.n
-        size = math.comb(n + 3, 3) * (len(decoder_specs) + (n + 31) // 32) * 8
+        size = math.comb(n + 3, 3) * (10 * len(decoder_specs) + 8 * ((n + 31) // 32))
         if size > _TABLE_BYTES:
             raise InstanceTooLargeError(
                 f"joint-type tables at n = {n} could take 2^{math.log2(size):.2f} bytes, "

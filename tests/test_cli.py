@@ -46,6 +46,25 @@ AUDIT_MC = {
 }
 
 
+def _mc_audit_rows(path, n):
+    """The rows of a Monte Carlo audit CSV, after checking that its
+    bound_rhs cells give the verdict: each metric row's is the factor
+    2 * 2^(n * delta_n) times its ci_lo, each shifted row's twice its ci_lo,
+    and U's the least of them, which U's ci_hi is at most exactly when its
+    pass cell is true."""
+    rows = [r.split(",") for r in path.read_text().splitlines()[1:]]
+    factor = 2.0 * 2.0 ** (n * udec.count_classes(udec.additive_family(2, 2), n).log_growth)
+    universal, others = rows[0], rows[1:]
+    assert universal[0] == "universal"
+    for row in others:
+        scale = 2.0 if row[0].endswith("@shifted") else factor
+        assert float(row[8]) == scale * float(row[6]) and row[9] == ""
+    assert any(r[0].endswith("@shifted") for r in others)
+    assert float(universal[8]) == min(float(r[8]) for r in others)
+    assert (float(universal[7]) <= float(universal[8])) == (universal[9] == "true")
+    return rows
+
+
 class TestSimulate:
     def test_exit_code_and_output(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", SIMULATE)
@@ -123,6 +142,7 @@ class TestAudit:
         cfg = write_config(tmp_path, "a.json", payload)
         out = str(tmp_path / "a.csv")
         assert main(["audit", "--config", cfg, "--out", out]) == 0
+        assert _mc_audit_rows(tmp_path / "a.csv", 12)[0][9] == "true"
 
     def test_exact_mode_past_the_float_range(self, tmp_path):
         # M = 2^1200 codewords: every clipped-union term is 1, where forming
@@ -145,14 +165,19 @@ class TestAudit:
 
     def test_mc_mode_inconclusive_exits_0(self, tmp_path):
         # no decoder errs in 500 trials at n = 128, so no interval separates:
-        # an inconclusive audit, which exited 1 ("bound failed")
+        # an inconclusive audit, which exited 1 ("bound failed").  U's
+        # bound_rhs is the least right-hand side, 0 from the metrics' ci_lo
+        # of 0, and each shifted row carries twice its ci_lo, above 0: the
+        # shifted arm averages exact conditional errors, not counts
         payload = dict(AUDIT_MC, n=128, trials=500, shifted_trials=500, theta_grid_size=5)
         cfg = write_config(tmp_path, "a.json", payload)
         out = str(tmp_path / "a.csv")
         assert main(["audit", "--config", cfg, "--out", out, "--seed", "1"]) == 0
-        rows = [r.split(",") for r in (tmp_path / "a.csv").read_text().splitlines()[1:]]
+        rows = _mc_audit_rows(tmp_path / "a.csv", 128)
         assert rows[0][0] == "universal" and rows[0][4] == "0"
-        assert rows[0][9] == "inconclusive"
+        assert rows[0][9] == "inconclusive" and float(rows[0][8]) == 0.0
+        shifted = [r for r in rows if r[0].endswith("@shifted")]
+        assert len(shifted) == len(rows) // 2 and all(float(r[8]) > 0 for r in shifted)
 
     def test_mc_mode_violated_exits_1(self, tmp_path, monkeypatch):
         # a shifted arm far below the universal decoder's errors violates
@@ -166,7 +191,7 @@ class TestAudit:
         cfg = write_config(tmp_path, "a.json", dict(AUDIT_MC, rate=0.75))
         out = str(tmp_path / "a.csv")
         assert main(["audit", "--config", cfg, "--out", out]) == 1
-        rows = [r.split(",") for r in (tmp_path / "a.csv").read_text().splitlines()[1:]]
+        rows = _mc_audit_rows(tmp_path / "a.csv", 8)
         assert rows[0][0] == "universal" and float(rows[0][6]) > 0
         assert rows[0][9] == "false"
 

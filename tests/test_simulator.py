@@ -91,6 +91,12 @@ def _type_word(n: int, ny: int, flat: int):
     return seq(x), seq([1] * ny + [0] * (n - ny))
 
 
+def _class_sizes(n: int, ny: int) -> list[int]:
+    """Reference class sizes C(ny, a11) * C(n - ny, a10) as Python ints, in
+    flat order."""
+    return [math.comb(ny, a11) * math.comb(n - ny, a10) for a11 in range(ny + 1) for a10 in range(n - ny + 1)]
+
+
 def _fisher_p(a: int, b: int, trials: int) -> float:
     """Two-sided p-value of Fisher's exact test that a and b errors, each
     in ``trials`` trials, share one error probability: the hypergeometric
@@ -199,16 +205,57 @@ def test_type_tables_equal_scalar_scores(bits, theta, p0, p1):
     assert got == want
 
 
-@pytest.mark.parametrize("n", [1, 33, 63, 64, 65, 96])
+#: letters (00, 01, 10, 11) at the edges of the integer metric rows, whose
+#: numerator num = base + a11 * b + a10 * c over 2^k is split as
+#: hi * 2^32 + lo when every |num| < 2^85 and k <= 1022
+EDGE_THETAS = {
+    # at n = 2, y = (1, 0), x = (1, .): num = -2^85 + 2^31 - 2^29 + 1 over
+    # 2^32, so hi = -2^53 only once the low parts' carry is added
+    "num just below -2^85": (-(2.0**53), (2**31 + 1) * 2.0**-32, -(2.0**53), (2**31 - 2**29 + 1) * 2.0**-32),
+    # at n = 2, ny = 1: num = -2^85 - 1 over 2^32, whose hi is not exact
+    "num just past -2^85": (-(2.0**53), -(2.0**-32), -(2.0**53), -(2.0**-32)),
+    "k = 1022": (2.0**-1022, 3 * 2.0**-1000, -5 * 2.0**-960, 7 * 2.0**-950),
+    "k = 1023": (2.0**-1023, 1.0, 2.5, -3.0),
+    # b = c11 - c01 is huge, but a11 is only ever 0 at ny = 0
+    "b = 2^200": (1.0, 0.0, 0.5, 2.0**200),
+    # c = c10 - c00 is huge, but a10 is only ever 0 at ny = n
+    "c = 2^200": (1.0, 0.0, 2.0**200, 0.5),
+    # num = 2^53 + 1 and 2^53 + 3 over 2^3: ties in the low limb, to even
+    "tie in the low limb": (2.0**50, 0.125, 2.0**50, 0.375),
+}
+
+
+@pytest.mark.parametrize("theta", EDGE_THETAS.values(), ids=EDGE_THETAS.keys())
+def test_integer_metric_rows_at_their_edges(theta):
+    """At every output weight, each entry of a metric row equals
+    decoders.metric_score on a pair of its joint type, on both sides of
+    the integer rows' bounds |num| < 2^85 and k <= 1022, with a 2^200
+    coefficient that only ny = 0 or ny = n leaves unused, and on
+    round-half-even ties decided in the low 32 bits."""
+    th = (theta[:2], theta[2:])
+    rule = simulator._type_rule(DecoderSpec("metric", theta=th), None, None)
+    for n in (2, 5):
+        for ny in range(n + 1):
+            table = simulator._Types([rule], n, ny).scores[0]
+            want = []
+            for flat in range(len(table)):
+                x, y = _type_word(n, ny, flat)
+                want.append(decoders.metric_score(FAM, MetricIndex.additive(th), x, y).value)
+            assert table.tolist() == want
+
+
+@pytest.mark.parametrize("n", [1, 33, 63, 64, 65, 96, 130, 257])
 def test_universal_rows_equal_per_type_scores(n):
     """The universal row, built in one pass over the class sizes, equals
     for every output weight the per-type class log mass of the ensemble
     (the scores decoders.universal_score gives), bit for bit, for each
     ensemble the joint-type paths take; a few entries per n are also
-    scored by decoders.universal_score itself."""
+    scored by decoders.universal_score itself.  At n = 130 and 257 the
+    sizes take 5 and 9 limbs, past uint64 and past one IEEE addition."""
+    weights = range(n + 1) if n < 100 else sorted({0, 1, n // 2, n})
     for ens in (uniform_ensemble(2, n), iid_ensemble((0.5, 0.5), n), linear_dithered_ensemble(n, 3)):
-        for ny in range(n + 1):
-            table = simulator._type_table(ens, n, ny, simulator._class_sizes(n, ny))
+        for ny in weights:
+            table = simulator._Types([ens], n, ny).scores[0]
             want = [
                 -ensembles._type_class_log_mass(ens, (n - a11 - a10, a11 + a10), math.comb(ny, a11) * math.comb(n - ny, a10)) / n
                 for a11 in range(ny + 1)
@@ -219,6 +266,20 @@ def test_universal_rows_equal_per_type_scores(n):
                 for flat in {0, len(table) // 2, len(table) - 1}:
                     x, y = _type_word(n, ny, flat)
                     assert table[flat] == decoders.universal_score(FAM, ens, x, y).value
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65, 96, 130, 257])
+def test_class_limbs_equal_python_ints(n):
+    """The class sizes, built as one limb-by-limb outer product of two
+    Pascal rows with one carry pass, are the Python-int products, limb for
+    limb, and the float limbs of a _Types are those limbs."""
+    for ny in sorted({0, 1, n // 3, n // 2, n - 1, n}):
+        limbs = simulator._class_limbs(n, ny)
+        assert limbs.dtype == np.uint64 and limbs.shape == ((n + 31) // 32, (ny + 1) * (n - ny + 1))
+        got = [sum(int(v) << (32 * k) for k, v in enumerate(col)) for col in limbs.T.tolist()]
+        assert got == _class_sizes(n, ny)
+        assert (limbs < 2**32).all()
+        assert (simulator._Types([uniform_ensemble(2, n)], n, ny)._limbs == limbs).all()
 
 
 #: few distinct scores, so that rows are full of ties, and both infinities
@@ -990,6 +1051,28 @@ def _batched_cells(types, sent):
     return out
 
 
+def _row_by_row_cells(scores, sizes, sents, n):
+    """cell_rows' (signs, pmf) built type by type from every row of
+    ``scores``, with no rank rows: each sent type's cells are the joint
+    types with equal comparisons (base-3 digits) against it on every row,
+    in increasing mass, equal masses by their digits, padded in front to
+    the widest row with zero mass and signs -1."""
+    rows = []
+    for s in sents:
+        cells = {}
+        for t, size in enumerate(sizes):
+            key = tuple(int(r[t] > r[s]) + int(r[t] >= r[s]) for r in scores)
+            cells[key] = cells.get(key, 0) + size
+        rows.append(sorted((mass / 2**n, key) for key, mass in cells.items()))
+    width = max(map(len, rows))
+    signs, pmf = [], []
+    for row in rows:
+        pad = width - len(row)
+        pmf.append([0.0] * pad + [mass for mass, _ in row])
+        signs.append([[-1] * pad + [key[d] - 1 for _, key in row] for d in range(len(scores))])
+    return signs, pmf
+
+
 class TestTypeDomain:
     def test_sent_type_has_the_channel_law(self):
         """The directly drawn sent joint type has the law of a uniform word
@@ -1093,10 +1176,45 @@ class TestTypeDomain:
         for ny, sent in ((32, 520), (30, 17), (64, 40), (0, 0)):
             types = types_of(ny)
             per_type = simulator._signs(types.scores, types.scores[:, sent, None]).T.tolist()
-            sizes = simulator._class_sizes(n, ny)
+            sizes = _class_sizes(n, ny)
             for signs, pmf, _ in _batched_cells(types, sent):
                 for col, p in zip(signs.T.tolist(), pmf):
                     assert p == sum(size for size, key in zip(sizes, per_type) if key == col) / 2**n
+
+    def test_rank_dedupe_equals_row_by_row_cells(self):
+        """Decoders that rank every joint type alike share one rank row, and
+        the cells built over the distinct rank rows equal, in value and in
+        order, a row-by-row reference over every decoder's scores.  On a
+        BSC: U, ML, the ML metric and the identity, of which the last three
+        rank alike; another metric and the same metric with y's letters
+        swapped, whose rows at ny = n / 2 hold the same scores at transposed
+        types, so they sort alike there; and a metric that ranks like the
+        identity only where a11 = 0.  On the noiseless channel, ML is -inf
+        on every type but x = y, so it ranks like a constant metric on all
+        types but that one, wherever it falls in the flat order."""
+        other = SPECS[3].theta
+        thetas = [
+            default_theta_grid(2, bsc(0.1))[1],
+            ((1.0, 0.0), (0.0, 1.0)),
+            other,
+            tuple(row[::-1] for row in other),
+            ((1.0, 0.0), (0.0, 2.0)),
+        ]
+        cases = [
+            (10, bsc(0.1), thetas, 2),
+            (9, dmc(((1.0, 0.0), (0.0, 1.0))), [((0.5, 0.5), (0.5, 0.5)), ((1.0, 0.0), (0.0, 1.0))], 0),
+        ]
+        for n, ch, grid, merged in cases:
+            specs = SPECS[:2] + [DecoderSpec("metric", theta=th) for th in grid]
+            types_of = simulator._type_tables(specs, uniform_ensemble(2, n), ch)
+            assert len(types_of(n // 2)._ranks) == len(specs) - merged
+            for ny in range(n + 1):
+                types = types_of(ny)
+                count = types.scores.shape[1]
+                for sents in ([0], [count // 2], [count - 1], list(range(count))):
+                    signs, pmf = types.cell_rows(np.array(sents))
+                    want_signs, want_pmf = _row_by_row_cells(types.scores, _class_sizes(n, ny), sents, n)
+                    assert signs.tolist() == want_signs and pmf.tolist() == want_pmf
 
     def test_cells_for_many_decoders(self):
         """A grid of any size is grouped exactly: 60 metrics, past what a
@@ -1107,7 +1225,7 @@ class TestTypeDomain:
         types = simulator._type_tables(specs, uniform_ensemble(2, n), bsc(0.1))(ny)
         for sent in (0, 9, 40):
             per_type = simulator._signs(types.scores, types.scores[:, sent, None]).T.tolist()
-            sizes = simulator._class_sizes(n, ny)
+            sizes = _class_sizes(n, ny)
             want = {}
             for size, key in zip(sizes, per_type):
                 want[tuple(key)] = want.get(tuple(key), 0) + size
@@ -1160,7 +1278,7 @@ class TestTypeDomain:
             assert read == sum(drew)
             seen += [(types.ny, s) for s, c in zip(sents.tolist(), drew) for _ in range(c)]
             tails = _tails(types, sents)
-            sizes = simulator._class_sizes(n, types.ny)
+            sizes = _class_sizes(n, types.ny)
             for k, s in enumerate(sents.tolist()):
                 per_type = simulator._signs(types.scores, types.scores[:, s, None]).T.tolist()
                 want = {}
