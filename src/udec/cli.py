@@ -17,12 +17,13 @@ runs append the per-type error counts.  The other subcommands emit
 mode-specific columns, always ending with the same provenance pair.
 
 Config schema (JSON object; top-level keys outside a subcommand's list
-below, plus the common ones, are rejected):
+below, plus the common ones, are rejected, and so are keys that the chosen
+channel or audit mode ignores):
 
   common        seed (non-negative int), out (str)
   simulate      n, rate (or rate1+rate2 for a mac_xor channel), trials,
-                ensemble, channel, family, decoders, ties_as_errors (bool,
-                default true)
+                ensemble and ties_as_errors (bool, default true; neither
+                for a mac_xor channel), channel, family, decoders
   audit         audit_mode: "exact" | "mc"; n, rate, trials (mc only),
                 channel, family, ensemble (exact only), theta_grid (list of
                 2x2 matrices) or theta_grid_size (default 25),
@@ -173,6 +174,14 @@ def _n_values(config) -> list:
     if not isinstance(n_values, list) or not all(_is_int(v) and v >= 1 for v in n_values):
         raise ConfigError("'n_values' must be a list of positive integers")
     return n_values
+
+
+def _refuse_unused(config, keys, where: str) -> None:
+    """Refuse the keys of ``keys`` that ``config`` sets, which ``where``
+    ignores, rather than drop them without a word."""
+    unused = sorted(keys & set(config))
+    if unused:
+        raise ConfigError(f"config keys {unused} are not used {where}")
 
 
 def _check_writable(out: str) -> None:
@@ -342,6 +351,7 @@ def _cmd_simulate(config, config_hash, seed, out) -> int:
     specs = _build_decoders(_require(config, "decoders"))
     rows = []
     if channel.kind == channels.MAC_XOR:
+        _refuse_unused(config, {"rate", "ensemble", "ties_as_errors"}, "on a mac_xor channel")
         r1 = _rate(config, "rate1")
         r2 = _rate(config, "rate2")
         estimates = simulator.mac_run_experiment(
@@ -361,6 +371,7 @@ def _cmd_simulate(config, config_hash, seed, out) -> int:
                 )
             )
     else:
+        _refuse_unused(config, {"rate1", "rate2"}, "on a single-user channel")
         rate = _rate(config, "rate")
         ensemble = _build_ensemble(_require(config, "ensemble"), n)
         ties = config.get("ties_as_errors", True)
@@ -393,6 +404,7 @@ def _cmd_audit(config, config_hash, seed, out) -> int:
 
 
 def _audit_exact(config, config_hash, seed, out) -> int:
+    _refuse_unused(config, {"trials", "shifted_trials"}, "by an exact audit")
     n = _positive_int(config, "n")
     rate = _rate(config, "rate")
     channel = _build_channel(_require(config, "channel"))
@@ -434,6 +446,7 @@ _VERDICT_CELL = {"holds": "true", "violated": "false", "inconclusive": "inconclu
 
 
 def _audit_mc(config, config_hash, seed, out) -> int:
+    _refuse_unused(config, {"ensemble"}, "by a Monte Carlo audit (uniform binary ensemble)")
     n = _positive_int(config, "n")
     rate = _rate(config, "rate")
     trials = _positive_int(config, "trials")

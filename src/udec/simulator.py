@@ -159,11 +159,11 @@ def exact_bound_audit(
     Works for any ensemble kind, including output-conditioned (feedback)
     ensembles: class masses are computed by grouping the enumerated inputs
     by class key, which is exact by construction.  Per output word, every
-    candidate is scored by every metric, and the competitor masses of all
-    candidates come from one sort per metric (_tail_masses), so working
-    memory is O(|thetas| * N) for N candidates.  Every violated (x, y,
-    theta) is reported, in the order y, x, lower bounds by theta, upper
-    bound.
+    candidate is scored by every metric, the score rows are ranked
+    (_dense_ranks), and the competitor masses of all candidates are read off
+    those ranks (_tail_masses), so working memory is O(|thetas| * N) for N
+    candidates.  Every violated (x, y, theta) is reported, in the order y,
+    x, lower bounds by theta, upper bound.
     """
     if not thetas:
         raise InputError("at least one metric required")
@@ -202,7 +202,8 @@ def exact_bound_audit(
         # competitor masses of each x: the universal decoder maximizes u, so
         # its competitors have u at least as large (class mass at most as
         # large); row 0 is universal, then one row per theta
-        masses = _tail_masses(np.array([u_vals] + theta_scores), q)
+        ranks, rank_of = _dense_ranks(np.array([u_vals] + theta_scores))
+        masses = _tail_masses(ranks, q)[rank_of]
         mass_u, mass_theta = masses[0], masses[1:]
         lower_bad = mass_theta < class_mass - tol
         upper_bad = mass_u > k_y * class_mass + tol
@@ -651,25 +652,18 @@ def _type_table(rule, n: int, ny: int, limbs: np.ndarray) -> np.ndarray:
     return table.reshape(-1)
 
 
-def _tail_masses(scores: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """For each entry of each row of ``scores`` (rows x T), the total of
-    ``masses`` (T, or leading axes x T, such as a _Types' limbs) over the
-    row's entries that score at least as high, shaped (leading axes x rows
-    x T).  Every row is sorted at once and summed from the top; a score
-    looks up the tail at its first equal, so ties are decided by exact
-    score comparison.  Python-int masses (object dtype) stay exact."""
-    rows, cols = scores.shape
-    order = np.argsort(scores, axis=-1, kind="stable")
-    from_top = np.take(masses, order, axis=-1)
-    np.cumsum(from_top[..., ::-1], axis=-1, out=from_top[..., ::-1])
-    # flat indices: of each sorted position's entry, then of its first equal
-    at = (order + cols * np.arange(rows)[:, None]).reshape(-1)
-    ranked = scores.take(at).reshape(rows, cols)
-    start = np.arange(rows * cols).reshape(rows, cols)
-    start[:, 1:][ranked[:, 1:] == ranked[:, :-1]] = 0
-    first = np.empty_like(at)
-    first[at] = np.maximum.accumulate(start, axis=-1).reshape(-1)
-    return from_top.reshape(masses.shape[:-1] + (-1,)).take(first, axis=-1).reshape(from_top.shape)
+def _tail_masses(ranks: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """For each entry of each row of ``ranks`` (rows x T, from
+    _dense_ranks), the total of ``masses`` (T, or leading axes x T, such as
+    a _Types' limbs) over the row's entries ranked at least as high, shaped
+    (leading axes x rows x T): one weighted bincount per mass row and rank
+    row, summed from the top rank down and read at each entry's rank."""
+    tails = [
+        np.cumsum(np.bincount(row, weights=mass)[::-1])[::-1][row]
+        for mass in masses.reshape(-1, masses.shape[-1])
+        for row in ranks
+    ]
+    return np.reshape(tails, masses.shape[:-1] + ranks.shape)
 
 
 def _class_limbs(n: int, ny: int) -> np.ndarray:
@@ -708,18 +702,20 @@ def _from_limbs(limb_sums: np.ndarray, exponent: int) -> np.ndarray:
     return np.array([math.fsum(t) for t in terms.reshape(-1, len(limb_sums)).tolist()]).reshape(terms.shape[:-1])
 
 
-def _dense_ranks(scores: np.ndarray) -> np.ndarray:
+def _dense_ranks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of the dense ranks of each row of ``scores`` (0
     for its lowest score, one more per next distinct score), in order of
-    first occurrence, as int16 below 2^15 columns: equal ranks are equal
-    scores, a higher rank a higher score."""
+    first occurrence, as int16 below 2^15 columns, and each row's index
+    into them: equal ranks are equal scores, a higher rank a higher score."""
     order = np.argsort(scores, axis=-1)
     ranked = np.take_along_axis(scores, order, axis=-1)
     steps = np.zeros(scores.shape, dtype=np.int16 if scores.shape[1] < 1 << 15 else np.int32)
     np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=-1, out=steps[:, 1:])
     ranks = np.empty_like(steps)
     ranks[np.arange(len(scores))[:, None], order] = steps
-    return np.array(list({row.tobytes(): row for row in ranks}.values()))
+    first = {}
+    which = np.array([first.setdefault(row.tobytes(), len(first)) for row in ranks])
+    return ranks[np.unique(which, return_index=True)[1]], which
 
 
 #: the most (sent type, joint type) pairs whose decision cells one batch
@@ -735,16 +731,16 @@ class _Types:
     class sizes (_class_limbs): ``scores``, (decoders x types) exact
     scores, one row per rule; ``_limbs``, (limbs x types) floats, each
     class size in 32-bit limbs, least significant first, so any sum of up
-    to 2^21 of them is an exact float; and ``_ranks``, the distinct rows of
-    the scores' dense ranks (_dense_ranks), which decoders that rank every
-    type alike share."""
+    to 2^21 of them is an exact float; ``_ranks``, the distinct rows of the
+    scores' dense ranks (_dense_ranks), which decoders that rank every type
+    alike share; and ``_rank_of``, each decoder's row of ``_ranks``."""
 
     def __init__(self, rules, n: int, ny: int):
         self.n, self.ny = n, ny
         self._limbs = _class_limbs(n, ny).astype(float)
         rows = [_type_table(rule, n, ny, self._limbs) for rule in rules]
         self.scores = np.array(rows, dtype=float).reshape(len(rows), -1)
-        self._ranks = _dense_ranks(self.scores)
+        self._ranks, self._rank_of = _dense_ranks(self.scores)
 
     def _masses(self, limb_sums: np.ndarray) -> np.ndarray:
         """Exact limb sums (limbs x any shape) as the integers they stand
@@ -1183,14 +1179,7 @@ def monte_carlo_audit(
     # the universal decoder is not run at the shifted rate
     shifted = _shifted_estimates(channel, types_of, specs[1:], n, shifted_m, shifted_rate, shifted_trials, seed + 1)
     ineq_rate_ok = est_u.ci_hi <= 2.0 * min(e.ci_lo for e in shifted)
-    if ineq_factor_ok and ineq_rate_ok:
-        verdict = "holds"
-    elif est_u.ci_lo > min(
-        factor * min(e.ci_hi for e in theta_estimates), 2.0 * min(e.ci_hi for e in shifted)
-    ):
-        verdict = "violated"
-    else:
-        verdict = "inconclusive"
+    verdict = _verdict(est_u, [(factor, theta_estimates), (2.0, shifted)])
     est_ml = estimates[1]
     ratio = (
         est_u.estimate / est_ml.estimate if est_ml.estimate > 0 else math.inf
@@ -1209,19 +1198,34 @@ def monte_carlo_audit(
     )
 
 
+def _verdict(est_u, sides) -> str:
+    """The verdict, as MonteCarloAuditReport defines it, on inequalities
+    U <= factor * min(competitors), one (factor, competitor estimates) pair
+    per inequality."""
+    if all(est_u.ci_hi <= factor * min(e.ci_lo for e in others) for factor, others in sides):
+        return "holds"
+    if any(est_u.ci_lo > factor * min(e.ci_hi for e in others) for factor, others in sides):
+        return "violated"
+    return "inconclusive"
+
+
 def _shifted_estimates(channel, types_of, specs, n, m, rate, trials, seed) -> list[ErrorEstimate]:
     """Error probability of each decoder in ``specs`` (the last rows of
     ``types_of``'s tables) over the uniform binary ensemble, exact over the
     codebook randomness: given a sampled sent pair, the probability q that
     one uniform codeword scores at least as high is the exact tail mass of
     its joint type, and the conditional error is 1 - (1 - q)^(M - 1).  Per
-    output weight drawn (_by_weight), one _tail_masses table gives the
-    tails of its distinct sent types, whose conditional errors, weighted by
-    how many trials drew each, go to running sums and sums of squares."""
+    output weight drawn (_by_weight), _tail_masses reads the tails of its
+    distinct sent types off the decoders' rank rows, with no sort; weighted
+    by how many trials drew each, their conditional errors go to running
+    sums and sums of squares."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, _SHIFTED_TAG)))
     total, square = np.zeros(len(specs)), np.zeros(len(specs))
     for types, sents, counts in _by_weight(rng, channel, n, trials, types_of):
-        tails = types._masses(_tail_masses(types.scores[-len(specs):], types._limbs)[..., sents])
+        rows, which = np.unique(types._rank_of[-len(specs):], return_inverse=True)
+        # one row per decoder before the sent types are gathered: the layout
+        # that gives cond fixes the rounding of cond @ counts
+        tails = types._masses(_tail_masses(types._ranks[rows], types._limbs)[:, which][..., sents])
         with np.errstate(divide="ignore"):  # q = 1: log1p(-1) = -inf, error 1
             cond = -np.expm1(float(m - 1) * np.log1p(-tails))
         total += cond @ counts
@@ -1401,10 +1405,14 @@ def _mac_trials(channel, decoder_specs, rate1, rate2, n, trials, seed) -> np.nda
 
 @dataclass(frozen=True)
 class MacEnvelopeReport:
+    """The composite decoder's estimate against ``constant`` times the best
+    grid metric's, with ``verdict`` ``holds``, ``violated`` or
+    ``inconclusive`` as in MonteCarloAuditReport."""
+
     estimates: tuple[MacErrorEstimate, ...]
     delta_n: float
     constant: float
-    envelope_ok: bool
+    verdict: str
 
 
 def mac_envelope_audit(
@@ -1435,12 +1443,9 @@ def mac_envelope_audit(
     )
     delta_n = typeclasses.count_classes(family, n).log_growth
     constant = 96.0 * 2.0 ** (n * delta_n)
-    est_u = estimates[0]
-    best = min(e.ci_lo for e in estimates[1:])
-    envelope_ok = est_u.ci_hi <= constant * best
     return MacEnvelopeReport(
         estimates=tuple(estimates),
         delta_n=delta_n,
         constant=constant,
-        envelope_ok=envelope_ok,
+        verdict=_verdict(estimates[0], [(constant, estimates[1:])]),
     )

@@ -274,7 +274,7 @@ def test_criterion_7_two_user_bounds():
     report = mac_envelope_audit(
         mac_xor(bsc(0.1)), fam2, grid, 0.15, 0.15, 16, 10000, 11
     )
-    assert report.envelope_ok
+    assert report.verdict == "holds"
     _report(
         7,
         "three-way sandwich exact on 100 instances; composite decoder at "

@@ -46,6 +46,26 @@ AUDIT_MC = {
 }
 
 
+AUDIT_EXACT = {
+    "audit_mode": "exact",
+    "n": 4,
+    "rate": 0.25,
+    "ensemble": {"kind": "uniform"},
+    "channel": {"kind": "bsc", "p": 0.1},
+    "family": {"kind": "additive"},
+}
+
+MAC_SIMULATE = {
+    "n": 10,
+    "rate1": 0.15,
+    "rate2": 0.15,
+    "trials": 100,
+    "channel": {"kind": "mac_xor", "inner": {"kind": "bsc", "p": 0.1}},
+    "family": {"kind": "mac_xor_additive"},
+    "decoders": [{"kind": "universal"}, {"kind": "ml"}],
+}
+
+
 def _mc_audit_rows(path, n):
     """The rows of a Monte Carlo audit CSV, after checking that its
     bound_rhs cells give the verdict: each metric row's is the factor
@@ -94,16 +114,7 @@ class TestSimulate:
         assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
 
     def test_mac_channel(self, tmp_path):
-        payload = {
-            "n": 10,
-            "rate1": 0.15,
-            "rate2": 0.15,
-            "trials": 100,
-            "channel": {"kind": "mac_xor", "inner": {"kind": "bsc", "p": 0.1}},
-            "family": {"kind": "mac_xor_additive"},
-            "decoders": [{"kind": "universal"}, {"kind": "ml"}],
-        }
-        cfg = write_config(tmp_path, "m.json", payload)
+        cfg = write_config(tmp_path, "m.json", MAC_SIMULATE)
         out = str(tmp_path / "m.csv")
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
         header = (tmp_path / "m.csv").read_text().splitlines()[0]
@@ -282,8 +293,7 @@ class TestErrorHandling:
             ("simulate", SIMULATE, ["--out", "{tmp}/missing/x.csv"]),
             ("simulate", dict(SIMULATE, decoders=[{"kind": "metric", "theta": [[NAN, 0], [0, 1]]}]), []),
             ("audit", dict(AUDIT_MC, theta_grid=[[[1, 0, 0], [0, 1, 0]]]), []),
-            ("audit", dict(AUDIT_MC, audit_mode="exact", n=4, ensemble={"kind": "uniform"},
-                           theta_grid=[[[1, 0, 0], [0, 1, 0]]]), []),
+            ("audit", dict(AUDIT_EXACT, theta_grid=[[[1, 0, 0], [0, 1, 0]]]), []),
             ("simulate", dict(SIMULATE, rate=True), []),
             ("simulate", dict(SIMULATE, channel={"kind": "bsc", "p": True}), []),
             ("simulate", dict(SIMULATE, ties_as_errors="false"), []),
@@ -306,6 +316,12 @@ class TestErrorHandling:
             ("count-classes", {"family": {"kind": "additive"}, "n_values": [30000000]}, []),
             ("count-classes", {"family": {"kind": "additive"}, "n_values": [2, 0]}, []),
             ("surrogate-check", {"n_values": "4"}, []),
+            ("simulate", dict(MAC_SIMULATE, ensemble={"kind": "iid", "probs": [0.9, 0.1]}, ties_as_errors=False), []),
+            ("simulate", dict(MAC_SIMULATE, rate=0.25), []),
+            ("simulate", dict(SIMULATE, rate1=0.15, rate2=0.15), []),
+            ("audit", dict(AUDIT_MC, ensemble={"kind": "uniform"}), []),
+            ("audit", dict(AUDIT_EXACT, trials=50), []),
+            ("audit", dict(AUDIT_EXACT, shifted_trials=20), []),
         ],
         ids=["bool-trials", "negative-seed", "parity-no-num_bits", "lines-no-q", "unknown-key",
              "non-numeric-theta", "non-numeric-theta_grid", "unwritable-out", "nan-theta",
@@ -315,7 +331,8 @@ class TestErrorHandling:
              "parity-2^40-outcomes", "lines-q100003", "string-subsets", "list-label",
              "parity-short-targets", "parity-negative-subset", "lines-short-shifts",
              "string-num_events", "int-family-label", "count-classes-30000001-compositions",
-             "count-classes-zero-n", "surrogate-string-n_values"],
+             "count-classes-zero-n", "surrogate-string-n_values", "mac-ensemble-ties_as_errors", "mac-rate",
+             "single-user-rate1-rate2", "mc-ensemble", "exact-trials", "exact-shifted_trials"],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, subcommand, payload, extra):
         cfg = write_config(tmp_path, "c.json", payload)

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import sys
 import tracemalloc
 import weakref
 
@@ -289,21 +290,27 @@ TAIL_SCORES = st.sampled_from([-math.inf, -1.5, -0.25, 0.0, 0.1, 0.25, 3.0, math
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.integers(1, 4), st.integers(1, 12))
 def test_tail_masses_equal_brute_force(data, rows, cols):
-    """_tail_masses is the per-row `>=` broadcast that the exact audit held
-    in O(N^2) memory, ties included, and it stays exact on Python-int
-    masses above 2^64, where the shifted arm's uint64 counts wrapped.  The
-    float masses are dyadic, so every order of summation is exact.  Masses
-    with a leading limb axis (limbs x cols) give each limb row its own
-    broadcast."""
+    """_tail_masses, read off the dense ranks of the rows (_dense_ranks), is
+    the per-row `>=` broadcast that the exact audit held in O(N^2) memory,
+    ties included.  The float masses are dyadic, so every order of
+    summation is exact.  Masses with a leading limb axis (limbs x cols),
+    here the 32-bit limbs of integers up to 2^100, give each limb row its
+    own broadcast.  The rank rows are the distinct rankings, in order of
+    first occurrence, and each score row's index picks its own ranking."""
     row = st.lists(TAIL_SCORES, min_size=cols, max_size=cols)
     scores = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
+    ranks, rank_of = simulator._dense_ranks(scores)
+    assert len({r.tobytes() for r in ranks}) == len(ranks)
+    assert list(dict.fromkeys(rank_of.tolist())) == list(range(len(ranks)))
+    for r, k in zip(scores, rank_of.tolist()):
+        assert sorted(set(ranks[k].tolist())) == list(range(len(set(r.tolist()))))
+        assert ((ranks[k][None, :] >= ranks[k][:, None]) == (r[None, :] >= r[:, None])).all()
     ints = data.draw(st.lists(st.integers(0, 2**100), min_size=cols, max_size=cols))
-    for masses in (np.array(ints, dtype=object), np.array([i % 2**20 for i in ints]) * 2.0**-10):
-        got = simulator._tail_masses(scores, masses)
-        assert got.dtype == masses.dtype
-        assert got.tolist() == [((r[None, :] >= r[:, None]) @ masses).tolist() for r in scores]
+    masses = np.array([i % 2**20 for i in ints]) * 2.0**-10
+    got = simulator._tail_masses(ranks, masses)[rank_of]
+    assert got.tolist() == [((r[None, :] >= r[:, None]) @ masses).tolist() for r in scores]
     limbs = np.array([[(i >> (32 * k)) % 2**32 for i in ints] for k in range(4)], dtype=float)
-    got = simulator._tail_masses(scores, limbs)
+    got = simulator._tail_masses(ranks, limbs)[:, rank_of]
     assert got.shape == (len(limbs),) + scores.shape
     for limb, tails in zip(limbs, got):
         assert tails.tolist() == [((r[None, :] >= r[:, None]) @ limb).tolist() for r in scores]
@@ -949,6 +956,30 @@ class TestMonteCarloAudit:
         alone = simulator._shifted_estimates(ch, types_of, specs, n, m, report.shifted_rate, 300, 18)
         assert report.shifted_estimates == tuple(alone)
 
+    def test_each_score_row_is_sorted_once(self, monkeypatch):
+        """Only _dense_ranks sorts a score row, once per table built: the
+        shifted arm reads its tails off the rank rows of the tables it
+        shares with the main arm, and the exact audit ranks its rows once
+        per output word."""
+        argsort, sorted_in, built = np.argsort, [], []
+
+        def counted(*args, **kwargs):
+            caller = sys._getframe(1)
+            if caller.f_globals["__name__"] == simulator.__name__:
+                sorted_in.append(caller.f_code.co_name)
+            return argsort(*args, **kwargs)
+
+        init = simulator._Types.__init__
+        monkeypatch.setattr(simulator._Types, "__init__", lambda types, *args: built.append(args) or init(types, *args))
+        monkeypatch.setattr(np, "argsort", counted)
+        grid = default_theta_grid(4, bsc(0.1), seed=2)
+        monte_carlo_audit(bsc(0.1), FAM, grid, 0.25, 16, 200, 3, shifted_trials=300)
+        assert built and sorted_in == ["_dense_ranks"] * len(built)
+        sorted_in.clear()
+        thetas = [MetricIndex.additive(th) for th in grid]
+        exact_bound_audit(uniform_ensemble(2, 3), bsc(0.1), FAM, thetas, 0.25, 3)
+        assert sorted_in == ["_dense_ranks"] * 2**3
+
     def test_shifted_masses_past_64_bits(self):
         """Past n = 64 the class sizes exceed 2^64: the shifted arm's uint64
         counts wrapped at n = 65 (every estimate read 1.0) and overflowed at
@@ -1008,8 +1039,10 @@ class TestMonteCarloAudit:
 
 def _tails(types, sents):
     """(sent types x decoders) tail masses of ``sents``, as the arms read
-    them: one _tail_masses table over the limbs, as exact floats."""
-    return types._masses(simulator._tail_masses(types.scores, types._limbs)[..., sents]).T
+    them: one _tail_masses table over the limbs per distinct rank row, read
+    at each decoder's row, as exact floats."""
+    tails = simulator._tail_masses(types._ranks, types._limbs)[:, types._rank_of]
+    return types._masses(tails[..., sents]).T
 
 
 def _shifted_arm_tails(ch, types_of, n, trials, seed):
@@ -1415,5 +1448,13 @@ class TestMacSimulator:
         report = mac_envelope_audit(
             mac_xor(bsc(0.1)), self.FAM2, grid, 0.15, 0.15, 12, 3000, 19
         )
-        assert report.envelope_ok
+        assert report.verdict == "holds"
         assert report.constant == pytest.approx(96.0 * 2.0 ** (12 * report.delta_n))
+
+    def test_envelope_audit_without_errors_is_inconclusive(self):
+        """Where U and the identity metric make no errors, no interval
+        separates and nothing is violated: the verdict is inconclusive."""
+        grid = [((1.0, 0.0), (0.0, 1.0))]
+        report = mac_envelope_audit(mac_xor(bsc(0.01)), self.FAM2, grid, 0.1, 0.1, 16, 50, 3)
+        assert [e.errors for e in report.estimates] == [0, 0]
+        assert report.verdict == "inconclusive"
