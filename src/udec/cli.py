@@ -16,36 +16,38 @@ pass`` followed by the provenance columns ``config_hash, seed``; two-user
 runs append the per-type error counts.  The other subcommands emit
 mode-specific columns, always ending with the same provenance pair.
 
-Config schema (JSON object; top-level keys outside a subcommand's list
-below, plus the common ones, are rejected, and so are keys that the chosen
-channel or audit mode ignores):
+Config schema (JSON object).  Each run mode reads the top-level keys below
+and the common ones, and each descriptor kind the keys listed after it
+beside its "kind"; any other key is refused, not dropped (``_READS``):
 
   common        seed (non-negative int), out (str)
-  simulate      n, rate (or rate1+rate2 for a mac_xor channel), trials,
-                ensemble and ties_as_errors (bool, default true; neither
-                for a mac_xor channel), channel, family, decoders
-  audit         audit_mode: "exact" | "mc"; n, rate, trials (mc only),
-                channel, family, ensemble (exact only), theta_grid (list of
-                2x2 matrices) or theta_grid_size (default 25),
-                shifted_trials (mc only, default 4000)
+  simulate      n, rate, trials, ensemble, ties_as_errors (bool, default
+                true), channel, family, decoders
+  simulate on a mac_xor channel
+                n, rate1, rate2, trials, channel, family, decoders
+  audit         audit_mode: "exact" | "mc"; n, rate, channel, family,
+                theta_grid (list of 2x2 matrices) or theta_grid_size
+                (default 25), not both; ensemble (exact only); trials and
+                shifted_trials (default 4000) (mc only)
   count-classes family, n_values (list of int), strategy (optional)
-  shulman       random_families (int) and/or families (list of
-                {"kind": "xor_parity", "num_bits", "subsets", "targets"} |
-                {"kind": "projective_lines", "q", "num_events", "shifts"})
+  shulman       random_families (int) and/or families (list of event
+                family descriptors)
   surrogate-check  n_values, samples_per_y (default 20), ensemble (optional,
                 default uniform binary)
 
-Ensemble descriptors: {"kind": "uniform", "alphabet_size"} |
-{"kind": "iid", "probs"} | {"kind": "uniform_over_type", "composition"} |
-{"kind": "linear_dithered", "message_bits"}.
-Channel descriptors: {"kind": "bsc", "p"} | {"kind": "dmc", "matrix"} |
-{"kind": "mod_additive", "noise_probs"} |
-{"kind": "mod_additive_fixed", "noise_word", "alphabet_size"} |
-{"kind": "mac_xor", "inner": <descriptor>}.
-Family descriptors: {"kind": "additive" | "mac_xor_additive",
-"x_alphabet_size", "y_alphabet_size"}.
-Decoder descriptors: {"kind": "universal" | "ml" | "lz"} |
-{"kind": "metric", "theta": 2x2 matrix, "label": str}.
+Descriptor kinds and the keys they read (in brackets if optional):
+  ensemble      uniform: [alphabet_size] (default 2) | iid: probs |
+                uniform_over_type: composition |
+                linear_dithered: message_bits
+  channel       bsc: p | dmc: matrix | mod_additive: noise_probs |
+                mod_additive_fixed: noise_word, [alphabet_size] (default 2) |
+                mac_xor: inner (a channel descriptor)
+  family        additive | mac_xor_additive: [x_alphabet_size],
+                [y_alphabet_size] (default 2 each)
+  decoder       universal | ml | lz: [label] |
+                metric: theta (2x2 matrix), [label]
+  event family  xor_parity: num_bits, [subsets], [targets], [label] |
+                projective_lines: q, [num_events], [shifts], [label]
 
 Set UDEC_LOG=debug|info|warning for diagnostics on stderr.
 """
@@ -94,22 +96,57 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         config, config_hash = _load_config(args.config)
-        unknown = sorted(set(config) - _COMMON_KEYS - _KEYS[args.subcommand])
-        if unknown:
-            raise ConfigError(f"unknown config keys for {args.subcommand}: {unknown}")
+        mode = _mode(args.subcommand, config)
+        handler, keys = _READS["mode"][mode]
+        _check_keys(config, keys | {"seed", "out"}, mode)
         seed = args.seed if args.seed is not None else config.get("seed", 0)
         if not _is_int(seed) or seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         out = args.out or config.get("out") or "results.csv"
         _check_writable(out)
-        handler = _HANDLERS[args.subcommand]
-        return handler(config, config_hash, seed, out)
+        columns, rows, code = handler(config, config_hash, seed, out)
     except ConfigError as exc:
         print(f"udec: config error: {exc}", file=sys.stderr)
         return 2
     except UdecError as exc:
         print(f"udec: error: {exc}", file=sys.stderr)
         return 2
+    _write_csv(out, columns, rows)
+    _write_manifest(out, args.subcommand, config_hash, seed)
+    return code
+
+
+def _mode(subcommand: str, config: dict) -> str:
+    """The run mode, a key of _READS["mode"]: the subcommand, told apart by
+    audit_mode in an audit and by the channel kind in simulate."""
+    if subcommand == "audit":
+        audit_mode = _require(config, "audit_mode")
+        if audit_mode not in ("exact", "mc"):
+            raise ConfigError(f"audit_mode must be 'exact' or 'mc', got {audit_mode!r}")
+        return f"audit {audit_mode}"
+    channel = config.get("channel")
+    if subcommand == "simulate" and isinstance(channel, dict) and channel.get("kind") == "mac_xor":
+        return "simulate mac_xor"
+    return subcommand
+
+
+def _check_keys(desc: dict, keys, where: str) -> None:
+    """Refuse the keys of ``desc`` outside ``keys``, which ``where`` does
+    not read, rather than drop them without a word."""
+    unread = sorted(set(desc) - keys)
+    if unread:
+        raise ConfigError(f"config keys {unread} are not read by {where}")
+
+
+def _kind(desc, what: str) -> str:
+    """The kind of a ``what`` descriptor (a key of _READS), once it is an
+    object whose kind _READS lists and whose keys that kind reads."""
+    kinds = _READS[what]
+    kind = desc.get("kind") if isinstance(desc, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{what} descriptor must be an object with a 'kind' in {sorted(kinds)}")
+    _check_keys(desc, kinds[kind] | {"kind"}, f"a {kind} {what}")
+    return kind
 
 
 def _setup_logging():
@@ -176,14 +213,6 @@ def _n_values(config) -> list:
     return n_values
 
 
-def _refuse_unused(config, keys, where: str) -> None:
-    """Refuse the keys of ``keys`` that ``config`` sets, which ``where``
-    ignores, rather than drop them without a word."""
-    unused = sorted(keys & set(config))
-    if unused:
-        raise ConfigError(f"config keys {unused} are not used {where}")
-
-
 def _check_writable(out: str) -> None:
     """Fail before the run, not after it, when the output cannot be written."""
     directory = os.path.dirname(os.path.abspath(out))
@@ -208,9 +237,7 @@ def _rate(config, key):
 
 
 def _build_ensemble(desc, n: int) -> ensembles.CodingEnsemble:
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError("ensemble descriptor must be an object with a 'kind'")
-    kind = desc["kind"]
+    kind = _kind(desc, "ensemble")
     try:
         if kind == "uniform":
             return ensembles.uniform_ensemble(_positive_int(desc, "alphabet_size", 2), n)
@@ -218,17 +245,13 @@ def _build_ensemble(desc, n: int) -> ensembles.CodingEnsemble:
             return ensembles.iid_ensemble(desc["probs"], n)
         if kind == "uniform_over_type":
             return ensembles.uniform_over_type_ensemble(desc["composition"], n)
-        if kind == "linear_dithered":
-            return ensembles.linear_dithered_ensemble(n, _positive_int(desc, "message_bits"))
+        return ensembles.linear_dithered_ensemble(n, _positive_int(desc, "message_bits"))
     except (KeyError, UdecError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad ensemble descriptor: {exc}") from exc
-    raise ConfigError(f"unknown ensemble kind: {kind!r}")
 
 
 def _build_channel(desc) -> channels.ChannelModel:
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError("channel descriptor must be an object with a 'kind'")
-    kind = desc["kind"]
+    kind = _kind(desc, "channel")
     try:
         if kind == "bsc":
             if not _is_number(desc["p"]):
@@ -242,27 +265,18 @@ def _build_channel(desc) -> channels.ChannelModel:
             return channels.mod_additive_fixed(
                 desc["noise_word"], _positive_int(desc, "alphabet_size", 2)
             )
-        if kind == "mac_xor":
-            return channels.mac_xor(_build_channel(desc["inner"]))
+        return channels.mac_xor(_build_channel(desc["inner"]))
     except (KeyError, UdecError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad channel descriptor: {exc}") from exc
-    raise ConfigError(f"unknown channel kind: {kind!r}")
 
 
 def _build_family(desc) -> families.MetricFamily:
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError("family descriptor must be an object with a 'kind'")
-    kind = desc["kind"]
+    kind = _kind(desc, "family")
+    build = families.additive_family if kind == "additive" else families.mac_xor_additive_family
     try:
-        xa = _positive_int(desc, "x_alphabet_size", 2)
-        ya = _positive_int(desc, "y_alphabet_size", 2)
-        if kind == "additive":
-            return families.additive_family(xa, ya)
-        if kind == "mac_xor_additive":
-            return families.mac_xor_additive_family(xa, ya)
+        return build(_positive_int(desc, "x_alphabet_size", 2), _positive_int(desc, "y_alphabet_size", 2))
     except (UdecError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad family descriptor: {exc}") from exc
-    raise ConfigError(f"unknown family kind: {kind!r}")
 
 
 def _build_decoders(descs) -> list[simulator.DecoderSpec]:
@@ -270,31 +284,29 @@ def _build_decoders(descs) -> list[simulator.DecoderSpec]:
         raise ConfigError("'decoders' must be a nonempty list")
     specs = []
     for d in descs:
-        if not isinstance(d, dict) or "kind" not in d:
-            raise ConfigError("decoder descriptor must be an object with a 'kind'")
-        kind = d["kind"]
-        if kind not in ("universal", "ml", "metric", "lz"):
-            raise ConfigError(f"unknown decoder kind: {kind!r}")
-        theta = ()
-        if kind == "metric":
-            if "theta" not in d:
-                raise ConfigError("metric decoder needs a 'theta' matrix")
-            theta = _matrix(d["theta"], "metric decoder 'theta'")
-        label = d.get("label", "")
-        if not isinstance(label, str):
-            raise ConfigError(f"decoder 'label' must be a string, got {label!r}")
-        specs.append(simulator.DecoderSpec(kind, label=label, theta=theta))
+        kind = _kind(d, "decoder")
+        theta = _matrix(_require(d, "theta"), "metric decoder 'theta'") if kind == "metric" else ()
+        specs.append(simulator.DecoderSpec(kind, label=_label(d), theta=theta))
     return specs
 
 
+def _label(desc) -> str:
+    label = desc.get("label", "")
+    if not isinstance(label, str):
+        raise ConfigError(f"descriptor 'label' must be a string, got {label!r}")
+    return label
+
+
 def _theta_grid(config, channel, seed):
-    if "theta_grid" in config:
-        grid = config["theta_grid"]
-        if not isinstance(grid, list) or not grid:
-            raise ConfigError("'theta_grid' must be a nonempty list of matrices")
-        return [_matrix(m, "each 'theta_grid' entry") for m in grid]
-    size = _positive_int(config, "theta_grid_size", 25)
-    return simulator.default_theta_grid(size, channel, seed)
+    if "theta_grid" not in config:
+        size = _positive_int(config, "theta_grid_size", 25)
+        return simulator.default_theta_grid(size, channel, seed)
+    if "theta_grid_size" in config:
+        raise ConfigError("set 'theta_grid' or 'theta_grid_size', not both")
+    grid = config["theta_grid"]
+    if not isinstance(grid, list) or not grid:
+        raise ConfigError("'theta_grid' must be a nonempty list of matrices")
+    return [_matrix(m, "each 'theta_grid' entry") for m in grid]
 
 
 def _fmt(value) -> str:
@@ -343,15 +355,13 @@ def _write_plot_csv(out: str, estimates, config_hash: str, seed: int):
     )
 
 
-def _cmd_simulate(config, config_hash, seed, out) -> int:
+def _cmd_simulate(config, config_hash, seed, out):
     channel = _build_channel(_require(config, "channel"))
     n = _positive_int(config, "n")
     trials = _positive_int(config, "trials")
     family = _build_family(_require(config, "family"))
     specs = _build_decoders(_require(config, "decoders"))
-    rows = []
     if channel.kind == channels.MAC_XOR:
-        _refuse_unused(config, {"rate", "ensemble", "ties_as_errors"}, "on a mac_xor channel")
         r1 = _rate(config, "rate1")
         r2 = _rate(config, "rate2")
         estimates = simulator.mac_run_experiment(
@@ -362,16 +372,15 @@ def _cmd_simulate(config, config_hash, seed, out) -> int:
             "errors_user1",
             "errors_user2",
         )
-        for e in estimates:
-            rows.append(
-                (
-                    e.decoder, e.n, e.rate1 + e.rate2, e.trials, e.errors,
-                    e.estimate, e.ci_lo, e.ci_hi, "", "", config_hash, seed,
-                    e.errors_both, e.errors_user1, e.errors_user2,
-                )
+        rows = [
+            (
+                e.decoder, e.n, e.rate1 + e.rate2, e.trials, e.errors,
+                e.estimate, e.ci_lo, e.ci_hi, "", "", config_hash, seed,
+                e.errors_both, e.errors_user1, e.errors_user2,
             )
+            for e in estimates
+        ]
     else:
-        _refuse_unused(config, {"rate1", "rate2"}, "on a single-user channel")
         rate = _rate(config, "rate")
         ensemble = _build_ensemble(_require(config, "ensemble"), n)
         ties = config.get("ties_as_errors", True)
@@ -381,30 +390,18 @@ def _cmd_simulate(config, config_hash, seed, out) -> int:
             ensemble, channel, family, specs, rate, trials, seed, ties_as_errors=ties
         )
         columns = RESULT_COLUMNS + PROVENANCE_COLUMNS
-        for e in estimates:
-            rows.append(
-                (
-                    e.decoder, e.n, e.rate, e.trials, e.errors, e.estimate,
-                    e.ci_lo, e.ci_hi, "", "", config_hash, seed,
-                )
+        rows = [
+            (
+                e.decoder, e.n, e.rate, e.trials, e.errors, e.estimate,
+                e.ci_lo, e.ci_hi, "", "", config_hash, seed,
             )
-    _write_csv(out, columns, rows)
+            for e in estimates
+        ]
     _write_plot_csv(out, estimates, config_hash, seed)
-    _write_manifest(out, "simulate", config_hash, seed)
-    return 0
+    return columns, rows, 0
 
 
-def _cmd_audit(config, config_hash, seed, out) -> int:
-    mode = _require(config, "audit_mode")
-    if mode == "exact":
-        return _audit_exact(config, config_hash, seed, out)
-    if mode == "mc":
-        return _audit_mc(config, config_hash, seed, out)
-    raise ConfigError(f"audit_mode must be 'exact' or 'mc', got {mode!r}")
-
-
-def _audit_exact(config, config_hash, seed, out) -> int:
-    _refuse_unused(config, {"trials", "shifted_trials"}, "by an exact audit")
+def _audit_exact(config, config_hash, seed, out):
     n = _positive_int(config, "n")
     rate = _rate(config, "rate")
     channel = _build_channel(_require(config, "channel"))
@@ -418,35 +415,30 @@ def _audit_exact(config, config_hash, seed, out) -> int:
         ensemble, channel, family, thetas, rate, n
     )
     factor = 2.0 ** (n * report.delta_n)
+    ok = report.pointwise_ok and report.aggregate_ok
     rows = [
         (
             "universal", n, rate, 0, 0, report.lhs_universal,
-            report.lhs_universal, report.lhs_universal, "",
-            report.pointwise_ok and report.aggregate_ok, config_hash, seed,
+            report.lhs_universal, report.lhs_universal, "", ok, config_hash, seed,
         )
     ]
-    for i, rhs in enumerate(report.rhs_by_theta):
-        bound = factor * rhs
-        rows.append(
-            (
-                f"theta{i}", n, rate, 0, 0, rhs, rhs, rhs, bound,
-                report.lhs_universal <= bound + 1e-9, config_hash, seed,
-            )
+    rows += [
+        (
+            f"theta{i}", n, rate, 0, 0, rhs, rhs, rhs, factor * rhs,
+            report.lhs_universal <= factor * rhs + 1e-9, config_hash, seed,
         )
-    _write_csv(out, RESULT_COLUMNS + PROVENANCE_COLUMNS, rows)
-    _write_manifest(out, "audit", config_hash, seed)
-    ok = report.pointwise_ok and report.aggregate_ok
+        for i, rhs in enumerate(report.rhs_by_theta)
+    ]
     if not ok:
         log.warning("exact audit failed: %s", report.violations[:5])
-    return 0 if ok else 1
+    return RESULT_COLUMNS + PROVENANCE_COLUMNS, rows, 0 if ok else 1
 
 
 #: the universal row's ``pass`` cell for each Monte Carlo audit verdict
 _VERDICT_CELL = {"holds": "true", "violated": "false", "inconclusive": "inconclusive"}
 
 
-def _audit_mc(config, config_hash, seed, out) -> int:
-    _refuse_unused(config, {"ensemble"}, "by a Monte Carlo audit (uniform binary ensemble)")
+def _audit_mc(config, config_hash, seed, out):
     n = _positive_int(config, "n")
     rate = _rate(config, "rate")
     trials = _positive_int(config, "trials")
@@ -474,34 +466,22 @@ def _audit_mc(config, config_hash, seed, out) -> int:
         )
         for e, errors, bound, row_pass in cells
     ]
-    _write_csv(out, RESULT_COLUMNS + PROVENANCE_COLUMNS, rows)
-    _write_manifest(out, "audit", config_hash, seed)
-    return 1 if report.verdict == "violated" else 0
+    return RESULT_COLUMNS + PROVENANCE_COLUMNS, rows, 1 if report.verdict == "violated" else 0
 
 
-def _cmd_count_classes(config, config_hash, seed, out) -> int:
+def _cmd_count_classes(config, config_hash, seed, out):
     family = _build_family(_require(config, "family"))
     n_values = _n_values(config)
     strategy = config.get("strategy", "auto")
-    rows = []
-    for n in n_values:
-        report = typeclasses.count_classes(family, n, strategy=strategy)
-        rows.append(
-            (
-                n, report.max_classes, report.log_growth, report.strategy,
-                config_hash, seed,
-            )
-        )
-    _write_csv(
-        out,
-        ("n", "max_classes", "log_growth", "strategy") + PROVENANCE_COLUMNS,
-        rows,
-    )
-    _write_manifest(out, "count-classes", config_hash, seed)
-    return 0
+    reports = [typeclasses.count_classes(family, n, strategy=strategy) for n in n_values]
+    rows = [
+        (n, r.max_classes, r.log_growth, r.strategy, config_hash, seed)
+        for n, r in zip(n_values, reports)
+    ]
+    return ("n", "max_classes", "log_growth", "strategy") + PROVENANCE_COLUMNS, rows, 0
 
 
-def _cmd_shulman(config, config_hash, seed, out) -> int:
+def _cmd_shulman(config, config_hash, seed, out):
     specs = [_build_event_family(desc) for desc in config.get("families", [])]
     count = config.get("random_families", 0)
     if not _is_int(count) or count < 0:
@@ -511,50 +491,30 @@ def _cmd_shulman(config, config_hash, seed, out) -> int:
         specs.append(simulator.random_pairwise_independent_family(rng))
     if not specs:
         raise ConfigError("no event families configured")
-    rows = []
-    all_ok = True
-    for spec in specs:
-        report = simulator.shulman_check(spec)
-        all_ok &= report.holds
-        rows.append(
-            (
-                report.label, report.num_events, report.union_prob,
-                report.sum_prob, report.bound, report.holds, config_hash, seed,
-            )
-        )
-    _write_csv(
-        out,
-        ("label", "num_events", "union_prob", "sum_prob", "bound", "pass")
-        + PROVENANCE_COLUMNS,
-        rows,
-    )
-    _write_manifest(out, "shulman", config_hash, seed)
-    return 0 if all_ok else 1
+    reports = [simulator.shulman_check(spec) for spec in specs]
+    rows = [
+        (r.label, r.num_events, r.union_prob, r.sum_prob, r.bound, r.holds, config_hash, seed)
+        for r in reports
+    ]
+    columns = ("label", "num_events", "union_prob", "sum_prob", "bound", "pass") + PROVENANCE_COLUMNS
+    return columns, rows, 0 if all(r.holds for r in reports) else 1
 
 
 def _build_event_family(desc) -> simulator.EventFamilySpec:
-    builders = {
+    build, size_key, *optional = {
         "xor_parity": (simulator.xor_parity_family, "num_bits", "subsets", "targets"),
         "projective_lines": (simulator.projective_line_family, "q", "num_events", "shifts"),
-    }
-    if not isinstance(desc, dict) or desc.get("kind") not in builders:
-        raise ConfigError(f"unknown event family descriptor: {desc!r}")
-    build, size_key, *optional = builders[desc["kind"]]
-    if size_key not in desc:
-        raise ConfigError(f"{desc['kind']} event family needs {size_key!r}")
+    }[_kind(desc, "event family")]
     if "num_events" in desc:
         _positive_int(desc, "num_events")
     for key in ("subsets", "targets", "shifts"):
         v = desc.get(key)
         if v is not None and not (isinstance(v, list) and all(_is_int(i) for i in v)):
             raise ConfigError(f"{key!r} must be a list of integers, got {v!r}")
-    label = desc.get("label", "")
-    if not isinstance(label, str):
-        raise ConfigError(f"event family 'label' must be a string, got {label!r}")
-    return build(_positive_int(desc, size_key), *(desc.get(k) for k in optional), label)
+    return build(_positive_int(desc, size_key), *(desc.get(k) for k in optional), _label(desc))
 
 
-def _cmd_surrogate(config, config_hash, seed, out) -> int:
+def _cmd_surrogate(config, config_hash, seed, out):
     n_values = _n_values(config)
     samples = _positive_int(config, "samples_per_y", 20)
     desc = config.get("ensemble", {"kind": "uniform", "alphabet_size": 2})
@@ -565,33 +525,55 @@ def _cmd_surrogate(config, config_hash, seed, out) -> int:
         (n, report.max_per_n[n], report.non_increasing, config_hash, seed)
         for n in sorted(report.max_per_n)
     ]
-    _write_csv(
-        out,
-        ("n", "max_kappa", "trend_pass") + PROVENANCE_COLUMNS,
-        rows,
-    )
-    _write_manifest(out, "surrogate-check", config_hash, seed)
-    return 0 if report.non_increasing else 1
+    columns = ("n", "max_kappa", "trend_pass") + PROVENANCE_COLUMNS
+    return columns, rows, 0 if report.non_increasing else 1
 
 
-_COMMON_KEYS = {"seed", "out"}
-#: top-level config keys each subcommand reads
-_KEYS = {
-    "simulate": {"n", "rate", "rate1", "rate2", "trials", "ensemble", "channel",
-                 "family", "decoders", "ties_as_errors"},
-    "audit": {"audit_mode", "n", "rate", "trials", "channel", "family", "ensemble",
-              "theta_grid", "theta_grid_size", "shifted_trials"},
-    "count-classes": {"family", "n_values", "strategy"},
-    "shulman": {"random_families", "families"},
-    "surrogate-check": {"n_values", "samples_per_y", "ensemble"},
-}
-
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "audit": _cmd_audit,
-    "count-classes": _cmd_count_classes,
-    "shulman": _cmd_shulman,
-    "surrogate-check": _cmd_surrogate,
+#: what each run mode reads: its handler, which returns (columns, rows,
+#: exit code), and its top-level config keys beside seed and out; then,
+#: per descriptor, the keys each kind reads beside its "kind".  main and
+#: _kind refuse any other key before anything is built
+_READS = {
+    "mode": {
+        "simulate": (_cmd_simulate, {"n", "rate", "trials", "ensemble", "ties_as_errors", "channel",
+                                     "family", "decoders"}),
+        "simulate mac_xor": (_cmd_simulate, {"n", "rate1", "rate2", "trials", "channel", "family",
+                                             "decoders"}),
+        "audit exact": (_audit_exact, {"audit_mode", "n", "rate", "ensemble", "channel", "family",
+                                       "theta_grid", "theta_grid_size"}),
+        "audit mc": (_audit_mc, {"audit_mode", "n", "rate", "trials", "shifted_trials", "channel",
+                                 "family", "theta_grid", "theta_grid_size"}),
+        "count-classes": (_cmd_count_classes, {"family", "n_values", "strategy"}),
+        "shulman": (_cmd_shulman, {"random_families", "families"}),
+        "surrogate-check": (_cmd_surrogate, {"n_values", "samples_per_y", "ensemble"}),
+    },
+    "ensemble": {
+        "uniform": {"alphabet_size"},
+        "iid": {"probs"},
+        "uniform_over_type": {"composition"},
+        "linear_dithered": {"message_bits"},
+    },
+    "channel": {
+        "bsc": {"p"},
+        "dmc": {"matrix"},
+        "mod_additive": {"noise_probs"},
+        "mod_additive_fixed": {"noise_word", "alphabet_size"},
+        "mac_xor": {"inner"},
+    },
+    "family": {
+        "additive": {"x_alphabet_size", "y_alphabet_size"},
+        "mac_xor_additive": {"x_alphabet_size", "y_alphabet_size"},
+    },
+    "decoder": {
+        "universal": {"label"},
+        "ml": {"label"},
+        "lz": {"label"},
+        "metric": {"theta", "label"},
+    },
+    "event family": {
+        "xor_parity": {"num_bits", "subsets", "targets", "label"},
+        "projective_lines": {"q", "num_events", "shifts", "label"},
+    },
 }
 
 

@@ -162,8 +162,9 @@ def exact_bound_audit(
     candidate is scored by every metric, the score rows are ranked
     (_dense_ranks), and the competitor masses of all candidates are read off
     those ranks (_tail_masses), so working memory is O(|thetas| * N) for N
-    candidates.  Every violated (x, y, theta) is reported, in the order y,
-    x, lower bounds by theta, upper bound.
+    candidates, plus one partial sum per output word and metric.  Every
+    violated (x, y, theta) is reported, in the order y, x, lower bounds by
+    theta, upper bound.
     """
     if not thetas:
         raise InputError("at least one metric required")
@@ -176,8 +177,7 @@ def exact_bound_audit(
     xs = list(typeclasses.all_sequences(xa, n))
     delta_n = typeclasses.count_classes(family, n).log_growth
 
-    lhs = 0.0
-    rhs = np.zeros(len(thetas))
+    lhs_terms, rhs_terms = [], []  # per output word: its terms of lhs and of each rhs
     violations: list[str] = []
     cases = []
     for y in typeclasses.all_sequences(ya, n):
@@ -216,14 +216,18 @@ def exact_bound_audit(
             if upper_bad[ix]:
                 violations.append(f"upper bound violated at x={x.symbols} y={y.symbols}")
         w = q * np.array([2.0 ** channels.log_likelihood(channel, x, y) for x in xs])
-        lhs += w @ _clipped_union(mass_u, n * rate)
-        rhs += _clipped_union(mass_theta, n * rate) @ w
+        # math.fsum, within each word and then over words, fixes every
+        # rounding: no sum depends on memory layout or a BLAS kernel
+        lhs_terms.append(math.fsum((w * _clipped_union(mass_u, n * rate)).tolist()))
+        rhs_terms.append([math.fsum(row) for row in (_clipped_union(mass_theta, n * rate) * w).tolist()])
         if collect_cases:
             cases.extend(
                 (y.symbols, x.symbols, float(u), float(mu), tuple(mt.tolist()), k_y)
                 for x, u, mu, mt in zip(xs, u_vals, mass_u, mass_theta.T)
             )
 
+    lhs = math.fsum(lhs_terms)
+    rhs = [math.fsum(terms[i] for terms in rhs_terms) for i in range(len(thetas))]
     aggregate_ok = bool(lhs <= 2.0 ** (n * delta_n) * min(rhs) + tol)
     return ExactAuditReport(
         n=n,
@@ -809,12 +813,17 @@ def _relabel(ids: np.ndarray, count: int) -> tuple[np.ndarray, int]:
 
 def _type_tables(decoder_specs, ensemble, channel):
     """ny -> the _Types of these decoders at the ensemble's block length,
-    built on first use, so a run that reads no table builds no rule.  The
-    first use refuses tables that could outgrow _TABLE_BYTES: the
+    built on first use from the decoders' rules, which the first table
+    resolves and the rest reuse, so a run that reads no table resolves no
+    rule.  The first use refuses tables that could outgrow _TABLE_BYTES: the
     C(n + 3, 3) joint types of all output weights, each with one float
     score and at most one int16 rank per decoder, and one float per 32-bit
     limb of its class size.  (Ranks are int16 below 2^15 types per weight,
     and every n with 2^15 types at one weight is over the limit.)"""
+
+    @functools.cache
+    def rules():
+        return [_type_rule(s, ensemble, channel) for s in decoder_specs]
 
     @functools.cache
     def types_of(ny):
@@ -825,7 +834,7 @@ def _type_tables(decoder_specs, ensemble, channel):
                 f"joint-type tables at n = {n} could take 2^{math.log2(size):.2f} bytes, "
                 f"over the {_TABLE_BYTES >> 20} MiB limit"
             )
-        return _Types([_type_rule(s, ensemble, channel) for s in decoder_specs], n, ny)
+        return _Types(rules(), n, ny)
 
     return types_of
 
@@ -1216,22 +1225,23 @@ def _shifted_estimates(channel, types_of, specs, n, m, rate, trials, seed) -> li
     one uniform codeword scores at least as high is the exact tail mass of
     its joint type, and the conditional error is 1 - (1 - q)^(M - 1).  Per
     output weight drawn (_by_weight), _tail_masses reads the tails of its
-    distinct sent types off the decoders' rank rows, with no sort; weighted
-    by how many trials drew each, their conditional errors go to running
-    sums and sums of squares."""
+    distinct sent types off the decoders' rank rows, with no sort.  Weighted
+    by how many trials drew each, their conditional errors and squares are
+    summed per decoder with math.fsum, and those per-weight sums again, so
+    no sum's rounding depends on memory layout or a BLAS kernel."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, _SHIFTED_TAG)))
-    total, square = np.zeros(len(specs)), np.zeros(len(specs))
+    sums, squares = [], []  # per output weight drawn: one per decoder
     for types, sents, counts in _by_weight(rng, channel, n, trials, types_of):
         rows, which = np.unique(types._rank_of[-len(specs):], return_inverse=True)
-        # one row per decoder before the sent types are gathered: the layout
-        # that gives cond fixes the rounding of cond @ counts
         tails = types._masses(_tail_masses(types._ranks[rows], types._limbs)[:, which][..., sents])
         with np.errstate(divide="ignore"):  # q = 1: log1p(-1) = -inf, error 1
             cond = -np.expm1(float(m - 1) * np.log1p(-tails))
-        total += cond @ counts
-        square += (cond * cond) @ counts
+        sums.append([math.fsum(row) for row in (cond * counts).tolist()])
+        squares.append([math.fsum(row) for row in (cond * cond * counts).tolist()])
+    total = [math.fsum(col) for col in zip(*sums)]
+    square = [math.fsum(col) for col in zip(*squares)]
     out = []
-    for spec, s, s2 in zip(specs, total.tolist(), square.tolist()):
+    for spec, s, s2 in zip(specs, total, square):
         mean = s / trials
         half = _Z95 * math.sqrt(max(s2 / trials - mean * mean, 0.0) / trials)
         lo, hi = max(0.0, mean - half), min(1.0, mean + half)

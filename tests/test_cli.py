@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import udec
-from udec import simulator
+from udec import cli, simulator
 from udec.cli import main
 
 
@@ -322,6 +322,15 @@ class TestErrorHandling:
             ("audit", dict(AUDIT_MC, ensemble={"kind": "uniform"}), []),
             ("audit", dict(AUDIT_EXACT, trials=50), []),
             ("audit", dict(AUDIT_EXACT, shifted_trials=20), []),
+            ("simulate", dict(SIMULATE, ensemble={"kind": "uniform", "probs": [0.9, 0.1]}), []),
+            ("simulate", dict(SIMULATE, channel={"kind": "bsc", "p": 0.1, "matrix": [[0.5, 0.5], [0.5, 0.5]]}), []),
+            ("simulate", dict(MAC_SIMULATE, channel={"kind": "mac_xor", "inner": {"kind": "bsc", "p": 0.1, "noise_probs": [0.9, 0.1]}}), []),
+            ("simulate", dict(SIMULATE, family={"kind": "additive", "num_states": 4}), []),
+            ("simulate", dict(SIMULATE, decoders=[{"kind": "universal", "theta": [[1, 0], [0, 1]]}]), []),
+            ("simulate", dict(SIMULATE, decoders=[{"kind": "ml", "lable": "x"}]), []),
+            ("shulman", {"families": [{"kind": "xor_parity", "num_bits": 4, "subset": [1, 2]}]}, []),
+            ("audit", dict(AUDIT_EXACT, n=3, theta_grid=[[[1, 0], [0, 1]]], theta_grid_size=7), []),
+            ("audit", dict(AUDIT_MC, theta_grid=[[[1, 0], [0, 1]]], theta_grid_size=7), []),
         ],
         ids=["bool-trials", "negative-seed", "parity-no-num_bits", "lines-no-q", "unknown-key",
              "non-numeric-theta", "non-numeric-theta_grid", "unwritable-out", "nan-theta",
@@ -332,7 +341,10 @@ class TestErrorHandling:
              "parity-short-targets", "parity-negative-subset", "lines-short-shifts",
              "string-num_events", "int-family-label", "count-classes-30000001-compositions",
              "count-classes-zero-n", "surrogate-string-n_values", "mac-ensemble-ties_as_errors", "mac-rate",
-             "single-user-rate1-rate2", "mc-ensemble", "exact-trials", "exact-shifted_trials"],
+             "single-user-rate1-rate2", "mc-ensemble", "exact-trials", "exact-shifted_trials",
+             "uniform-probs", "bsc-matrix", "mac-inner-noise_probs", "additive-num_states",
+             "universal-theta", "misspelt-lable", "parity-subset", "exact-both-theta_grid_keys",
+             "mc-both-theta_grid_keys"],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, subcommand, payload, extra):
         cfg = write_config(tmp_path, "c.json", payload)
@@ -342,6 +354,37 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+
+
+#: an accepted config of each run mode, as (subcommand, payload)
+MODE_CONFIGS = {
+    "simulate": ("simulate", SIMULATE),
+    "simulate mac_xor": ("simulate", MAC_SIMULATE),
+    "audit exact": ("audit", AUDIT_EXACT),
+    "audit mc": ("audit", AUDIT_MC),
+    "count-classes": ("count-classes", {"family": {"kind": "additive"}, "n_values": [2]}),
+    "shulman": ("shulman", {"random_families": 1}),
+    "surrogate-check": ("surrogate-check", {"n_values": [4], "samples_per_y": 2}),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_CONFIGS))
+def test_a_key_only_another_mode_reads_is_refused(tmp_path, capsys, mode):
+    modes = cli._READS["mode"]
+    assert set(modes) == set(MODE_CONFIGS)
+    subcommand, payload = MODE_CONFIGS[mode]
+    out = str(tmp_path / "x.csv")
+    assert main([subcommand, "--config", write_config(tmp_path, "ok.json", payload), "--out", out]) in (0, 1)
+    os.remove(out)
+    capsys.readouterr()
+    others = set().union(*(keys for m, (_, keys) in modes.items() if m != mode)) - modes[mode][1]
+    assert others
+    for key in sorted(others):
+        cfg = write_config(tmp_path, "c.json", dict(payload, **{key: 1}))
+        assert main([subcommand, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and repr(key) in err
+        assert not os.path.exists(out)
 
 
 def test_library_import_leaves_the_cli_out():

@@ -980,6 +980,35 @@ class TestMonteCarloAudit:
         exact_bound_audit(uniform_ensemble(2, 3), bsc(0.1), FAM, thetas, 0.25, 3)
         assert sorted_in == ["_dense_ranks"] * 2**3
 
+    def test_reported_sums_do_not_depend_on_memory_layout(self, monkeypatch):
+        """The shifted estimates and the exact audit's lhs and rhs are the
+        same floats whether the arrays they sum are C- or Fortran-ordered:
+        a BLAS product of equal values rounded differently by layout."""
+        from_limbs, clipped = simulator._from_limbs, simulator._clipped_union
+        grid = default_theta_grid(6, bsc(0.1), seed=2)
+        thetas = [MetricIndex.additive(th) for th in grid]
+        reports = {}
+        for order in "CF":
+            monkeypatch.setattr(simulator, "_from_limbs", lambda *a: np.asarray(from_limbs(*a), order=order))
+            monkeypatch.setattr(simulator, "_clipped_union", lambda *a: np.asarray(clipped(*a), order=order))
+            shifted = [monte_carlo_audit(bsc(0.1), FAM, grid[:4], 0.25, 32, 50, s, shifted_trials=1000).shifted_estimates for s in range(3)]
+            exact = exact_bound_audit(iid_ensemble([0.3, 0.7], 6), bsc(0.1), FAM, thetas, 0.25, 6)
+            reports[order] = shifted, exact.lhs_universal, exact.rhs_by_theta
+        assert reports["C"] == reports["F"]
+
+    def test_each_type_rule_is_resolved_once(self, monkeypatch):
+        """A monte_carlo_audit resolves each decoder's table rule once, for
+        all the output weights both arms build tables for; a scalar run
+        resolves none."""
+        rule, resolved = simulator._type_rule, []
+        monkeypatch.setattr(simulator, "_type_rule", lambda spec, *args: resolved.append(spec.name) or rule(spec, *args))
+        grid = default_theta_grid(4, bsc(0.1), seed=2)
+        report = monte_carlo_audit(bsc(0.1), FAM, grid, 0.25, 16, 200, 3, shifted_trials=300)
+        assert resolved == [e.decoder for e in report.estimates]
+        resolved.clear()
+        run_experiment(uniform_ensemble(3, 4), mod_additive_iid([0.8, 0.1, 0.1]), additive_family(3, 3), [DecoderSpec("ml")], 0.25, 5, 0)
+        assert resolved == []
+
     def test_shifted_masses_past_64_bits(self):
         """Past n = 64 the class sizes exceed 2^64: the shifted arm's uint64
         counts wrapped at n = 65 (every estimate read 1.0) and overflowed at
