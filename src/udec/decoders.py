@@ -72,13 +72,8 @@ def metric_score(
     if family.kind in (families.ADDITIVE, families.MAC_XOR_ADDITIVE):
         total = math.fsum(v[a][b] for a, b in zip(x, y))
     elif family.kind == families.FINITE_STATE:
-        s = family.initial_state
-        terms = []
-        for a, b in zip(x, y):
-            terms.append(v[a][b][s])
-            s = family.step(a, b, s)
         # summed exactly, so the words of one class score alike
-        total = math.fsum(terms)
+        total = math.fsum(v[a][b][s] for a, b, s in zip(x, y, family.state_sequence(x, y)))
     else:
         raise UnsupportedCombinationError(family.kind)
     return ScoreValue(total, "metric")

@@ -9,7 +9,9 @@ master seed.  The scalar, bit-packed and two-user paths key each trial's
 generator by (master seed, trial index), so a trial's realization does not
 depend on the others.  The type-domain arms (any n) draw every trial from
 one generator per arm and call: all the sent joint types first, then one
-output weight at a time, in increasing sent type (_by_weight).
+output weight at a time, in increasing sent type (_by_weight).  Each of
+the three single-user sources (scalar, bit-packed, type domain) yields
+groups of trials that one reader, _read, turns into error indicators.
 """
 
 from __future__ import annotations
@@ -259,13 +261,12 @@ def _clipped_union(mass: np.ndarray, log2_m: float) -> np.ndarray:
 
 @dataclass
 class EventFamilySpec:
-    """A finite probability space with integer weights and a family of
-    events declared pairwise independent; the declaration is re-verified by
-    exact integer arithmetic before the bound is checked."""
+    """A finite probability space of equally likely outcomes and a family
+    of events declared pairwise independent; the declaration is re-verified
+    by exact integer arithmetic before the bound is checked."""
 
     num_outcomes: int
     events: tuple
-    weights: tuple[int, ...] | None = None
     label: str = ""
 
 
@@ -294,22 +295,16 @@ def shulman_check(spec: EventFamilySpec, require_independence: bool = True) -> S
     for m in masks:
         if m.shape != (spec.num_outcomes,):
             raise InputError("event mask has wrong length")
-    if spec.weights is None:
-        w = np.ones(spec.num_outcomes, dtype=np.int64)
-    else:
-        w = np.asarray(spec.weights, dtype=np.int64)
-        if (w < 0).any():
-            raise InputError("weights must be non-negative")
-    total = int(w.sum())
-    sizes = [int(w[m].sum()) for m in masks]
+    total = spec.num_outcomes
+    sizes = [np.count_nonzero(m) for m in masks]
     for i in range(len(masks) if require_independence else 0):
         for j in range(i + 1, len(masks)):
-            inter = int(w[masks[i] & masks[j]].sum())
+            inter = np.count_nonzero(masks[i] & masks[j])
             if inter * total != sizes[i] * sizes[j]:
                 raise InputError(
                     f"pairwise independence certificate failed for events {i},{j}"
                 )
-    union = int(w[np.logical_or.reduce(masks)].sum())
+    union = np.count_nonzero(np.logical_or.reduce(masks))
     s = sum(sizes)
     # exact: 2 * union/total >= min(1, s/total)
     holds = 2 * union >= min(total, s)
@@ -511,16 +506,20 @@ def _experiment(ensemble, channel, family, decoder_specs, rate, trials, seed, ti
         and m > 2**ensemble.message_bits
     ):
         raise InputError("more codewords than linear messages available")
+    if channel.kind == channels.MOD_ADDITIVE and channel.noise_word and len(channel.noise_word) != n:
+        raise InputError(f"the fixed noise word has {len(channel.noise_word)} symbols, the block length is {n}")
     path = _select_path(ensemble, channel, family, decoder_specs)
     if path == "scalar":
-        errors = _run_slow(ensemble, channel, family, decoder_specs, m, trials, seed, ties_as_errors)
+        groups = _scalar_histograms(
+            ensemble, channel, m, seed, trials, ties_as_errors, _scorers(decoder_specs, family, ensemble, channel)
+        )
     else:
         source = _drawn_histograms if path == "types" else _packed_histograms
         groups = source(ensemble, channel, m, seed, trials, ties_as_errors, types_of)
-        errors = np.concatenate([_read(*group) for group in groups])
+    errors = sum(_read(*group).sum(axis=0) for group in groups)
     return [
         ErrorEstimate(spec.name, n, rate, trials, err, err / trials, *wilson_interval(err, trials), seed)
-        for spec, err in zip(decoder_specs, errors.sum(axis=0).tolist())
+        for spec, err in zip(decoder_specs, errors.tolist())
     ]
 
 
@@ -869,27 +868,14 @@ def _joint_types(words: np.ndarray, y, n: int, ny: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bit-packed realizations (n <= 64).  Words are kept in draw order, the raw
-# 64-bit generator outputs, where symbol i is bit (i + 32) mod 64; joint
-# types, modulo-sums and XORs of words do not depend on the bit order, so
-# only the one sent word is converted to symbol order, by _rot32.
+# bit-packed realizations (n <= 64): symbol i of a word is its bit i
 # ---------------------------------------------------------------------------
 
 
-def _rot32(words):
-    """Swap the 32-bit halves of packed words: draw order to symbol order
-    and back."""
-    return (words << np.uint64(32)) | (words >> np.uint64(32))
-
-
 def _packed_words(rng, count: int, n: int) -> np.ndarray:
-    """``count`` uniform n-bit words in draw order.  Under _rot32 they are
-    the words ``rng.integers(0, 1 << 32, size=(count, 2), dtype=np.uint64)``
-    gives as (high, low) halves in symbol order, and later draws match too:
-    that call reads each raw output low half first."""
-    words = rng.bit_generator.random_raw(count)
-    words &= _rot32(np.uint64((1 << n) - 1))
-    return words
+    """``count`` uniform n-bit words: the generator's raw 64-bit draws,
+    masked to their low n bits."""
+    return rng.bit_generator.random_raw(count) & np.uint64((1 << n) - 1)
 
 
 def _pack_bits(bits) -> np.uint64:
@@ -902,8 +888,6 @@ def _flip_noise(rng, x_bits: np.ndarray, channel) -> np.ndarray:
     word draws nothing from ``rng``, a memoryless channel flips each
     symbol through its own row of W."""
     if channel.kind == channels.MOD_ADDITIVE and channel.noise_word:
-        if len(channel.noise_word) != len(x_bits):
-            raise InputError("fixed noise word length mismatch")
         return np.array(channel.noise_word, dtype=bool)
     w = _channel_matrix(channel)
     return rng.random(len(x_bits)) < np.where(x_bits, w[1][0], w[0][1])
@@ -918,8 +902,6 @@ def _sent_types(rng, channel, n: int, count: int) -> tuple[np.ndarray, np.ndarra
     and where it is 1 (a10, received as 0) Bin(w, 1/2).  Each binomial is
     drawn for all words at once."""
     if channel.kind == channels.MOD_ADDITIVE and channel.noise_word:
-        if len(channel.noise_word) != n:
-            raise InputError("fixed noise word length mismatch")
         w = sum(1 for e in channel.noise_word if e)
         a11, a10 = rng.binomial(n - w, 0.5, count), rng.binomial(w, 0.5, count)
         ny = a11 + w - a10
@@ -954,9 +936,9 @@ _SHIFTED_TAG = 2**64 + 1
 
 
 def _transmit_packed(rng, word, n: int, channel):
-    """Packed output for a packed input word, both in draw order."""
-    x_bits = ((_rot32(word) >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(bool)
-    return word ^ _rot32(_pack_bits(_flip_noise(rng, x_bits, channel)))
+    """Packed output for a packed input word."""
+    x_bits = ((word >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(bool)
+    return word ^ _pack_bits(_flip_noise(rng, x_bits, channel))
 
 
 #: the most memory one trial's materialized codebook may take
@@ -974,8 +956,7 @@ def _check_codebook(words: int, bytes_per_word: int) -> None:
 
 
 def _packed_trial(ensemble, channel, m: int, seed: int, t: int):
-    """Codebook, sent index and output of trial t of the bit-packed kernel,
-    words in draw order."""
+    """Codebook, sent index and output of trial t of the bit-packed kernel."""
     n = ensemble.n
     linear = ensemble.kind == ensembles.LINEAR_DITHERED
     bits = (m - 1).bit_length()
@@ -997,12 +978,12 @@ def _packed_trial(ensemble, channel, m: int, seed: int, t: int):
 
 
 # ---------------------------------------------------------------------------
-# joint-type paths.  A source yields groups of trials as (signs, counts,
+# single-user sources.  A source yields groups of trials as (signs, counts,
 # earlier), all per trial: signs (trials x decoders x categories) rank each
-# category, a joint type or a decision cell, against the sent word; counts
-# (trials x categories) are the competitors in each, and earlier those
-# indexed below the sent word, or None when ties count as errors.
-# _experiment reads every source the same way.
+# category, a joint type, a decision cell or a codeword, against the sent
+# word; counts (trials x categories) are the competitors in each, and
+# earlier those indexed below the sent word, or None when ties count as
+# errors.  _experiment reads every source the same way, with _read.
 # ---------------------------------------------------------------------------
 
 
@@ -1055,10 +1036,8 @@ def _drawn_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_
                     yield signs[part], earlier + rng.multinomial(m - 1 - i, pmf[part]), earlier
 
 
-def _run_slow(ensemble, channel, family, decoder_specs, m, trials, seed, ties_as_errors):
-    """Scalar reference: per-trial error indicators from decoders.decode."""
-    # a Sequence of n symbols: n tuple slots plus the objects' overhead
-    _check_codebook(m, 8 * ensemble.n + 400)
+def _scorers(decoder_specs, family, ensemble, channel) -> list:
+    """The udec.decoders scorer of each decoder, for the scalar source."""
     scorers = []
     for spec in decoder_specs:
         if spec.kind == "universal":
@@ -1071,7 +1050,16 @@ def _run_slow(ensemble, channel, family, decoder_specs, m, trials, seed, ties_as
             scorers.append(decoders.lz_scorer(ensemble))
         else:
             raise InputError(f"unknown decoder kind: {spec.kind!r}")
-    errors = np.zeros((trials, len(decoder_specs)), dtype=bool)
+    return scorers
+
+
+def _scalar_histograms(ensemble, channel, m, seed, trials, ties_as_errors, scorers):
+    """Scalar reference: each trial as a group of one, in trial order, whose
+    categories are the codewords of its sampled codebook, each scored once
+    per decoder by ``scorers`` (_scorers); every codeword but the sent one
+    counts once."""
+    # a Sequence of n symbols: n tuple slots plus the objects' overhead
+    _check_codebook(m, 8 * ensemble.n + 400)
     for t in range(trials):
         trial_rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
         book_seed = int(trial_rng.integers(1 << 62))
@@ -1079,13 +1067,10 @@ def _run_slow(ensemble, channel, family, decoder_specs, m, trials, seed, ties_as
         book = ensembles.sample_codebook(ensemble, m, book_seed)
         true_idx = int(trial_rng.integers(m))
         y = channels.transmit(channel, book.codewords[true_idx], channel_seed)
-        for d, scorer in enumerate(scorers):
-            result = decoders.decode(book, y, scorer)
-            if ties_as_errors:
-                errors[t, d] = result.tied != (true_idx + 1,)
-            else:
-                errors[t, d] = result.chosen != true_idx + 1
-    return errors
+        scores = np.array([[_score(scorer, w, y) for w in book.codewords] for scorer in scorers])
+        index = np.arange(m)[None]
+        earlier = None if ties_as_errors else index < true_idx
+        yield _signs(scores, scores[:, true_idx, None])[None], index != true_idx, earlier
 
 
 def default_theta_grid(size: int = 25, channel=None, seed: int = 0) -> list:

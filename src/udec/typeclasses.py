@@ -225,10 +225,8 @@ def class_key(
         counts = [0] * (
             family.x_alphabet_size * family.y_alphabet_size * family.num_states
         )
-        s = family.initial_state
-        for a, b in zip(x, y):
+        for a, b, s in zip(x, y, family.state_sequence(x, y)):
             counts[(a * family.y_alphabet_size + b) * family.num_states + s] += 1
-            s = family.step(a, b, s)
         return EquivalenceClassKey(family, tuple(counts))
     raise UnsupportedCombinationError(f"no class key for family kind {family.kind}")
 

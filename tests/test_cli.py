@@ -113,6 +113,23 @@ class TestSimulate:
         main(["simulate", "--config", cfg, "--seed", "12345", "--out", b])
         assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "key, desc",
+        [
+            ("ensemble", {"kind": "uniform_over_type", "composition": [5, 5]}),
+            ("channel", {"kind": "dmc", "matrix": [[0.9, 0.1], [0.2, 0.8]]}),
+            ("channel", {"kind": "mod_additive", "noise_probs": [0.85, 0.15]}),
+            ("channel", {"kind": "mod_additive_fixed", "noise_word": [1, 0, 0, 0, 0] * 2}),
+        ],
+        ids=["uniform_over_type", "dmc", "mod_additive", "mod_additive_fixed"],
+    )
+    def test_ensemble_and_channel_kinds(self, tmp_path, key, desc):
+        cfg = write_config(tmp_path, "c.json", dict(SIMULATE, **{key: desc}))
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["universal", "ml", "match"]
+
     def test_mac_channel(self, tmp_path):
         cfg = write_config(tmp_path, "m.json", MAC_SIMULATE)
         out = str(tmp_path / "m.csv")

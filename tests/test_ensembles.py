@@ -343,7 +343,7 @@ def test_linear_codebook_matches_the_word_loop(n, k, m):
 )
 def test_codebook_memory_within_the_scalar_guard(ens):
     """The traced peak of drawing a codebook stays within the bytes per word
-    that simulator._run_slow passes to _check_codebook, 8 n + 400: a
+    that simulator._scalar_histograms passes to _check_codebook, 8 n + 400: a
     Sequence of n symbols and its objects, with the draw's own arrays."""
     m = 8192
     sample_codebook(ens, 2, 0)  # first-call allocations of numpy and the module

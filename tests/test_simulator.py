@@ -71,16 +71,19 @@ JOINT_TYPE_CASES = [
 
 
 def _unpack(word, n):
-    """Symbols of a bit-packed word kept in draw order."""
-    word = int(simulator._rot32(np.uint64(word)))
-    return seq([(word >> i) & 1 for i in range(n)])
+    """Symbols of a bit-packed word: symbol i is bit i."""
+    return seq([(int(word) >> i) & 1 for i in range(n)])
 
 
-def _fast(ens, ch, specs, m, trials, seed, ties_as_errors, source):
+def _fast(ens, ch, specs, m, trials, seed, ties_as_errors, source, fam=FAM):
     """Per-trial error indicators (trials x decoders) read off the groups
-    that ``source`` yields, with fresh type tables for these decoders."""
-    types_of = simulator._type_tables(specs, ens, ch)
-    groups = source(ens, ch, m, seed, trials, ties_as_errors, types_of)
+    that ``source`` yields, with fresh type tables for these decoders, or
+    their scorers for the scalar source."""
+    if source is simulator._scalar_histograms:
+        scores = simulator._scorers(specs, fam, ens, ch)
+    else:
+        scores = simulator._type_tables(specs, ens, ch)
+    groups = source(ens, ch, m, seed, trials, ties_as_errors, scores)
     return np.concatenate([simulator._read(*group) for group in groups])
 
 
@@ -120,6 +123,8 @@ def _scalar_scorer(spec, ens, ch, fam=FAM):
         return decoders.universal_scorer(fam, ens)
     if spec.kind == "ml":
         return decoders.ml_scorer(ch)
+    if spec.kind == "lz":
+        return decoders.lz_scorer(ens)
     return decoders.metric_scorer(fam, MetricIndex.additive(spec.theta))
 
 
@@ -317,19 +322,20 @@ def test_tail_masses_equal_brute_force(data, rows, cols):
 
 
 @pytest.mark.parametrize("n", [1, 31, 32, 33, 63, 64])
-def test_packed_words_are_the_halves_draw(n):
-    # kept in draw order, the words are the symbol-order words drawn as two
-    # 32-bit halves (high, low), with the halves swapped; later draws match
+def test_packed_words_are_masked_raw_draws(n):
+    # the words are the generator's raw 64-bit draws, masked to n bits, and
+    # later draws continue the same stream
     for count in (1, 7, 4097):
         a = np.random.default_rng(np.random.SeedSequence((n, count)))
         b = np.random.default_rng(np.random.SeedSequence((n, count)))
-        halves = a.integers(0, 1 << 32, size=(count, 2), dtype=np.uint64)
-        want = ((halves[:, 0] << np.uint64(32)) | halves[:, 1]) & np.uint64((1 << n) - 1)
-        assert (simulator._rot32(simulator._packed_words(b, count, n)) == want).all()
+        raw = [int(v) for v in a.bit_generator.random_raw(count)]
+        words = simulator._packed_words(b, count, n)
+        assert words.dtype == np.uint64
+        assert words.tolist() == [v % 2**n for v in raw]
         assert a.integers(count) == b.integers(count)
         assert (a.random(n) == b.random(n)).all()
-        assert (a.integers(0, 1 << 32, size=5, dtype=np.uint64) == b.integers(0, 1 << 32, size=5, dtype=np.uint64)).all()
-    # the output flips the sent symbols, each through W(.|its own symbol)
+    # the output flips the sent symbols, each through W(.|its own symbol),
+    # or XORs a fixed noise word, all in symbol order
     ch, fixed = dmc(((0.9, 0.1), (0.4, 0.6))), [1, 0, 1] * 22
     for t in range(20):
         a = np.random.default_rng(t)
@@ -615,14 +621,48 @@ class TestRunExperiment:
         specs3 = SPECS[:2] + [DecoderSpec("metric", theta=np.eye(3).tolist())]
         realize = _sampled_realization(ens, ch, 8, 5)
         for ties in (True, False):
-            slow = simulator._run_slow(ens, ch, fam3, specs3, 8, 100, 5, ties)
+            slow = _fast(ens, ch, specs3, 8, 100, 5, ties, simulator._scalar_histograms, fam3)
             assert (slow == _scalar_errors(ens, ch, specs3, 100, realize, ties, fam3)).all()
         # and the two paths agree in distribution on a binary run
         ens, ch = uniform_ensemble(2, 8), bsc(0.15)
         fast = run_experiment(ens, ch, FAM, SPECS[1:2], 0.25, 3000, 21)[0]
-        slow = int(simulator._run_slow(ens, ch, FAM, SPECS[1:2], 4, 3000, 22, True).sum())
+        slow = int(_fast(ens, ch, SPECS[1:2], 4, 3000, 22, True, simulator._scalar_histograms).sum())
         lo, hi = wilson_interval(slow, 3000)
         assert fast.ci_lo <= hi and lo <= fast.ci_hi
+
+    def test_lz_decoder_matches_scalar_scores_per_trial(self):
+        # the lz decoder runs the scalar source: per trial it decides as the
+        # decoders.* scores on the same draws, and run_experiment reports
+        # their totals
+        ens, ch = uniform_ensemble(2, 8), bsc(0.15)
+        specs = SPECS + [DecoderSpec("lz")]
+        assert simulator._select_path(ens, ch, FAM, specs) == "scalar"
+        realize = _sampled_realization(ens, ch, 16, 3)
+        for ties in (True, False):
+            slow = _fast(ens, ch, specs, 16, 60, 3, ties, simulator._scalar_histograms)
+            assert (slow == _scalar_errors(ens, ch, specs, 60, realize, ties)).all()
+            est = run_experiment(ens, ch, FAM, specs, 0.5, 60, 3, ties_as_errors=ties)
+            assert [e.errors for e in est] == slow.sum(axis=0).tolist()
+            assert slow[:, -1].any()
+
+    def test_fixed_noise_length_checked_before_any_draw(self, monkeypatch):
+        # a 3-symbol noise word at n = 16 is refused, naming both lengths,
+        # before the types, packed or scalar source is reached
+        def boom(*args):
+            raise AssertionError("a source was reached")
+
+        for name in ("_drawn_histograms", "_packed_histograms", "_scalar_histograms"):
+            monkeypatch.setattr(simulator, name, boom)
+        ch = mod_additive_fixed([1, 0, 1])
+        cases = [
+            (uniform_ensemble(2, 16), [SPECS[0]], "types"),
+            (linear_dithered_ensemble(16, 4), [SPECS[0]], "packed"),
+            (uniform_ensemble(2, 16), [DecoderSpec("lz")], "scalar"),
+        ]
+        for ens, specs, path in cases:
+            assert simulator._select_path(ens, ch, FAM, specs) == path
+            with pytest.raises(InputError, match="3 symbols.*16"):
+                run_experiment(ens, ch, FAM, specs, 0.25, 5, 0)
 
     def test_type_domain_matches_packed_oracle(self):
         # the multinomial histograms and the materialized uniform codebooks
@@ -673,12 +713,13 @@ class TestRunExperiment:
 
     def test_exact_ties_are_counted(self):
         # on the bit-packed realizations the scalar scores give these
-        # counts; the float class-size ranking once reported 169 and 60
+        # counts, trial by trial (_scalar_errors, about 40 s); the float
+        # class-size ranking once reported fewer errors for U
         specs = [DecoderSpec("universal"), DecoderSpec("ml")]
         errors = _fast(
             uniform_ensemble(2, 32), bsc(0.1), specs, 256, 3000, 11, True, simulator._packed_histograms
         )
-        assert errors.sum(axis=0).tolist() == [172, 68]
+        assert errors.sum(axis=0).tolist() == [149, 59]
 
     def test_type_domain_past_64_bits_against_exact_averages(self):
         """Past n = 64, where no bit-packed oracle runs, the type-domain
@@ -823,9 +864,9 @@ class TestRunExperiment:
         with pytest.raises(InstanceTooLargeError):
             simulator._mac_trials(mac_xor(bsc(0.1)), SPECS[:1], 5.1 / 16, 5 / 16, 16, 1, 0)
         monkeypatch.setattr(simulator, "_CODEBOOK_BYTES", 8 * (16 + 50) * 16)
-        simulator._run_slow(uniform_ensemble(2, 16), bsc(0.1), FAM, SPECS[1:2], 16, 1, 0, True)
+        _fast(uniform_ensemble(2, 16), bsc(0.1), SPECS[1:2], 16, 1, 0, True, simulator._scalar_histograms)
         with pytest.raises(InstanceTooLargeError):
-            simulator._run_slow(uniform_ensemble(2, 16), bsc(0.1), FAM, SPECS[1:2], 17, 1, 0, True)
+            _fast(uniform_ensemble(2, 16), bsc(0.1), SPECS[1:2], 17, 1, 0, True, simulator._scalar_histograms)
 
     def test_alphabet_mismatch_rejected(self):
         specs = [DecoderSpec("universal"), DecoderSpec("ml")]
@@ -1057,7 +1098,7 @@ class TestMonteCarloAudit:
         def boom(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(simulator, "_run_slow", boom)
+        monkeypatch.setattr(simulator, "_scalar_histograms", boom)
         monkeypatch.setattr(simulator, "_drawn_histograms", boom)
         fixed = mod_additive_fixed([1, 0, 0, 0] * 4)
         state = channels.finite_state_channel(2, 2, 2, lambda x, y, s: y, [[[0.9, 0.1], [0.1, 0.9]], [[0.6, 0.4], [0.4, 0.6]]])

@@ -215,6 +215,21 @@ class TestCountClasses:
         assert report.max_classes >= 1
         assert report.strategy == "exhaustive"
 
+    def test_finite_state_classes_for_output_match_exhaustive_counts(self):
+        # per output composition, the most classes any one output has is
+        # the exhaustive count; at n = 1 each input letter is its own class
+        for fam in (
+            finite_state_family(2, 2, 2, lambda x, y, s: x ^ y),
+            finite_state_family(2, 3, 3, lambda x, y, s: (s + x + y) % 3, initial_state=1),
+        ):
+            assert classes_for_output(fam, seq([0])) == 2
+            for n in range(1, 5):
+                most = {}
+                for y in all_sequences(fam.y_alphabet_size, n):
+                    comp = tuple(y.symbols.count(b) for b in range(fam.y_alphabet_size))
+                    most[comp] = max(most.get(comp, 0), classes_for_output(fam, y))
+                assert most == count_classes(fam, n, strategy="exhaustive").counts_by_composition
+
     def test_size_guard(self):
         fam = additive_family(2, 2)
         with pytest.raises(InstanceTooLargeError):
