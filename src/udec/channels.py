@@ -166,13 +166,15 @@ def log_likelihood(channel: ChannelModel, x: Sequence, y: Sequence) -> float:
     if len(x) != len(y):
         raise InputError("length mismatch")
     if channel.kind == DMC:
-        return typeclasses.log2_product(channel.matrix[v][w] for v, w in zip(x, y))
+        joint = typeclasses.empirical_joint_type(x, y).counts
+        pairs = ((channel.matrix[v][w], c) for v, row in enumerate(joint) for w, c in enumerate(row) if c)
+        return typeclasses.log2_product(pairs)
     if channel.kind == MOD_ADDITIVE:
         ya = channel.y_alphabet_size
         noise = [(w - v) % ya for v, w in zip(x, y)]
         if channel.noise_word:
             return 0.0 if tuple(noise) == channel.noise_word else -math.inf
-        return typeclasses.log2_product(channel.noise_probs[z] for z in noise)
+        return typeclasses.log2_product(zip(channel.noise_probs, map(noise.count, range(ya))))
     if channel.kind == FINITE_STATE:
         s = channel.initial_state
         terms = []

@@ -133,9 +133,10 @@ def log_prob(
         # the per-codeword marginal of the dithered linear map is uniform
         return -ensemble.n * math.log2(ensemble.alphabet_size)
     if ensemble.kind == IID:
-        return typeclasses.log2_product(ensemble.probs[v] for v in x)
+        counts = map(x.symbols.count, range(x.alphabet_size))
+        return typeclasses.log2_product((ensemble.probs[a], c) for a, c in enumerate(counts) if c)
     if ensemble.kind == UNIFORM_OVER_TYPE:
-        comp = tuple(sum(1 for v in x if v == a) for a in range(ensemble.alphabet_size))
+        comp = tuple(map(x.symbols.count, range(ensemble.alphabet_size)))
         if comp != ensemble.composition:
             return -math.inf
         return -math.log2(typeclasses.type_class_size(ensemble.composition))
@@ -170,9 +171,9 @@ def class_probability(
     family = key.family
     additive_like = family.kind in (families.ADDITIVE, families.MAC_XOR_ADDITIVE)
     if additive_like and ensemble.kind in (IID, UNIFORM, UNIFORM_OVER_TYPE, LINEAR_DITHERED):
-        joint = typeclasses.key_joint_type(key)
-        size = typeclasses.conditional_class_size(joint)
-        return _type_class_log_mass(ensemble, joint.x_marginal(), size)
+        d, ya = key.discriminant, family.y_alphabet_size
+        row_sums = tuple(sum(d[i : i + ya]) for i in range(0, len(d), ya))
+        return _type_class_log_mass(ensemble, row_sums, typeclasses.key_class_size(key))
     # exhaustive fallback (finite-state keys, feedback ensembles)
     total = 0.0
     found = False

@@ -37,7 +37,7 @@ class Sequence:
             raise InputError("sequence must have length >= 1")
         if self.alphabet_size < 1:
             raise InputError("alphabet size must be positive")
-        if any(not 0 <= v < self.alphabet_size for v in self.symbols):
+        if min(self.symbols) < 0 or max(self.symbols) >= self.alphabet_size:
             raise InputError("symbol out of alphabet range")
 
     def __len__(self) -> int:
@@ -73,10 +73,10 @@ class JointType:
     n: int
 
     def __post_init__(self):
-        total = sum(sum(row) for row in self.counts)
+        total = sum(map(sum, self.counts))
         if total != self.n:
             raise InputError(f"counts sum to {total}, expected n={self.n}")
-        if any(c < 0 for row in self.counts for c in row):
+        if min(itertools.chain.from_iterable(self.counts), default=0) < 0:
             raise InputError("counts must be non-negative")
 
     @property
@@ -98,35 +98,42 @@ def empirical_joint_type(x: Sequence, y: Sequence) -> JointType:
     """Count matrix: entry (a, b) is the number of positions with x=a, y=b."""
     if len(x) != len(y):
         raise InputError(f"length mismatch: {len(x)} vs {len(y)}")
-    counts = [[0] * y.alphabet_size for _ in range(x.alphabet_size)]
-    for a, b in zip(x, y):
-        counts[a][b] += 1
-    return JointType(tuple(tuple(row) for row in counts), len(x))
+    flat, ya = _joint_counts(x, y), y.alphabet_size
+    return JointType(tuple(tuple(flat[i : i + ya]) for i in range(0, len(flat), ya)), len(x))
+
+
+def _joint_counts(x: Sequence, y: Sequence) -> list[int]:
+    """The joint type of two equal-length words, flattened row-major:
+    entry a * |Y| + b counts the positions with x=a, y=b."""
+    ya = y.alphabet_size
+    counts = [0] * (x.alphabet_size * ya)
+    for a, b in zip(x.symbols, y.symbols):
+        counts[a * ya + b] += 1
+    return counts
 
 
 def conditional_class_size(joint: JointType) -> int:
-    """Exact number of x-sequences sharing this joint type with a fixed y.
-
-    Product over y-symbols of the multinomial coefficient distributing that
-    column's total among the x-symbols.
-    """
-    size = 1
-    for b in range(joint.y_alphabet_size):
-        column = [joint.counts[a][b] for a in range(joint.x_alphabet_size)]
-        size *= _multinomial(sum(column), column)
-    return size
+    """Exact number of x-sequences sharing this joint type with a fixed y."""
+    return _class_size(tuple(itertools.chain.from_iterable(joint.counts)), joint.y_alphabet_size)
 
 
 def type_class_size(composition: tuple[int, ...]) -> int:
     """Exact number of sequences with the given symbol counts."""
-    return _multinomial(sum(composition), list(composition))
+    return _class_size(composition, 1)
 
 
-def _multinomial(total: int, parts: list[int]) -> int:
-    coeff = math.factorial(total)
-    for p in parts:
-        coeff //= math.factorial(p)
-    return coeff
+def _class_size(flat, width: int) -> int:
+    """Number of x-words whose joint type with a fixed y is ``flat``, a
+    count matrix of ``width`` columns flattened row-major: per y-symbol, the
+    multinomial coefficient distributing that column's total among the
+    x-symbols, taken as a product of binomials over the running total."""
+    size = 1
+    for b in range(width):
+        total = 0
+        for c in flat[b::width]:
+            total += c
+            size *= math.comb(total, c)
+    return size
 
 
 def entropy(counts) -> float:
@@ -135,16 +142,20 @@ def entropy(counts) -> float:
     return -math.fsum(c / n * math.log2(c / n) for c in counts if c > 0)
 
 
-def log2_product(probs) -> float:
-    """log2 of a product of probabilities; -inf if one of them is 0.
+def log2_product(pairs) -> float:
+    """log2 of a product of probabilities given as (probability, count)
+    pairs, each probability a factor ``count`` times; -inf if a probability
+    that occurs is 0.
 
-    Summed with fsum, so words whose probability multisets are equal score
+    One log per pair, summed with fsum over one term per factor: fsum rounds
+    the exact sum, so words whose probability multisets are equal score
     exactly equal, whatever their symbol order."""
     terms = []
-    for p in probs:
-        if p == 0.0:
-            return -math.inf
-        terms.append(math.log2(p))
+    for p, c in pairs:
+        if c:
+            if p == 0.0:
+                return -math.inf
+            terms += [math.log2(p)] * c
     return math.fsum(terms)
 
 
@@ -218,9 +229,7 @@ def class_key(
     if x.alphabet_size != family.x_alphabet_size and family.kind != families.MAC_XOR_ADDITIVE:
         raise InputError("x alphabet does not match family")
     if family.kind in (families.ADDITIVE, families.MAC_XOR_ADDITIVE):
-        joint = empirical_joint_type(x, y)
-        flat = tuple(c for row in joint.counts for c in row)
-        return EquivalenceClassKey(family, flat)
+        return EquivalenceClassKey(family, tuple(_joint_counts(x, y)))
     if family.kind == families.FINITE_STATE:
         counts = [0] * (
             family.x_alphabet_size * family.y_alphabet_size * family.num_states
@@ -240,14 +249,7 @@ def key_class_size(key: EquivalenceClassKey) -> int | None:
     """
     if key.family.kind not in (families.ADDITIVE, families.MAC_XOR_ADDITIVE):
         return None
-    return conditional_class_size(key_joint_type(key))
-
-
-def key_joint_type(key: EquivalenceClassKey) -> JointType:
-    """The joint type an additive-style key flattens row-major."""
-    ya = key.family.y_alphabet_size
-    d = key.discriminant
-    return JointType(tuple(d[i : i + ya] for i in range(0, len(d), ya)), sum(d))
+    return _class_size(key.discriminant, key.family.y_alphabet_size)
 
 
 @dataclass(frozen=True)

@@ -645,6 +645,34 @@ class TestRunExperiment:
             assert [e.errors for e in est] == slow.sum(axis=0).tolist()
             assert slow[:, -1].any()
 
+    def test_decode_matches_scalar_reader_under_both_tie_rules(self):
+        # decoders.decode on each ternary n = 8 trial's codebook, where ties
+        # are common, errs exactly where _read over _scalar_histograms does:
+        # with ties as errors, when the sent word is not alone at the top;
+        # otherwise when decode's lowest-index winner is another word
+        fam3 = additive_family(3, 3)
+        ens, ch = uniform_ensemble(3, 8), mod_additive_iid((0.7, 0.2, 0.1))
+        identity3 = tuple(tuple(float(i == j) for j in range(3)) for i in range(3))
+        specs = [SPECS[0], SPECS[1], DecoderSpec("metric", theta=identity3)]
+        assert simulator._select_path(ens, ch, fam3, specs) == "scalar"
+        trials, m = 80, 16
+        realize = _sampled_realization(ens, ch, m, 5)
+        scorers = simulator._scorers(specs, fam3, ens, ch)
+        # per trial: the sent message (1-based) and each decoder's decision
+        decisions = [
+            (true_idx + 1, [decoders.decode(words, y, s) for s in scorers])
+            for words, true_idx, y in map(realize, range(trials))
+        ]
+        by_rule = {
+            True: [[r.tied != (sent,) for r in rs] for sent, rs in decisions],
+            False: [[r.chosen != sent for r in rs] for sent, rs in decisions],
+        }
+        for ties, expected in by_rule.items():
+            read = _fast(ens, ch, specs, m, trials, 5, ties, simulator._scalar_histograms, fam3)
+            assert read.tolist() == expected
+        # the sent word shares the top score in some trials, so the rules differ
+        assert by_rule[True] != by_rule[False]
+
     def test_fixed_noise_length_checked_before_any_draw(self, monkeypatch):
         # a 3-symbol noise word at n = 16 is refused, naming both lengths,
         # before the types, packed or scalar source is reached

@@ -18,11 +18,26 @@ from udec import (
     seq,
 )
 from udec.typeclasses import (
+    Sequence,
     all_sequences,
     classes_for_output,
     key_class_size,
     type_class_size,
 )
+
+
+class TestSequence:
+    # -1, the alphabet size, and a bad symbol mid-word, at alphabet 3
+    @pytest.mark.parametrize("symbols", [(-1, 0, 2), (0, 2, 3), (0, 1, 2, 7, 1, 0), (0, -5, 1, 2)])
+    def test_out_of_range_symbol_refused(self, symbols):
+        with pytest.raises(InputError, match="symbol out of alphabet range"):
+            Sequence(symbols, 3)
+        with pytest.raises(InputError, match="symbol out of alphabet range"):
+            seq(symbols, 3)
+
+    def test_in_range_symbols_accepted(self):
+        assert Sequence((0, 2, 1, 2), 3).symbols == (0, 2, 1, 2)
+        assert Sequence((0,), 1).symbols == (0,)
 
 
 class TestJointType:
@@ -50,6 +65,11 @@ class TestJointType:
     def test_bad_counts_rejected(self):
         with pytest.raises(InputError):
             JointType(((1, 0), (0, 0)), 2)
+
+    def test_negative_count_rejected(self):
+        # the total matches n, so only the sign check can refuse it
+        with pytest.raises(InputError, match="non-negative"):
+            JointType(((2, -1), (0, 1)), 2)
 
 
 class TestConditionalClassSize:
