@@ -624,8 +624,15 @@ def _type_table(rule, n: int, ny: int, limbs: np.ndarray) -> np.ndarray:
         # every binary word mass 2^-n: _type_class_log_mass's log2 mass of
         # a class is log2 size - n * log2 2, or for fair iid the same float
         # as -n + log2 size.  math.log2 of an int is math.log2 of its
-        # correctly rounded float; np.log2 can differ in the last bit
-        log2_sizes = np.array([math.log2(size) for size in _from_limbs(limbs, 0).tolist()])
+        # correctly rounded float; np.log2 can differ in the last bit.  The
+        # size C(ny, a11) C(n - ny, a10) is unchanged by a11 -> ny - a11 and
+        # by a10 -> n - ny - a10, so the logs of the quarter a11 <= ny / 2,
+        # a10 <= (n - ny) / 2 are taken and mirrored
+        i, j = np.arange(ny + 1), np.arange(n - ny + 1)
+        i, j = np.minimum(i, ny - i), np.minimum(j, n - ny - j)
+        quarter = limbs.reshape(len(limbs), ny + 1, -1)[:, : ny // 2 + 1, : (n - ny) // 2 + 1]
+        logs = np.array([math.log2(size) for size in _from_limbs(quarter, 0).reshape(-1).tolist()])
+        log2_sizes = logs.reshape(quarter.shape[1:])[i[:, None], j].reshape(-1)
         return -(log2_sizes - n * math.log2(2)) / n
     # a letter sum is one integer numerator, affine in (a11, a10), over the
     # rule's denominator 2^k; int / int rounds half to even, as math.fsum does
@@ -723,8 +730,10 @@ def _dense_ranks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 #: the most (sent type, joint type) pairs whose decision cells one batch
 #: builds (a batch holds at least one sent type), and the most (trial,
-#: cell) entries one slice of its trials draws; it bounds a batch's id and
-#: bin arrays, and a slice's cells, to a few hundred KB per decoder
+#: cell) entries one slice of its trials draws.  A batch's arrays take
+#: about 28 bytes per pair at n = 64 with the six decoders of the benchmark
+#: audit and about 60 at n = 32 with 27 decoders (traced heap peaks; see
+#: _Types.cell_rows), so about 1-2 MB with any number of decoders
 _CELL_PAIRS = 1 << 15
 
 
@@ -756,58 +765,92 @@ class _Types:
         indices in ``sents``, the joint types grouped by how every decoder
         ranks them against that sent type, as K padded rows of C cells.
         signs[k, :, j] (int8) is cell j's rank per decoder (1 above, 0
-        equal, -1 below, by exact score comparison, read on one type of the
-        cell), and pmf[k, j] the probability that a uniform word falls in
-        it: its exact class-size total (which can be all 2^n words, as
-        under a constant metric) over 2^n.  A row is zero-mass padding
-        (signs -1), then its cells in increasing mass: numpy's multinomial
-        gives the last category the leftover mass, so that lands on the
-        heaviest cell."""
-        scores = self.scores
-        k, types = len(sents), scores.shape[1]
-        # each (sent, type) pair's cell id: its row, then per decoder a
-        # base-3 digit (0 below, 1 equal, 2 above).  Decoders with equal
-        # rank rows give equal digits, so one digit per distinct rank row
-        # orders the ids alike.  The ids are renumbered densely, in order,
-        # before a fold would take them past K * T bins, so any number of
-        # decoders fits in an intp, and a row's ids stay contiguous and in
-        # the same order in any batch
-        ids, count = np.repeat(np.arange(k), types), k
-        for row in self._ranks:
-            if count * 3 > ids.size:
-                ids, count = _relabel(ids, count)
-            s = row[sents, None]
-            ids *= 3
-            ids += ((row > s).view(np.int8) + (row >= s).view(np.int8)).reshape(-1)
-            count *= 3
-        # the limb sums of an id are integers below 2^53: exact.  Every
-        # class holds a word, so the ids in use, the cells in order, are
-        # those with a nonzero limb sum
-        sums = np.array([np.bincount(ids, weights=np.tile(limb, k), minlength=count) for limb in self._limbs])
+        equal, -1 below, by exact score comparison), and pmf[k, j] the
+        probability that a uniform word falls in it: its exact class-size
+        total (which can be all 2^n words, as under a constant metric) over
+        2^n.  A row is zero-mass padding (signs -1), then its cells in
+        increasing mass: numpy's multinomial gives the last category the
+        leftover mass, so that lands on the heaviest cell.
+
+        One pass over the K T (sent type, joint type) pairs: uint8 group
+        codes of up to _DIGITS rank rows' digits, folded into intp cell
+        ids; the class-size limbs summed per id two at a time, as one
+        complex np.add.at; and each cell's signs read off its id.  Per pair
+        that holds a uint8 code and a bool comparison, the intp ids (three
+        copies while folding: 24 bytes) and 16 bytes of tiled limb pair per
+        two limbs; per id bin (at most three per pair), 16 bytes of complex
+        sums per two limbs and, where the ids are renumbered, two int64
+        tables."""
+        ranks = self._ranks
+        k, types = len(sents), self.scores.shape[1]
+        # each (sent, type) pair's cell id: its row, then per distinct rank
+        # row a base-3 digit (0 below, 1 equal, 2 above); decoders with equal
+        # rank rows give equal digits.  Before a fold would take the ids
+        # past 3 K T bins they are renumbered densely, in order (the first
+        # fold starts from the K distinct rows), and a fold takes only as
+        # many rows as keep them inside, so any number of decoders fits in
+        # an intp, and a row's ids stay contiguous and in order in any batch
+        bound, ids, count, folds, r = 3 * k * types, np.arange(k)[:, None], k, [], 0
+        while r < len(ranks):
+            g, kept = min(_DIGITS, len(ranks) - r), None
+            if r and count * 3**g > bound:
+                ids, count, kept = _relabel(ids.reshape(-1), count)
+            while count * 3**g > bound:
+                g -= 1
+            code = np.zeros((k, types), dtype=np.uint8)
+            for row in ranks[r : r + g]:
+                s = row[sents, None]
+                code *= 3
+                code += (row > s).view(np.uint8)
+                code += (row >= s).view(np.uint8)
+            ids = ids.reshape(k, -1) * 3**g + code
+            count *= 3**g
+            folds.append((r, g, kept))
+            r += g
+        # a zero limb pads an odd count; each part of a sum is a sum of
+        # integers below 2^53, so exact in any order.  Every class holds a
+        # word, so the ids in use, the cells in order, have a nonzero sum
+        limbs = np.zeros((len(self._limbs) + len(self._limbs) % 2, types))
+        limbs[: len(self._limbs)] = self._limbs
+        sums = np.zeros((len(limbs) // 2, count), dtype=complex)
+        for total, pair in zip(sums, limbs[0::2] + 1j * limbs[1::2]):
+            np.add.at(total, ids.reshape(-1), np.tile(pair, k))
         cells = np.flatnonzero(sums.any(axis=0))
-        pmf = self._masses(sums[:, cells])
-        # any (sent, type) pair of a cell stands for it
-        rep = np.empty(count, dtype=np.intp)
-        rep[ids] = np.arange(ids.size)
-        cell_row, cell_type = np.divmod(rep[cells], types)
+        pairs = sums[:, cells]
+        pmf = self._masses(np.stack((pairs.real, pairs.imag), axis=1).reshape(len(limbs), -1)[: len(self._limbs)])
+        # a cell's digits, read back off its id through the folds and
+        # renumberings, leave its row
+        digits = np.empty((len(cells), len(ranks)), dtype=np.uint8)
+        cell_row = cells
+        for r, g, kept in reversed(folds):
+            cell_row, code = np.divmod(cell_row, 3**g)
+            for j in reversed(range(r, r + g)):
+                code, digits[:, j] = np.divmod(code, 3)
+            if kept is not None:
+                cell_row = kept[cell_row]
         # each row's cells by increasing mass, placed right-aligned
         order = np.lexsort((pmf, cell_row))
         per_row = np.bincount(cell_row, minlength=k)
         width = int(per_row.max())
-        cell_row, cell_type = cell_row[order], cell_type[order]
+        cell_row = cell_row[order]
         col = np.arange(len(cells)) - np.repeat(np.cumsum(per_row) - width, per_row)
-        signs = np.full((k, len(scores), width), -1, dtype=np.int8)
-        signs[cell_row, :, col] = _signs(scores[:, cell_type], scores[:, sents[cell_row]]).T
+        signs = np.full((k, len(self.scores), width), -1, dtype=np.int8)
+        signs[cell_row, :, col] = digits[order][:, self._rank_of].view(np.int8) - 1
         pmf_rows = np.zeros((k, width))
         pmf_rows[cell_row, col] = pmf[order]
         return signs, pmf_rows
 
 
-def _relabel(ids: np.ndarray, count: int) -> tuple[np.ndarray, int]:
-    """The ids (below ``count``) renumbered densely in the same order, and
-    how many distinct ones there are: no sort, one bincount."""
-    relabel = np.cumsum(np.bincount(ids, minlength=count) > 0) - 1
-    return relabel[ids], int(relabel[-1]) + 1
+#: the most rank rows whose base-3 digits one uint8 code holds (3^5 = 243)
+_DIGITS = 5
+
+
+def _relabel(ids: np.ndarray, count: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """The ids (below ``count``) renumbered densely in the same order, how
+    many distinct ones there are, and which old id each new one was: no
+    sort, one bincount."""
+    used = np.bincount(ids, minlength=count) > 0
+    return (np.cumsum(used) - 1)[ids], int(np.count_nonzero(used)), np.flatnonzero(used)
 
 
 def _type_tables(decoder_specs, ensemble, channel):

@@ -1263,6 +1263,30 @@ class TestTypeDomain:
                     assert (earlier is None) if ties else (earlier <= others).all()
                 assert seen == trials
 
+    def test_type_domain_realizations_are_pinned(self):
+        """The type-domain source's draws are fixed by the seed: uniform
+        codewords over BSC(0.1) at R = 0.25, 400 trials, seed 11, with U, ML
+        and a 25-metric grid (more rank rows than one uint8 code holds),
+        give these per-decoder error counts under both tie rules, at n = 24
+        and at n = 70 (class sizes of 3 limbs)."""
+        ch = bsc(0.1)
+        specs = SPECS[:2] + [DecoderSpec("metric", theta=th) for th in default_theta_grid(25, ch, seed=3)]
+        pinned = {
+            (24, True): [43, 13, 13, 13, 305, 400, 390, 206, 400, 12, 398, 400, 338, 149,
+                         48, 357, 43, 400, 338, 26, 357, 380, 400, 400, 390, 400, 43],
+            (24, False): [28, 5, 5, 5, 307, 400, 391, 208, 400, 6, 395, 400, 331, 151,
+                          45, 352, 37, 400, 331, 18, 352, 376, 400, 400, 391, 400, 37],
+            (70, True): [2, 1, 1, 1, 389, 400, 400, 299, 400, 1, 400, 400, 395, 134,
+                         21, 396, 17, 400, 395, 3, 397, 400, 400, 400, 400, 400, 17],
+            (70, False): [4, 0, 0, 0, 388, 400, 400, 312, 400, 0, 400, 400, 397, 141,
+                          18, 399, 16, 400, 397, 7, 399, 399, 400, 400, 400, 400, 16],
+        }
+        for (n, ties), want in pinned.items():
+            ens = uniform_ensemble(2, n)
+            assert simulator._select_path(ens, ch, FAM, specs) == "types"
+            estimates = run_experiment(ens, ch, FAM, specs, 0.25, 400, 11, ties_as_errors=ties)
+            assert [e.errors for e in estimates] == want
+
     def test_cells_equal_exhaustive_decision_patterns(self):
         """Every cell's mass is the number of the 2^n words whose decisions
         against the sent word (above, equal, below, per decoder) are the
@@ -1295,22 +1319,27 @@ class TestTypeDomain:
 
     def test_cell_masses_are_exact_at_64_bits(self):
         """At n = 64 the class sizes reach 2^59 and a cell can hold all
-        2^64 words: each cell's mass is the correctly rounded Python-int sum
-        of its types' class sizes over 2^64."""
-        n = 64
-        ens = uniform_ensemble(2, n)
+        2^64 words, and past 64 bits a class size takes 3 (n = 96) or 5
+        (n = 130) 32-bit limbs, an odd count summed in pairs with a zero
+        limb: each cell's mass is the correctly rounded Python-int sum of
+        its types' class sizes over 2^n, and the one cell of a constant
+        metric holds mass exactly 1."""
         constant = [DecoderSpec("metric", theta=((0.5, 0.5), (0.5, 0.5)))]
-        for sents in ([500], [0, 500, 1088]):
-            pmf = simulator._type_tables(constant, ens, bsc(0.1))(32).cell_rows(np.array(sents))[1]
-            assert pmf.tolist() == [[1.0]] * len(sents)
-        types_of = simulator._type_tables(SPECS, ens, bsc(0.1))
-        for ny, sent in ((32, 520), (30, 17), (64, 40), (0, 0)):
-            types = types_of(ny)
-            per_type = simulator._signs(types.scores, types.scores[:, sent, None]).T.tolist()
-            sizes = _class_sizes(n, ny)
-            for signs, pmf, _ in _batched_cells(types, sent):
-                for col, p in zip(signs.T.tolist(), pmf):
-                    assert p == sum(size for size, key in zip(sizes, per_type) if key == col) / 2**n
+        for n in (64, 96, 130):
+            ens = uniform_ensemble(2, n)
+            half = n // 2
+            last = (half + 1) * (n - half + 1) - 1
+            for sents in ([500], [0, 500, last]):
+                pmf = simulator._type_tables(constant, ens, bsc(0.1))(half).cell_rows(np.array(sents))[1]
+                assert pmf.tolist() == [[1.0]] * len(sents)
+            types_of = simulator._type_tables(SPECS, ens, bsc(0.1))
+            for ny, sent in ((half, 520), (half - 2, 17), (n, 40), (0, 0)):
+                types = types_of(ny)
+                per_type = simulator._signs(types.scores, types.scores[:, sent, None]).T.tolist()
+                sizes = _class_sizes(n, ny)
+                for signs, pmf, _ in _batched_cells(types, sent):
+                    for col, p in zip(signs.T.tolist(), pmf):
+                        assert p == sum(size for size, key in zip(sizes, per_type) if key == col) / 2**n
 
     def test_rank_dedupe_equals_row_by_row_cells(self):
         """Decoders that rank every joint type alike share one rank row, and
@@ -1494,6 +1523,13 @@ class TestMacSimulator:
                 s_true = scores[i_true * 4 + j_true]
                 rivals = [(s, -k) for k, s in enumerate(scores) if k != i_true * 4 + j_true]
                 best, neg_k = max(rivals)
+                # the public decoder, over message indices with the sent
+                # pair scored -inf, picks the same best competitor pair
+                picked = decoders.mac_decode(
+                    range(4), range(4), y,
+                    lambda i, j, _, s=scores: -math.inf if (i, j) == (i_true, j_true) else s[i * 4 + j],
+                )
+                assert (picked.chosen - 1, picked.best_score) == (-neg_k, best)
                 want = 0
                 if best >= s_true:
                     bi, bj = pairs[-neg_k]
