@@ -488,13 +488,14 @@ def run_experiment(
     configured decoder.  Deterministic given the master seed."""
     if not decoder_specs:
         raise InputError("at least one decoder required")
+    path, m = _checked_path(ensemble, channel, family, decoder_specs, rate, trials)
     types_of = _type_tables(decoder_specs, ensemble, channel)
-    return _experiment(ensemble, channel, family, decoder_specs, rate, trials, seed, ties_as_errors, types_of)
+    return _experiment(ensemble, channel, family, decoder_specs, rate, trials, seed, ties_as_errors, path, m, types_of)
 
 
-def _experiment(ensemble, channel, family, decoder_specs, rate, trials, seed, ties_as_errors, types_of):
-    """run_experiment, reading the joint-type paths against ``types_of``,
-    which the caller may share (the audit's shifted arm reads it too)."""
+def _checked_path(ensemble, channel, family, decoder_specs, rate, trials) -> tuple[str, int]:
+    """run_experiment's refusals, all before any draw or table, and then
+    the path it takes (_select_path) and its message count M."""
     if trials < 1:
         raise InputError("at least one trial required")
     _check_alphabets(ensemble.alphabet_size, family, channel)
@@ -509,16 +510,31 @@ def _experiment(ensemble, channel, family, decoder_specs, rate, trials, seed, ti
     if channel.kind == channels.MOD_ADDITIVE and channel.noise_word and len(channel.noise_word) != n:
         raise InputError(f"the fixed noise word has {len(channel.noise_word)} symbols, the block length is {n}")
     path = _select_path(ensemble, channel, family, decoder_specs)
+    if path == "types" and m - 1 >= 1 << 63:
+        raise InstanceTooLargeError(f"type-domain draws need M - 1 < 2^63 codewords, not M = 2^{math.log2(m):.2f}")
+    if path != "scalar":
+        _check_tables(n, len(decoder_specs), kept=path == "packed")
+    return path, m
+
+
+def _experiment(
+    ensemble, channel, family, decoder_specs, rate, trials, seed, ties_as_errors, path, m, types_of, also=(), visit=None
+):
+    """run_experiment past its refusals (_checked_path), the joint-type
+    paths building each output weight's table with ``types_of``; the
+    type-domain path also visits the tables of the weights ``also``
+    (_drawn_histograms)."""
     if path == "scalar":
         groups = _scalar_histograms(
             ensemble, channel, m, seed, trials, ties_as_errors, _scorers(decoder_specs, family, ensemble, channel)
         )
+    elif path == "packed":
+        groups = _packed_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_of)
     else:
-        source = _drawn_histograms if path == "types" else _packed_histograms
-        groups = source(ensemble, channel, m, seed, trials, ties_as_errors, types_of)
+        groups = _drawn_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_of, also, visit)
     errors = sum(_read(*group).sum(axis=0) for group in groups)
     return [
-        ErrorEstimate(spec.name, n, rate, trials, err, err / trials, *wilson_interval(err, trials), seed)
+        ErrorEstimate(spec.name, ensemble.n, rate, trials, err, err / trials, *wilson_interval(err, trials), seed)
         for spec, err in zip(decoder_specs, errors.tolist())
     ]
 
@@ -662,18 +678,19 @@ def _type_table(rule, n: int, ny: int, limbs: np.ndarray) -> np.ndarray:
     return table.reshape(-1)
 
 
-def _tail_masses(ranks: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """For each entry of each row of ``ranks`` (rows x T, from
-    _dense_ranks), the total of ``masses`` (T, or leading axes x T, such as
-    a _Types' limbs) over the row's entries ranked at least as high, shaped
-    (leading axes x rows x T): one weighted bincount per mass row and rank
-    row, summed from the top rank down and read at each entry's rank."""
+def _tail_masses(ranks: np.ndarray, masses: np.ndarray, at=slice(None)) -> np.ndarray:
+    """For each entry ``at`` (all T by default) of each row of ``ranks``
+    (rows x T, from _dense_ranks, or a list of such rows), the total of ``masses`` (T, or leading
+    axes x T, such as a _Types' limbs) over the row's entries ranked at
+    least as high, shaped (leading axes x rows x entries): one weighted
+    bincount per mass row and rank row, summed from the top rank down and
+    read at each entry's rank."""
     tails = [
-        np.cumsum(np.bincount(row, weights=mass)[::-1])[::-1][row]
+        np.cumsum(np.bincount(row, weights=mass)[::-1])[::-1][row[at]]
         for mass in masses.reshape(-1, masses.shape[-1])
         for row in ranks
     ]
-    return np.reshape(tails, masses.shape[:-1] + ranks.shape)
+    return np.reshape(tails, masses.shape[:-1] + (len(ranks), -1))
 
 
 def _class_limbs(n: int, ny: int) -> np.ndarray:
@@ -705,11 +722,18 @@ def _from_limbs(limb_sums: np.ndarray, exponent: int) -> np.ndarray:
     """The integers that exact limb sums (limbs x any shape) stand for, in
     32-bit limbs, times 2^exponent, correctly rounded while the results
     are normal floats.  Each limb's term is exact; up to two limbs, one
-    IEEE addition of them rounds correctly; past that, math.fsum does."""
+    IEEE addition of them rounds correctly; past that, math.fsum does, on
+    Python floats made _FSUM_ROWS results at a time."""
     terms = np.moveaxis(limb_sums, 0, -1) * 2.0 ** (32 * np.arange(len(limb_sums)) + exponent)
     if len(limb_sums) <= 2:
         return terms.sum(axis=-1)
-    return np.array([math.fsum(t) for t in terms.reshape(-1, len(limb_sums)).tolist()]).reshape(terms.shape[:-1])
+    rows = terms.reshape(-1, len(limb_sums))
+    sums = [math.fsum(t) for a in range(0, len(rows), _FSUM_ROWS) for t in rows[a : a + _FSUM_ROWS].tolist()]
+    return np.array(sums).reshape(terms.shape[:-1])
+
+
+#: how many results _from_limbs turns into Python floats at once
+_FSUM_ROWS = 1 << 12
 
 
 def _dense_ranks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -731,9 +755,10 @@ def _dense_ranks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 #: the most (sent type, joint type) pairs whose decision cells one batch
 #: builds (a batch holds at least one sent type), and the most (trial,
 #: cell) entries one slice of its trials draws.  A batch's arrays take
-#: about 28 bytes per pair at n = 64 with the six decoders of the benchmark
-#: audit and about 60 at n = 32 with 27 decoders (traced heap peaks; see
-#: _Types.cell_rows), so about 1-2 MB with any number of decoders
+#: about 15 bytes per pair at n = 64 with the six decoders of the benchmark
+#: audit and about 75 at n = 32 with 27 decoders (traced heap peaks; see
+#: _Types.cell_rows), so about 0.5-2.5 MB; one sent type past _CELL_PAIRS
+#: types is counted by _table_bytes
 _CELL_PAIRS = 1 << 15
 
 
@@ -750,8 +775,7 @@ class _Types:
     def __init__(self, rules, n: int, ny: int):
         self.n, self.ny = n, ny
         self._limbs = _class_limbs(n, ny).astype(float)
-        rows = [_type_table(rule, n, ny, self._limbs) for rule in rules]
-        self.scores = np.array(rows, dtype=float).reshape(len(rows), -1)
+        self.scores = np.array([_type_table(rule, n, ny, self._limbs) for rule in rules], dtype=float)
         self._ranks, self._rank_of = _dense_ranks(self.scores)
 
     def _masses(self, limb_sums: np.ndarray) -> np.ndarray:
@@ -777,10 +801,10 @@ class _Types:
         ids; the class-size limbs summed per id two at a time, as one
         complex np.add.at; and each cell's signs read off its id.  Per pair
         that holds a uint8 code and a bool comparison, the intp ids (three
-        copies while folding: 24 bytes) and 16 bytes of tiled limb pair per
-        two limbs; per id bin (at most three per pair), 16 bytes of complex
-        sums per two limbs and, where the ids are renumbered, two int64
-        tables."""
+        copies while folding: 24 bytes) and, for up to _TILE_PAIRS of them
+        at a time, 16 bytes of tiled limb pair; per id bin (at most three per
+        pair), 16 bytes of complex sums per two limbs and, where the ids are
+        renumbered, two int64 tables."""
         ranks = self._ranks
         k, types = len(sents), self.scores.shape[1]
         # each (sent, type) pair's cell id: its row, then per distinct rank
@@ -810,14 +834,17 @@ class _Types:
         # a zero limb pads an odd count; each part of a sum is a sum of
         # integers below 2^53, so exact in any order.  Every class holds a
         # word, so the ids in use, the cells in order, have a nonzero sum
-        limbs = np.zeros((len(self._limbs) + len(self._limbs) % 2, types))
-        limbs[: len(self._limbs)] = self._limbs
-        sums = np.zeros((len(limbs) // 2, count), dtype=complex)
-        for total, pair in zip(sums, limbs[0::2] + 1j * limbs[1::2]):
-            np.add.at(total, ids.reshape(-1), np.tile(pair, k))
+        limbs, step = self._limbs, max(1, _TILE_PAIRS // types)
+        sums = np.zeros(((len(limbs) + 1) // 2, count), dtype=complex)
+        for p, total in enumerate(sums):
+            pair = limbs[2 * p] + (1j * limbs[2 * p + 1] if 2 * p + 1 < len(limbs) else 0j)
+            tile = np.tile(pair, min(step, k))
+            for a in range(0, k, step):
+                np.add.at(total, ids[a : a + step].reshape(-1), tile[: min(step, k - a) * types])
+        del pair, tile
         cells = np.flatnonzero(sums.any(axis=0))
         pairs = sums[:, cells]
-        pmf = self._masses(np.stack((pairs.real, pairs.imag), axis=1).reshape(len(limbs), -1)[: len(self._limbs)])
+        pmf = self._masses(np.stack((pairs.real, pairs.imag), axis=1).reshape(2 * len(sums), -1)[: len(limbs)])
         # a cell's digits, read back off its id through the folds and
         # renumberings, leave its row
         digits = np.empty((len(cells), len(ranks)), dtype=np.uint8)
@@ -841,6 +868,11 @@ class _Types:
         return signs, pmf_rows
 
 
+#: the most (sent type, joint type) pairs, or one sent type's, whose limb
+#: pairs one np.add.at of _Types.cell_rows adds: the tile of a limb pair
+#: that the sent types reuse takes 16 bytes per pair
+_TILE_PAIRS = 1 << 13
+
 #: the most rank rows whose base-3 digits one uint8 code holds (3^5 = 243)
 _DIGITS = 5
 
@@ -854,34 +886,61 @@ def _relabel(ids: np.ndarray, count: int) -> tuple[np.ndarray, int, np.ndarray]:
 
 
 def _type_tables(decoder_specs, ensemble, channel):
-    """ny -> the _Types of these decoders at the ensemble's block length,
-    built on first use from the decoders' rules, which the first table
-    resolves and the rest reuse, so a run that reads no table resolves no
-    rule.  The first use refuses tables that could outgrow _TABLE_BYTES: the
-    C(n + 3, 3) joint types of all output weights, each with one float
-    score and at most one int16 rank per decoder, and one float per 32-bit
-    limb of its class size.  (Ranks are int16 below 2^15 types per weight,
-    and every n with 2^15 types at one weight is over the limit.)"""
+    """ny -> a new _Types of these decoders at the ensemble's block length,
+    built from the decoders' rules, which the first table resolves and the
+    rest reuse, so a run that reads no table resolves no rule.  Nothing is
+    cached: a caller that revisits a weight caches the tables itself.  The
+    caller refuses tables that could outgrow _TABLE_BYTES before any draw
+    (_check_tables)."""
 
     @functools.cache
     def rules():
         return [_type_rule(s, ensemble, channel) for s in decoder_specs]
 
-    @functools.cache
     def types_of(ny):
-        n = ensemble.n
-        size = math.comb(n + 3, 3) * (10 * len(decoder_specs) + 8 * ((n + 31) // 32))
-        if size > _TABLE_BYTES:
-            raise InstanceTooLargeError(
-                f"joint-type tables at n = {n} could take 2^{math.log2(size):.2f} bytes, "
-                f"over the {_TABLE_BYTES >> 20} MiB limit"
-            )
-        return _Types(rules(), n, ny)
+        return _Types(rules(), ensemble.n, ny)
 
     return types_of
 
 
-#: the most memory one run's joint-type tables may take
+def _check_tables(n: int, decoders: int, kept: bool) -> None:
+    """Refuse joint-type tables of these decoders at block length n that
+    could take more than _TABLE_BYTES (_table_bytes): built one output
+    weight at a time, the peak of the largest one (ny = n // 2); or, if
+    the caller ``kept`` every weight's table, all of them held together
+    while the last one is built."""
+    if kept:
+        sizes = [_table_bytes(n, ny, decoders) for ny in range(n + 1)]
+        size = sum(held for held, _ in sizes) + max(peak - held for held, peak in sizes)
+        what = f"the joint-type tables of all output weights at n = {n} could take"
+    else:
+        size = _table_bytes(n, n // 2, decoders)[1]
+        what = f"the joint-type table of output weight {n // 2} at n = {n} could take"
+    if size > _TABLE_BYTES:
+        raise InstanceTooLargeError(f"{what} 2^{math.log2(size):.2f} bytes, over the {_TABLE_BYTES >> 20} MiB limit")
+
+
+def _table_bytes(n: int, ny: int, decoders: int) -> tuple[int, int]:
+    """(held, peak): what one output weight's _Types holds, and the most
+    the weight's work takes while its table is built and read.  For each of
+    its (ny + 1)(n - ny + 1) joint types the table holds one float per
+    32-bit limb of its class size and, per decoder, one float score and at
+    most one rank (int16 below 2^15 types, int32 from there, as _dense_ranks
+    stores them).  The build also takes, per type, a second copy of the
+    limbs (the carried class sizes, or the universal rule's limb terms),
+    up to 10 floats while one rule's scores are worked out, and per decoder
+    _dense_ranks' int64 sort order, sorted float copy, comparison and three
+    more rank-sized arrays.  That covers the most the cells of one sent
+    type (_Types.cell_rows) and the shifted arm's tails take besides."""
+    types = (ny + 1) * (n - ny + 1)
+    rank, limbs = (2 if types < 1 << 15 else 4), 8 * ((n + 31) // 32)
+    return types * (limbs + (8 + rank) * decoders), types * (2 * limbs + 80 + (25 + 4 * rank) * decoders)
+
+
+#: the most memory one run's joint-type tables may take (_check_tables).
+#: The type-domain arms hold one output weight's table at a time; the
+#: bit-packed and two-user paths keep every weight's for a call, at n <= 64
+#: (C(67, 3) = 47905 types, about 14 MB with 27 decoders)
 _TABLE_BYTES = 1 << 28
 
 
@@ -957,17 +1016,16 @@ def _sent_types(rng, channel, n: int, count: int) -> tuple[np.ndarray, np.ndarra
     return ny, a11 * (n - ny + 1) + a10
 
 
-def _by_weight(rng, channel, n: int, trials: int, types_of):
-    """Draw the sent joint types of ``trials`` trials (_sent_types), then
-    per output weight drawn, in increasing (ny, flat index) order, yield
-    (types, sents, counts): the weight's _Types, its distinct sent types
-    and how many trials drew each."""
+def _by_weight(rng, channel, n: int, trials: int) -> dict:
+    """Draw the sent joint types of ``trials`` trials (_sent_types) and
+    group them by output weight: ny -> (sents, counts), its distinct sent
+    types in increasing order and how many trials drew each, for each
+    weight drawn, in increasing order.  No table is built."""
     ny, sent = _sent_types(rng, channel, n, trials)
     keys, counts = np.unique(ny * (n + 1) ** 2 + sent, return_counts=True)
     weights, sents = np.divmod(keys, (n + 1) ** 2)
     starts = np.flatnonzero(np.diff(weights, prepend=-1)).tolist()
-    for lo, hi in zip(starts, starts[1:] + [len(keys)]):
-        yield types_of(int(weights[lo])), sents[lo:hi], counts[lo:hi]
+    return {int(weights[lo]): (sents[lo:hi], counts[lo:hi]) for lo, hi in zip(starts, starts[1:] + [len(keys)])}
 
 
 #: SeedSequence keys (seed, tag) of the type-domain arms' generators.  A key
@@ -1032,11 +1090,13 @@ def _packed_trial(ensemble, channel, m: int, seed: int, t: int):
 
 def _packed_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_of):
     """Each trial's joint-type histograms, counted from its bit-packed
-    codebook, as a group of one, in trial order.  A trial's arrays are
-    released only once the next trial's exist, so the allocator keeps their
-    pages instead of returning them to the system and faulting them in
-    again every trial."""
+    codebook, as a group of one, in trial order.  The trials revisit output
+    weights in trial order, so each weight's table is kept for the call
+    (n <= 64: see _TABLE_BYTES).  A trial's arrays are released only once
+    the next trial's exist, so the allocator keeps their pages instead of
+    returning them to the system and faulting them in again every trial."""
     n = ensemble.n
+    types_of = functools.cache(types_of)
     for t in range(trials):
         code, true_idx, y = _packed_trial(ensemble, channel, m, seed, t)
         ny = int(np.bitwise_count(y))
@@ -1050,33 +1110,49 @@ def _packed_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types
         yield _signs(scores, scores[:, true_type, None])[None], others[None], earlier
 
 
-def _drawn_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_of):
-    """The trials' cell counts drawn in the type domain, from one generator:
-    every sent pair's joint type first, then per output weight (_by_weight)
-    and chunk of at most _CELL_PAIRS (sent type, joint type) pairs, or one
-    sent type, one batch of decision cells and the counts of the chunk's
-    trials, in slices of at most _CELL_PAIRS (trial, cell) entries, in
-    increasing sent type, not in trial order.  Given the sent pair, the M - 1
-    independent uniform competitors' joint types with y are iid, so their
-    counts in the sent type's decision cells are one multinomial draw per
-    trial; the sent index i is uniform, and the i competitors below it are
-    a multinomial of their own."""
-    if m - 1 >= 1 << 63:
-        raise InstanceTooLargeError(f"type-domain draws need M - 1 < 2^63 codewords, not M = 2^{math.log2(m):.2f}")
+def _drawn_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_of, also=(), visit=None):
+    """The trials' cell counts drawn in the type domain (M - 1 < 2^63), from
+    one generator: every sent pair's joint type first (_by_weight), then
+    one output weight at a time, in increasing order, _weight_cells' groups.
+    Each weight's table is built once, by ``types_of``, and dropped before
+    the next one is built.  The output weights ``also`` join the same
+    ascending walk: ``visit`` is called with each one's table, after its
+    groups if the trials drew it too.  With no trials the walk only makes
+    those visits."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, _DRAWN_TAG)))
-    for types, sents, counts in _by_weight(rng, channel, ensemble.n, trials, types_of):
-        chunk = max(1, _CELL_PAIRS // types.scores.shape[1])
-        for a in range(0, len(sents), chunk):
-            signs, pmf = types.cell_rows(sents[a : a + chunk])
-            rows = np.repeat(np.arange(len(pmf)), counts[a : a + chunk])
-            step = max(1, _CELL_PAIRS // pmf.shape[1])
-            for part in (rows[b : b + step] for b in range(0, len(rows), step)):
-                if ties_as_errors:
-                    yield signs[part], rng.multinomial(m - 1, pmf[part]), None
-                else:
-                    i = rng.integers(m, size=len(part))
-                    earlier = rng.multinomial(i, pmf[part])
-                    yield signs[part], earlier + rng.multinomial(m - 1 - i, pmf[part]), earlier
+    drawn = _by_weight(rng, channel, ensemble.n, trials)
+    for ny in sorted(drawn.keys() | set(also)):
+        types = types_of(ny)
+        if ny in drawn:
+            yield from _weight_cells(types, *drawn[ny], m, ties_as_errors, rng)
+        if ny in also:
+            visit(types)
+        del types
+
+
+def _weight_cells(types, sents, counts, m, ties_as_errors, rng):
+    """The groups of one output weight's trials, whose distinct sent types
+    ``sents`` (increasing) ``counts`` trials drew, against its _Types
+    ``types``: per chunk of at most _CELL_PAIRS (sent type, joint type)
+    pairs, or one sent type, one batch of decision cells and the counts of
+    the chunk's trials, in slices of at most _CELL_PAIRS (trial, cell)
+    entries, in increasing sent type, not in trial order.  Given the sent
+    pair, the M - 1 independent uniform competitors' joint types with y are
+    iid, so their counts in the sent type's decision cells are one
+    multinomial draw per trial; the sent index i is uniform, and the i
+    competitors below it are a multinomial of their own."""
+    chunk = max(1, _CELL_PAIRS // types.scores.shape[1])
+    for a in range(0, len(sents), chunk):
+        signs, pmf = types.cell_rows(sents[a : a + chunk])
+        rows = np.repeat(np.arange(len(pmf)), counts[a : a + chunk])
+        step = max(1, _CELL_PAIRS // pmf.shape[1])
+        for part in (rows[b : b + step] for b in range(0, len(rows), step)):
+            if ties_as_errors:
+                yield signs[part], rng.multinomial(m - 1, pmf[part]), None
+            else:
+                i = rng.integers(m, size=len(part))
+                earlier = rng.multinomial(i, pmf[part])
+                yield signs[part], earlier + rng.multinomial(m - 1 - i, pmf[part]), earlier
 
 
 def _scorers(decoder_specs, family, ensemble, channel) -> list:
@@ -1201,20 +1277,32 @@ def monte_carlo_audit(
     specs = [DecoderSpec("universal"), DecoderSpec("ml")]
     for i, th in enumerate(metric_thetas):
         specs.append(DecoderSpec("metric", label=f"metric{i}", theta=tuple(tuple(r) for r in th)))
-    # one table per output weight, read by both arms
-    types_of = _type_tables(specs, ensemble, channel)
-    estimates = _experiment(ensemble, channel, family, specs, rate, trials, seed, True, types_of)
+    path, m = _checked_path(ensemble, channel, family, specs, rate, trials)
+    _check_tables(n, len(specs), kept=False)  # the shifted arm's, on either path
     delta_n = typeclasses.count_classes(family, n).log_growth
+    shifted_rate = rate + delta_n
+    shifted_m = ensembles.message_count(n, shifted_rate)
+    # the shifted arm draws its sent types first, from a generator of its
+    # own; each of its output weights is then visited once with the table
+    # the main arm builds for it, in the main arm's ascending walk.  The
+    # universal decoder is not run at the shifted rate
+    rng = np.random.default_rng(np.random.SeedSequence((seed + 1, _SHIFTED_TAG)))
+    drawn, sums = _by_weight(rng, channel, n, shifted_trials), []
+
+    def visit(types):
+        sums.append(_shifted_sums(types, len(specs) - 1, *drawn[types.ny], shifted_m))
+
+    types_of = _type_tables(specs, ensemble, channel)
+    estimates = _experiment(ensemble, channel, family, specs, rate, trials, seed, True, path, m, types_of, drawn, visit)
+    if path == "scalar":  # its main arm builds no table: the shifted arm walks alone, with no trials
+        for _ in _drawn_histograms(ensemble, channel, m, seed, 0, True, types_of, drawn, visit):
+            pass
+    shifted = _shifted_estimates(specs[1:], sums, n, shifted_rate, shifted_trials, seed + 1)
 
     est_u = estimates[0]
     theta_estimates = estimates[1:]
     factor = 2.0 * 2.0 ** (n * delta_n)
     ineq_factor_ok = est_u.ci_hi <= factor * min(e.ci_lo for e in theta_estimates)
-
-    shifted_rate = rate + delta_n
-    shifted_m = ensembles.message_count(n, shifted_rate)
-    # the universal decoder is not run at the shifted rate
-    shifted = _shifted_estimates(channel, types_of, specs[1:], n, shifted_m, shifted_rate, shifted_trials, seed + 1)
     ineq_rate_ok = est_u.ci_hi <= 2.0 * min(e.ci_lo for e in shifted)
     verdict = _verdict(est_u, [(factor, theta_estimates), (2.0, shifted)])
     est_ml = estimates[1]
@@ -1246,28 +1334,34 @@ def _verdict(est_u, sides) -> str:
     return "inconclusive"
 
 
-def _shifted_estimates(channel, types_of, specs, n, m, rate, trials, seed) -> list[ErrorEstimate]:
-    """Error probability of each decoder in ``specs`` (the last rows of
-    ``types_of``'s tables) over the uniform binary ensemble, exact over the
-    codebook randomness: given a sampled sent pair, the probability q that
-    one uniform codeword scores at least as high is the exact tail mass of
-    its joint type, and the conditional error is 1 - (1 - q)^(M - 1).  Per
-    output weight drawn (_by_weight), _tail_masses reads the tails of its
-    distinct sent types off the decoders' rank rows, with no sort.  Weighted
-    by how many trials drew each, their conditional errors and squares are
-    summed per decoder with math.fsum, and those per-weight sums again, so
-    no sum's rounding depends on memory layout or a BLAS kernel."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, _SHIFTED_TAG)))
-    sums, squares = [], []  # per output weight drawn: one per decoder
-    for types, sents, counts in _by_weight(rng, channel, n, trials, types_of):
-        rows, which = np.unique(types._rank_of[-len(specs):], return_inverse=True)
-        tails = types._masses(_tail_masses(types._ranks[rows], types._limbs)[:, which][..., sents])
-        with np.errstate(divide="ignore"):  # q = 1: log1p(-1) = -inf, error 1
-            cond = -np.expm1(float(m - 1) * np.log1p(-tails))
-        sums.append([math.fsum(row) for row in (cond * counts).tolist()])
-        squares.append([math.fsum(row) for row in (cond * cond * counts).tolist()])
-    total = [math.fsum(col) for col in zip(*sums)]
-    square = [math.fsum(col) for col in zip(*squares)]
+def _shifted_sums(types, decoders: int, sents, counts, m: int) -> tuple[list, list]:
+    """One output weight's part of the audit's shifted arm, for the last
+    ``decoders`` rows of its _Types ``types``: each decoder's error
+    probability is exact over the codebook randomness, since given a
+    sampled sent pair, the probability q that one uniform codeword scores
+    at least as high is the exact tail mass of its joint type, and the
+    conditional error is 1 - (1 - q)^(M - 1).  _tail_masses reads the tails
+    of the weight's distinct sent types ``sents`` off the decoders' rank
+    rows, with no sort, and keeps only theirs.  Weighted by the ``counts``
+    of trials that drew each, their conditional errors and squares are
+    summed per decoder with math.fsum: (sums, squares)."""
+    rows, which = np.unique(types._rank_of[-decoders:], return_inverse=True)
+    ranks = [types._ranks[r] for r in rows.tolist()]  # views, not a copy
+    tails = types._masses(_tail_masses(ranks, types._limbs, sents)[:, which])
+    with np.errstate(divide="ignore"):  # q = 1: log1p(-1) = -inf, error 1
+        cond = -np.expm1(float(m - 1) * np.log1p(-tails))
+    sums = [math.fsum(row) for row in (cond * counts).tolist()]
+    return sums, [math.fsum(row) for row in (cond * cond * counts).tolist()]
+
+
+def _shifted_estimates(specs, sums, n, rate, trials, seed) -> list[ErrorEstimate]:
+    """The shifted arm's estimate of each decoder in ``specs`` from the
+    _shifted_sums of every output weight its ``trials`` trials drew,
+    summed again with math.fsum, so no sum's rounding depends on memory
+    layout or a BLAS kernel; its interval is the normal one of the
+    conditional errors' sample variance."""
+    total = [math.fsum(col) for col in zip(*(s for s, _ in sums))]
+    square = [math.fsum(col) for col in zip(*(s2 for _, s2 in sums))]
     out = []
     for spec, s, s2 in zip(specs, total, square):
         mean = s / trials
@@ -1412,6 +1506,7 @@ def _mac_trials(channel, decoder_specs, rate1, rate2, n, trials, seed) -> np.nda
     inner = channel.inner
     users = ensembles.uniform_ensemble(2, n)
     _check_codebook(m1 * m2, 8)
+    _check_tables(n, len(decoder_specs), kept=True)
     base = _type_tables(decoder_specs, users, inner)
 
     @functools.cache

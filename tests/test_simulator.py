@@ -319,6 +319,9 @@ def test_tail_masses_equal_brute_force(data, rows, cols):
     assert got.shape == (len(limbs),) + scores.shape
     for limb, tails in zip(limbs, got):
         assert tails.tolist() == [((r[None, :] >= r[:, None]) @ limb).tolist() for r in scores]
+    # read at some entries only, the same floats
+    at = np.array(sorted(data.draw(st.sets(st.integers(0, cols - 1), min_size=1))))
+    assert simulator._tail_masses(ranks, limbs, at).tolist() == simulator._tail_masses(ranks, limbs)[..., at].tolist()
 
 
 @pytest.mark.parametrize("n", [1, 31, 32, 33, 63, 64])
@@ -872,13 +875,29 @@ class TestRunExperiment:
         # the type-domain draws hold M - 1 in 63 bits
         with pytest.raises(InstanceTooLargeError, match="2\\^63"):
             run_experiment(uniform_ensemble(2, 64), bsc(0.1), FAM, SPECS, 1.0, 1, 0)
-        # past n = 64 the type domain refuses tables of all output weights
-        # over the limit: at n = 400, 10^7 types with 17 floats each
+        # the type domain refuses, before any draw, a run or an audit whose
+        # largest output weight's table (ny = n // 2) could pass the limit
+        # while it is built, and names that weight and its bytes: at n = 400
+        # it has over 2^15 types, with int32 ranks.  An audit whose main arm
+        # takes the scalar path (a one-state finite-state family) is refused
+        # the same way, for its shifted arm's tables
+        assert 201 * 201 >= 1 << 15
+        size = simulator._table_bytes(400, 200, len(SPECS))[1]
+        monkeypatch.setattr(simulator, "_sent_types", boom)
         monkeypatch.setattr(simulator, "_Types", boom)
-        with pytest.raises(InstanceTooLargeError, match="tables"):
+        monkeypatch.setattr(simulator, "_TABLE_BYTES", size - 1)
+        with pytest.raises(InstanceTooLargeError, match=f"output weight 200 .* 2\\^{math.log2(size):.2f} bytes"):
             run_experiment(uniform_ensemble(2, 400), bsc(0.1), FAM, SPECS, 0.05, 1, 0)
-        with pytest.raises(InstanceTooLargeError, match="tables"):
-            monte_carlo_audit(bsc(0.1), FAM, [], 0.05, 400, 1, 0)
+        monkeypatch.setattr(simulator, "_TABLE_BYTES", simulator._table_bytes(400, 200, 2)[1] - 1)
+        one_state = families.finite_state_family(2, 2, 1, lambda x, y, s: 0)
+        for family in (FAM, one_state):
+            with pytest.raises(InstanceTooLargeError, match="output weight 200 "):
+                monte_carlo_audit(bsc(0.1), family, [], 0.05, 400, 1, 0, shifted_trials=1)
+        # and builds it at exactly its bytes: one trial runs
+        monkeypatch.undo()
+        monkeypatch.setattr(simulator, "_TABLE_BYTES", size)
+        est = run_experiment(uniform_ensemble(2, 400), bsc(0.1), FAM, SPECS, 0.05, 1, 0)
+        assert [e.trials for e in est] == [1] * len(SPECS)
         # the limit is bytes: 8 per packed word, 8 per symbol plus 400 per
         # scalar word, just under and just over it
         monkeypatch.undo()
@@ -954,17 +973,82 @@ class TestRunExperiment:
         (lambda: uniform_ensemble(2, True), "block length"),
         (lambda: count_classes(FAM, 2.5), "block length"),
         (lambda: surrogate_condition_check(lambda n: uniform_ensemble(2, n), [2], samples_per_y=0), "samples_per_y"),
+        (lambda: mac_run_experiment(bsc(0.1), mac_xor_additive_family(2, 2), SPECS[:1], 0.2, 0.2, 8, 10, 0), "mac_xor"),
+        (lambda: mac_run_experiment(mac_xor(bsc(0.1)), mac_xor_additive_family(2, 2), [DecoderSpec("lz")],
+                                    0.2, 0.2, 8, 10, 0), "unsupported decoder kind"),
+        (lambda: shulman_check(EventFamilySpec(4, ())), "nonempty"),
+        (lambda: shulman_check(EventFamilySpec(4, ((True, False, True, False), (True, False)))), "wrong length"),
+        (lambda: count_classes(FAM, 4, strategy="bogus"), "strategy"),
     ],
     ids=["count_classes-n0", "count_classes-n-3", "ensemble-n0", "exact-no-metrics", "mac-envelope-no-metrics",
          "run-no-decoders", "mac-run-no-decoders", "run-negative-rate", "run-nan-rate", "run-infinite-rate",
          "mc-audit-negative-rate", "exact-negative-rate", "ensemble-n-float", "ensemble-n-bool",
-         "count_classes-n-float", "surrogate-no-samples"],
+         "count_classes-n-float", "surrogate-no-samples", "mac-run-bsc", "mac-run-lz", "shulman-empty",
+         "shulman-short-mask", "count_classes-bogus-strategy"],
 )
 def test_degenerate_inputs_raise_input_error(call, match):
     """A zero, negative, fractional or bool block length, a negative or
-    non-finite rate, no samples, and an empty metric or decoder list are
-    refused as input errors, before any work."""
+    non-finite rate, no samples, an empty metric, decoder or event list, a
+    channel or decoder the two-user path cannot run, an event mask of the
+    wrong length and an unknown counting strategy are refused as input
+    errors, before any work."""
     with pytest.raises(InputError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("path", ["packed", "two-user"])
+def test_cached_tables_are_bounded_over_all_weights(path, monkeypatch):
+    """The bit-packed and two-user paths keep every output weight's table
+    for a call, so they refuse, before any draw, tables of all weights that
+    could pass the limit together: at n = 64 with a grid of 600 metrics,
+    about 300 MB.  At n = 16 with a limit of exactly their bytes one trial
+    runs, and one byte under it is refused."""
+
+    def boom(*args):
+        raise AssertionError("drew or built past the size guard")
+
+    def run(n, specs):
+        if path == "packed":
+            return run_experiment(linear_dithered_ensemble(n, 8), bsc(0.1), FAM, specs, 0.1, 1, 0)
+        return mac_run_experiment(mac_xor(bsc(0.1)), mac_xor_additive_family(2, 2), specs, 0.05, 0.05, n, 1, 0)
+
+    grid = [DecoderSpec("metric", label=f"m{i}", theta=((1.0, 0.0), (i / 600, 1.0))) for i in range(600)]
+    for name in ("_packed_words", "_mac_trial", "_Types"):
+        monkeypatch.setattr(simulator, name, boom)
+    with pytest.raises(InstanceTooLargeError, match="all output weights at n = 64 could take 2\\^28.18"):
+        run(64, grid)
+    sizes = [simulator._table_bytes(16, ny, len(SPECS)) for ny in range(17)]
+    size = sum(held for held, _ in sizes) + max(built - held for held, built in sizes)
+    monkeypatch.setattr(simulator, "_TABLE_BYTES", size - 1)
+    with pytest.raises(InstanceTooLargeError, match="all output weights at n = 16"):
+        run(16, SPECS)
+    monkeypatch.undo()
+    monkeypatch.setattr(simulator, "_TABLE_BYTES", size)
+    assert [e.trials for e in run(16, SPECS)] == [1] * len(SPECS)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: mac_run_experiment(mac_xor(bsc(0.1)), mac_xor_additive_family(2, 2), SPECS[:1], 0.2, 0.2, 65, 10, 0),
+         InstanceTooLargeError, "n <= 64"),
+        (lambda: exact_bound_audit(uniform_ensemble(2, 13), bsc(0.1), FAM, [MATCH], 0.25, 13),
+         InstanceTooLargeError, "too large"),
+        (lambda: surrogate_condition_check(lambda n: linear_dithered_ensemble(n, 2), [4]),
+         UnsupportedCombinationError, "invariant ensemble"),
+        (lambda: surrogate_condition_check(lambda n: uniform_ensemble(3, n), [11]), InstanceTooLargeError, "too large"),
+        (lambda: count_classes(families.finite_state_family(2, 2, 2, lambda x, y, s: x ^ s), 4,
+                               strategy="combinatorial"), UnsupportedCombinationError, "additive-style"),
+    ],
+    ids=["mac-run-n65", "exact-past-24-bits", "surrogate-linear", "surrogate-past-16-bits",
+         "count_classes-combinatorial-finite-state"],
+)
+def test_oversized_or_unsupported_inputs_are_refused(call, error, match):
+    """A two-user run past 64 bits, an exact audit past 24 bits, a
+    surrogate check of a non-invariant ensemble or past 16 bits, and a
+    combinatorial class count of a finite-state family are refused, each
+    with its own error, before any work."""
+    with pytest.raises(error, match=match):
         call()
 
 
@@ -1004,7 +1088,7 @@ class TestMonteCarloAudit:
                     assert tails[key][d] == pytest.approx(exhaustive, rel=1e-12)
                     row.append(1 - (1 - exhaustive) ** (m - 1))
                 cond.append(row)
-            estimates = simulator._shifted_estimates(ch, types_of, specs, n, m, 0.5, trials, 5)
+            estimates = _shifted_arm(ch, types_of, specs, n, m, 0.5, trials, 5)
             for spec, est, col in zip(specs, estimates, zip(*cond)):
                 mean = math.fsum(col) / trials
                 half = simulator._Z95 * math.sqrt(max(math.fsum(c * c for c in col) / trials - mean**2, 0) / trials)
@@ -1022,7 +1106,7 @@ class TestMonteCarloAudit:
         specs = [DecoderSpec("ml")] + [DecoderSpec("metric", f"metric{i}", th) for i, th in enumerate(grid)]
         types_of = simulator._type_tables(specs, uniform_ensemble(2, n), ch)
         m = simulator.ensembles.message_count(n, report.shifted_rate)
-        alone = simulator._shifted_estimates(ch, types_of, specs, n, m, report.shifted_rate, 300, 18)
+        alone = _shifted_arm(ch, types_of, specs, n, m, report.shifted_rate, 300, 18)
         assert report.shifted_estimates == tuple(alone)
 
     def test_each_score_row_is_sorted_once(self, monkeypatch):
@@ -1147,14 +1231,15 @@ def _shifted_arm_tails(ch, types_of, n, trials, seed):
     """The (ny, flat index) sent type of each trial of the shifted arm,
     drawn through the arm's generator, and the tails that the arm's one
     table per output weight gives each distinct one, read off the weights
-    that _by_weight yields: they strictly increase, each weight's sent
+    that _by_weight returns: they strictly increase, each weight's sent
     types strictly increase, and the counts count every trial's sent type
     once."""
     tag = (seed, simulator._SHIFTED_TAG)
     ny, sent = simulator._sent_types(np.random.default_rng(np.random.SeedSequence(tag)), ch, n, trials)
-    walk = simulator._by_weight(np.random.default_rng(np.random.SeedSequence(tag)), ch, n, trials, types_of)
+    walk = simulator._by_weight(np.random.default_rng(np.random.SeedSequence(tag)), ch, n, trials)
     tails, drawn, weights = {}, collections.Counter(), []
-    for types, sents, counts in walk:
+    for w, (sents, counts) in walk.items():
+        types = types_of(w)
         weights.append(types.ny)
         assert (np.diff(sents) > 0).all()
         for s, row, count in zip(sents.tolist(), _tails(types, sents), counts.tolist()):
@@ -1164,6 +1249,23 @@ def _shifted_arm_tails(ch, types_of, n, trials, seed):
     keys = list(zip(ny.tolist(), sent.tolist()))
     assert drawn == collections.Counter(keys)
     return keys, tails
+
+
+def _arm_weights(ch, n, key, trials):
+    """The output weights that a type-domain arm whose generator is keyed
+    ``key`` draws for ``trials`` trials (_sent_types)."""
+    rng = np.random.default_rng(np.random.SeedSequence(key))
+    return set(simulator._sent_types(rng, ch, n, trials)[0].tolist())
+
+
+def _shifted_arm(ch, types_of, specs, n, m, rate, trials, seed):
+    """The audit's shifted arm run alone, for the decoders ``specs``, the
+    last rows of ``types_of``'s tables: its sent types drawn by output
+    weight, each weight's _shifted_sums, and the estimates from them."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, simulator._SHIFTED_TAG)))
+    drawn = simulator._by_weight(rng, ch, n, trials)
+    sums = [simulator._shifted_sums(types_of(ny), len(specs), *drawn[ny], m) for ny in drawn]
+    return simulator._shifted_estimates(specs, sums, n, rate, trials, seed)
 
 
 def _batched_cells(types, sent):
@@ -1399,8 +1501,9 @@ class TestTypeDomain:
         grid is folded in several passes: every chunk that the type-domain
         source builds still equals each sent type's per-type decision
         patterns and tails, exactly; the chunks cut each weight that
-        _by_weight yields, in order; and the trials read off each chunk are
-        its sent types' trials, so every trial is read once.  Zero-mass
+        _by_weight returns, in order, all from one table per weight; and the
+        trials read off each chunk are its sent types' trials, so every
+        trial is read once.  Zero-mass
         padding draws no random numbers, so with ties as errors the chunking
         does not change a run's counts."""
         n, budget, trials, seed = 12, 100, 300, 2
@@ -1412,8 +1515,13 @@ class TestTypeDomain:
         monkeypatch.setattr(simulator, "_CELL_PAIRS", budget)
         relabel, relabels = simulator._relabel, []
         monkeypatch.setattr(simulator, "_relabel", lambda ids, count: relabels.append(count) or relabel(ids, count))
-        by_weight, walk, chunks = simulator._by_weight, [], []
-        monkeypatch.setattr(simulator, "_by_weight", lambda *args: (walk.append(w) or w for w in by_weight(*args)))
+        by_weight, walk, chunks = simulator._by_weight, {}, []
+
+        def recorded_walk(*args):
+            walk.update(by_weight(*args))
+            return walk
+
+        monkeypatch.setattr(simulator, "_by_weight", recorded_walk)
         cell_rows = simulator._Types.cell_rows
 
         def recorded(types, sents):
@@ -1428,9 +1536,10 @@ class TestTypeDomain:
             chunked.append(simulator._read(signs, others, earlier))
         assert (np.concatenate(chunked) == unchunked).all()
         assert len(relabels) > 2 * len(chunks)
-        counts = {(types.ny, s): c for types, sents, cs in walk for s, c in zip(sents.tolist(), cs.tolist())}
-        for types, sents, _ in walk:
-            assert np.concatenate([c[1] for c in chunks if c[0] is types]).tolist() == sents.tolist()
+        counts = {(ny, s): c for ny, (sents, cs) in walk.items() for s, c in zip(sents.tolist(), cs.tolist())}
+        for ny, (sents, _) in walk.items():
+            assert len({id(c[0]) for c in chunks if c[0].ny == ny}) == 1
+            assert np.concatenate([c[1] for c in chunks if c[0].ny == ny]).tolist() == sents.tolist()
         seen = []
         for types, sents, (signs, pmf), read in chunks:
             assert len(sents) * types.scores.shape[1] <= budget or len(sents) == 1
@@ -1472,6 +1581,121 @@ class TestTypeDomain:
         finally:
             tracemalloc.stop()
         assert (peaks[1] - peaks[0]) / 80000 < 200
+
+    def test_int32_ranks_past_2_to_15_types(self, monkeypatch):
+        """From 2^15 joint types at one output weight (n >= 361) the rank
+        rows are int32: a short n = 362 run, under both tie rules, builds
+        such tables, in which each decoder's rank row is the dense rank of
+        its scores, and reads every trial."""
+        wide = []
+
+        class Checked(simulator._Types):
+            def __init__(self, *args):
+                super().__init__(*args)
+                if self.scores.shape[1] >= 1 << 15:
+                    wide.append(self.ny)
+                    assert self._ranks.dtype == np.int32
+                    for row, k in zip(self.scores, self._rank_of):
+                        assert (self._ranks[k] == np.unique(row, return_inverse=True)[1]).all()
+
+        monkeypatch.setattr(simulator, "_Types", Checked)
+        for ties in (True, False):
+            est = run_experiment(uniform_ensemble(2, 362), bsc(0.1), FAM, SPECS, 0.1, 3, 5, ties_as_errors=ties)
+            assert [e.trials for e in est] == [3] * len(SPECS)
+        assert wide
+
+    def test_audit_streams_one_weight_at_a_time(self, monkeypatch):
+        """A monte_carlo_audit builds each output weight's table once for
+        both arms, so as many tables as the union of the two arms' weights,
+        in increasing weight, and holds at most one at a time, also when its
+        main arm takes the scalar path.  The traced heap peak of an n = 128
+        audit (grid of 5, 500 + 500 trials) stays under 4 MB; it was 15 MB
+        while every weight's table lived for the call."""
+        alive, built = [], []
+
+        class Tracked(simulator._Types):
+            def __init__(self, *args):
+                assert [ref() for ref in alive] == [None] * len(alive)
+                super().__init__(*args)
+                alive.append(weakref.ref(self))
+                built.append(self.ny)
+
+        monkeypatch.setattr(simulator, "_Types", Tracked)
+        ch, seed = bsc(0.1), 5
+        monte_carlo_audit(ch, FAM, default_theta_grid(4, ch, seed=2), 0.25, 32, 400, seed, shifted_trials=300)
+        main = _arm_weights(ch, 32, (seed, simulator._DRAWN_TAG), 400)
+        assert built == sorted(main | _arm_weights(ch, 32, (seed + 1, simulator._SHIFTED_TAG), 300))
+        # a one-state finite-state family takes the scalar main arm, which
+        # builds no table: the shifted arm walks its own weights alone, to
+        # the estimates of the additive family's audit
+        built.clear()
+        one_state = families.finite_state_family(2, 2, 1, lambda x, y, s: 0)
+        alone = monte_carlo_audit(ch, one_state, [], 0.25, 8, 50, seed, shifted_trials=300)
+        assert built == sorted(_arm_weights(ch, 8, (seed + 1, simulator._SHIFTED_TAG), 300))
+        shared = monte_carlo_audit(ch, FAM, [], 0.25, 8, 50, seed, shifted_trials=300)
+        assert alone.shifted_estimates == shared.shifted_estimates
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            monte_carlo_audit(ch, FAM, default_theta_grid(5, ch), 0.25, 128, 500, 1, shifted_trials=500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize("n, metrics", [(64, 4), (128, 25), (362, 0)])
+    def test_table_bytes_bound_a_weight(self, n, metrics):
+        """_table_bytes is what the guard counts for the largest output
+        weight (ny = n // 2): what its table holds once built, and the most
+        its build, or a short run that reads such tables, takes (traced
+        heap peaks), at int16 and (n = 362) int32 ranks.  What it holds
+        may exceed that by the few KB of floats that the interpreter keeps
+        on its free list.  With two decoders, the cells of one sent type
+        and the universal rule's class-size logs were what outgrew the
+        build."""
+        ch = bsc(0.1)
+        specs = [DecoderSpec("universal"), DecoderSpec("ml")] + [
+            DecoderSpec("metric", label=f"m{i}", theta=tuple(map(tuple, th)))
+            for i, th in enumerate(default_theta_grid(metrics, ch) if metrics else [])
+        ]
+        types_of = simulator._type_tables(specs, uniform_ensemble(2, n), ch)
+        types_of(0)  # resolves the rules
+        held, peak = simulator._table_bytes(n, n // 2, len(specs))
+        tracemalloc.start()
+        try:
+            types = types_of(n // 2)
+            now, built = tracemalloc.get_traced_memory()
+            del types
+            tracemalloc.reset_peak()
+            run_experiment(uniform_ensemble(2, n), ch, FAM, specs, 0.1, 2, 1, ties_as_errors=False)
+            run = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert now <= held + (16 << 10) and built <= peak and run <= peak
+
+    def test_shifted_arm_reads_tails_at_its_sent_types(self):
+        """One weight's shifted sums keep the tails of its drawn sent types
+        alone, not limbs x rank rows x types of them: at n = 200 with 26
+        metric decoders (7 limbs, over 10 000 types at the weight) the traced
+        peak stays under what the table itself holds (_table_bytes, which
+        the guard counts), where every type's tails took over eight times
+        that."""
+        ch, n = bsc(0.1), 200
+        specs = [DecoderSpec("universal"), DecoderSpec("ml")] + [
+            DecoderSpec("metric", label=f"m{i}", theta=tuple(map(tuple, th)))
+            for i, th in enumerate(default_theta_grid(25, ch))
+        ]
+        rng = np.random.default_rng(np.random.SeedSequence((3, simulator._SHIFTED_TAG)))
+        ny, (sents, counts) = max(simulator._by_weight(rng, ch, n, 2000).items(), key=lambda w: len(w[1][0]))
+        types = simulator._type_tables(specs, uniform_ensemble(2, n), ch)(ny)
+        assert len(types._ranks) > 20
+        tracemalloc.start()
+        try:
+            simulator._shifted_sums(types, len(specs) - 1, sents, counts, 2**40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < simulator._table_bytes(n, ny, len(specs))[0]
 
     def test_no_type_tables_outlive_a_call(self, monkeypatch):
         """Every table lives on its call's _Types objects, which are freed
