@@ -9,9 +9,13 @@ master seed.  The scalar, bit-packed and two-user paths key each trial's
 generator by (master seed, trial index), so a trial's realization does not
 depend on the others.  The type-domain arms (any n) draw every trial from
 one generator per arm and call: all the sent joint types first, then one
-output weight at a time, in increasing sent type (_by_weight).  Each of
-the three single-user sources (scalar, bit-packed, type domain) yields
-groups of trials that one reader, _read, turns into error indicators.
+output weight at a time, in increasing sent type (_by_weight).  Both read
+each sent type's exact conditional errors (_conditional_errors): the main
+arm draws each trial's errors from them with one uniform shared by every
+decoder, and the shifted arm averages them.  Each of the three
+single-user sources (scalar, bit-packed, type domain) yields groups of
+trials' error indicators; the scalar and bit-packed ones read theirs off
+each trial's competitors with one reader, _read.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ def wilson_interval(errors: int, trials: int, z: float = _Z95) -> tuple[float, f
     return (lo, hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ErrorEstimate:
     """Monte Carlo error probability for one decoder."""
 
@@ -58,7 +62,7 @@ class ErrorEstimate:
     seed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairwiseErrorReport:
     """Exact competitor mass for one (input, output) pair, with the
     class-mass sandwich bounds when a family is supplied.
@@ -123,7 +127,7 @@ def _score(scorer, x, y) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactAuditReport:
     """Exhaustive audit of the competitive bound at one block length.
 
@@ -205,7 +209,7 @@ def exact_bound_audit(
         # its competitors have u at least as large (class mass at most as
         # large); row 0 is universal, then one row per theta
         ranks, rank_of = _dense_ranks(np.array([u_vals] + theta_scores))
-        masses = _tail_masses(ranks, q)[rank_of]
+        masses = _tail_masses(ranks, q)[0][rank_of]
         mass_u, mass_theta = masses[0], masses[1:]
         lower_bad = mass_theta < class_mass - tol
         upper_bad = mass_u > k_y * class_mass + tol
@@ -270,7 +274,7 @@ class EventFamilySpec:
     label: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShulmanReport:
     label: str
     num_events: int
@@ -384,7 +388,7 @@ def random_pairwise_independent_family(rng: np.random.Generator) -> EventFamilyS
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurrogateReport:
     """Per-block-length growth exponents of the surrogate score.
 
@@ -455,7 +459,7 @@ def surrogate_condition_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecoderSpec:
     """One decoder to run in an experiment.
 
@@ -483,9 +487,13 @@ def run_experiment(
     seed: int,
     ties_as_errors: bool = True,
 ) -> list[ErrorEstimate]:
-    """Paired decoding trials: per trial, draw a codebook, transmit a
-    uniformly chosen message, and decode the same realization with every
-    configured decoder.  Deterministic given the master seed."""
+    """Paired decoding trials: per trial, transmit a uniformly chosen
+    message of a random codebook, and decode the same realization with
+    every configured decoder.  The scalar and bit-packed paths draw each
+    trial's codebook; the type-domain path draws only each trial's sent
+    joint type, and then every decoder's error at once, from its exact
+    conditional error given that type, with one uniform shared by all
+    decoders (_drawn_errors).  Deterministic given the master seed."""
     if not decoder_specs:
         raise InputError("at least one decoder required")
     path, m = _checked_path(ensemble, channel, family, decoder_specs, rate, trials)
@@ -523,7 +531,7 @@ def _experiment(
     """run_experiment past its refusals (_checked_path), the joint-type
     paths building each output weight's table with ``types_of``; the
     type-domain path also visits the tables of the weights ``also``
-    (_drawn_histograms)."""
+    (_drawn_errors)."""
     if path == "scalar":
         groups = _scalar_histograms(
             ensemble, channel, m, seed, trials, ties_as_errors, _scorers(decoder_specs, family, ensemble, channel)
@@ -531,8 +539,8 @@ def _experiment(
     elif path == "packed":
         groups = _packed_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_of)
     else:
-        groups = _drawn_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_of, also, visit)
-    errors = sum(_read(*group).sum(axis=0) for group in groups)
+        groups = _drawn_errors(ensemble, channel, m, seed, trials, ties_as_errors, types_of, also, visit)
+    errors = sum(group.sum(axis=0) for group in groups)
     return [
         ErrorEstimate(spec.name, ensemble.n, rate, trials, err, err / trials, *wilson_interval(err, trials), seed)
         for spec, err in zip(decoder_specs, errors.tolist())
@@ -678,19 +686,21 @@ def _type_table(rule, n: int, ny: int, limbs: np.ndarray) -> np.ndarray:
     return table.reshape(-1)
 
 
-def _tail_masses(ranks: np.ndarray, masses: np.ndarray, at=slice(None)) -> np.ndarray:
+def _tail_masses(ranks: np.ndarray, masses: np.ndarray, at=slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """For each entry ``at`` (all T by default) of each row of ``ranks``
-    (rows x T, from _dense_ranks, or a list of such rows), the total of ``masses`` (T, or leading
+    (rows x T, from _dense_ranks), the totals of ``masses`` (T, or leading
     axes x T, such as a _Types' limbs) over the row's entries ranked at
-    least as high, shaped (leading axes x rows x entries): one weighted
-    bincount per mass row and rank row, summed from the top rank down and
-    read at each entry's rank."""
-    tails = [
-        np.cumsum(np.bincount(row, weights=mass)[::-1])[::-1][row[at]]
-        for mass in masses.reshape(-1, masses.shape[-1])
-        for row in ranks
-    ]
-    return np.reshape(tails, masses.shape[:-1] + (len(ranks), -1))
+    least as high, and over those ranked equal, each shaped (leading axes x
+    rows x entries): one weighted bincount per mass row and rank row, read
+    at each entry's rank, and its sum from the top rank down likewise."""
+    tails, equal = [], []
+    for mass in masses.reshape(-1, masses.shape[-1]):
+        for row in ranks:
+            per_rank, rank = np.bincount(row, weights=mass), row[at]
+            tails.append(np.cumsum(per_rank[::-1])[::-1][rank])
+            equal.append(per_rank[rank])
+    shape = masses.shape[:-1] + (len(ranks), -1)
+    return np.reshape(tails, shape), np.reshape(equal, shape)
 
 
 def _class_limbs(n: int, ny: int) -> np.ndarray:
@@ -752,16 +762,6 @@ def _dense_ranks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks[np.unique(which, return_index=True)[1]], which
 
 
-#: the most (sent type, joint type) pairs whose decision cells one batch
-#: builds (a batch holds at least one sent type), and the most (trial,
-#: cell) entries one slice of its trials draws.  A batch's arrays take
-#: about 15 bytes per pair at n = 64 with the six decoders of the benchmark
-#: audit and about 75 at n = 32 with 27 decoders (traced heap peaks; see
-#: _Types.cell_rows), so about 0.5-2.5 MB; one sent type past _CELL_PAIRS
-#: types is counted by _table_bytes
-_CELL_PAIRS = 1 << 15
-
-
 class _Types:
     """The joint types of binary words with a y of weight ny, in flat
     order, and what the paths read off them, all built from the types'
@@ -784,105 +784,45 @@ class _Types:
         1022)."""
         return _from_limbs(limb_sums, -self.n)
 
-    def cell_rows(self, sents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(signs, pmf): the decision cells of each of the K distinct flat
-        indices in ``sents``, the joint types grouped by how every decoder
-        ranks them against that sent type, as K padded rows of C cells.
-        signs[k, :, j] (int8) is cell j's rank per decoder (1 above, 0
-        equal, -1 below, by exact score comparison), and pmf[k, j] the
-        probability that a uniform word falls in it: its exact class-size
-        total (which can be all 2^n words, as under a constant metric) over
-        2^n.  A row is zero-mass padding (signs -1), then its cells in
-        increasing mass: numpy's multinomial gives the last category the
-        leftover mass, so that lands on the heaviest cell.
 
-        One pass over the K T (sent type, joint type) pairs: uint8 group
-        codes of up to _DIGITS rank rows' digits, folded into intp cell
-        ids; the class-size limbs summed per id two at a time, as one
-        complex np.add.at; and each cell's signs read off its id.  Per pair
-        that holds a uint8 code and a bool comparison, the intp ids (three
-        copies while folding: 24 bytes) and, for up to _TILE_PAIRS of them
-        at a time, 16 bytes of tiled limb pair; per id bin (at most three per
-        pair), 16 bytes of complex sums per two limbs and, where the ids are
-        renumbered, two int64 tables."""
-        ranks = self._ranks
-        k, types = len(sents), self.scores.shape[1]
-        # each (sent, type) pair's cell id: its row, then per distinct rank
-        # row a base-3 digit (0 below, 1 equal, 2 above); decoders with equal
-        # rank rows give equal digits.  Before a fold would take the ids
-        # past 3 K T bins they are renumbered densely, in order (the first
-        # fold starts from the K distinct rows), and a fold takes only as
-        # many rows as keep them inside, so any number of decoders fits in
-        # an intp, and a row's ids stay contiguous and in order in any batch
-        bound, ids, count, folds, r = 3 * k * types, np.arange(k)[:, None], k, [], 0
-        while r < len(ranks):
-            g, kept = min(_DIGITS, len(ranks) - r), None
-            if r and count * 3**g > bound:
-                ids, count, kept = _relabel(ids.reshape(-1), count)
-            while count * 3**g > bound:
-                g -= 1
-            code = np.zeros((k, types), dtype=np.uint8)
-            for row in ranks[r : r + g]:
-                s = row[sents, None]
-                code *= 3
-                code += (row > s).view(np.uint8)
-                code += (row >= s).view(np.uint8)
-            ids = ids.reshape(k, -1) * 3**g + code
-            count *= 3**g
-            folds.append((r, g, kept))
-            r += g
-        # a zero limb pads an odd count; each part of a sum is a sum of
-        # integers below 2^53, so exact in any order.  Every class holds a
-        # word, so the ids in use, the cells in order, have a nonzero sum
-        limbs, step = self._limbs, max(1, _TILE_PAIRS // types)
-        sums = np.zeros(((len(limbs) + 1) // 2, count), dtype=complex)
-        for p, total in enumerate(sums):
-            pair = limbs[2 * p] + (1j * limbs[2 * p + 1] if 2 * p + 1 < len(limbs) else 0j)
-            tile = np.tile(pair, min(step, k))
-            for a in range(0, k, step):
-                np.add.at(total, ids[a : a + step].reshape(-1), tile[: min(step, k - a) * types])
-        del pair, tile
-        cells = np.flatnonzero(sums.any(axis=0))
-        pairs = sums[:, cells]
-        pmf = self._masses(np.stack((pairs.real, pairs.imag), axis=1).reshape(2 * len(sums), -1)[: len(limbs)])
-        # a cell's digits, read back off its id through the folds and
-        # renumberings, leave its row
-        digits = np.empty((len(cells), len(ranks)), dtype=np.uint8)
-        cell_row = cells
-        for r, g, kept in reversed(folds):
-            cell_row, code = np.divmod(cell_row, 3**g)
-            for j in reversed(range(r, r + g)):
-                code, digits[:, j] = np.divmod(code, 3)
-            if kept is not None:
-                cell_row = kept[cell_row]
-        # each row's cells by increasing mass, placed right-aligned
-        order = np.lexsort((pmf, cell_row))
-        per_row = np.bincount(cell_row, minlength=k)
-        width = int(per_row.max())
-        cell_row = cell_row[order]
-        col = np.arange(len(cells)) - np.repeat(np.cumsum(per_row) - width, per_row)
-        signs = np.full((k, len(self.scores), width), -1, dtype=np.int8)
-        signs[cell_row, :, col] = digits[order][:, self._rank_of].view(np.int8) - 1
-        pmf_rows = np.zeros((k, width))
-        pmf_rows[cell_row, col] = pmf[order]
-        return signs, pmf_rows
+def _tail_sums(types: _Types, sents: np.ndarray) -> tuple:
+    """(q>=, q>, q<, q<=, q=): how many of the 2^n words score at least,
+    above, below, at most and equal to each sent type (flat indices
+    ``sents``) with a y of the weight of _Types ``types``, on each of its
+    distinct rank rows, as exact limb sums (limbs x rank rows x sents) of
+    the class sizes: _tail_masses' at or above and equal, and the rest
+    their differences, each limb's total less a tail for the complements,
+    all integers below 2^53, so exact."""
+    ge, eq = _tail_masses(types._ranks, types._limbs, sents)
+    lt = types._limbs.sum(axis=-1)[:, None, None] - ge
+    return ge, ge - eq, lt, lt + eq, eq
 
 
-#: the most (sent type, joint type) pairs, or one sent type's, whose limb
-#: pairs one np.add.at of _Types.cell_rows adds: the tile of a limb pair
-#: that the sent types reuse takes 16 bytes per pair
-_TILE_PAIRS = 1 << 13
-
-#: the most rank rows whose base-3 digits one uint8 code holds (3^5 = 243)
-_DIGITS = 5
-
-
-def _relabel(ids: np.ndarray, count: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """The ids (below ``count``) renumbered densely in the same order, how
-    many distinct ones there are, and which old id each new one was: no
-    sort, one bincount."""
-    used = np.bincount(ids, minlength=count) > 0
-    return (np.cumsum(used) - 1)[ids], int(np.count_nonzero(used)), np.flatnonzero(used)
+def _conditional_errors(types: _Types, sents: np.ndarray, m: int, ties_as_errors: bool) -> np.ndarray:
+    """(decoders x sents): each decoder's exact error probability given
+    that the sent pair has the joint type sents[k] at the output weight of
+    _Types ``types``, over the M - 1 other independent uniform codewords.
+    With ties as errors it is 1 - q<^(M - 1) = -expm1((M - 1) log1p(-q>=)).
+    With ties to the lowest index the sent index i is uniform too, and the
+    word is decoded iff none of the i competitors below it scores at least
+    its score and none of the M - 1 - i above it scores more: the mean of
+    q<^i q<=^(M - 1 - i) over i is (q<=^M - q<^M) / (M q=), taken as
+    q<=^M (-expm1(M log(q< / q<=))) / (M q=), where q= > 0 since the sent
+    class holds a word.  No small difference is formed: log q<= is
+    log1p(-q>) while q> < 1/2, and log(q< / q<=) is log1p(-q= / q<=) while
+    q= < q<= / 2.  Every q is its exact count (_tail_sums) over 2^n,
+    rounded once, and M is a float."""
+    ge, gt, lt, le, eq = _tail_sums(types, sents)
+    with np.errstate(divide="ignore"):  # a log of 0 is -inf: an error of 1, or a q< of 0
+        if ties_as_errors:
+            errors = -np.expm1(float(m - 1) * np.log1p(-types._masses(ge)))
+        else:
+            gt, lt, le, eq = (types._masses(s) for s in (gt, lt, le, eq))
+            ratio, mf = eq / le, float(m)
+            log_le = np.where(gt < 0.5, np.log1p(-gt), np.log(le))
+            log_ratio = np.where(ratio < 0.5, np.log1p(-ratio), np.log(lt / le))
+            errors = 1.0 - np.exp(mf * log_le) * -np.expm1(mf * log_ratio) / (mf * eq)
+    return errors[types._rank_of]
 
 
 def _type_tables(decoder_specs, ensemble, channel):
@@ -930,8 +870,9 @@ def _table_bytes(n: int, ny: int, decoders: int) -> tuple[int, int]:
     limbs (the carried class sizes, or the universal rule's limb terms),
     up to 10 floats while one rule's scores are worked out, and per decoder
     _dense_ranks' int64 sort order, sorted float copy, comparison and three
-    more rank-sized arrays.  That covers the most the cells of one sent
-    type (_Types.cell_rows) and the shifted arm's tails take besides."""
+    more rank-sized arrays.  Reading it takes besides, per limb and rank
+    row, one bincount of ranks, and per drawn sent type the limb sums of
+    its tails (_tail_sums): the trials bound those, not the table."""
     types = (ny + 1) * (n - ny + 1)
     rank, limbs = (2 if types < 1 << 15 else 4), 8 * ((n + 31) // 32)
     return types * (limbs + (8 + rank) * decoders), types * (2 * limbs + 80 + (25 + 4 * rank) * decoders)
@@ -952,7 +893,7 @@ def _signs(scores: np.ndarray, sent: np.ndarray) -> np.ndarray:
 
 def _read(signs: np.ndarray, others: np.ndarray, earlier) -> np.ndarray:
     """Error indicators (trials x decoders) from ``others``, each trial's
-    competitor counts per category (a joint type or a decision cell), whose
+    competitor counts per category (a joint type or a codeword), whose
     scores compare with the sent word's as that trial's ``signs``
     (trials x decoders x categories) say.  An error is a competitor
     scoring at least the sent word; with ``earlier``, the counts of the
@@ -1079,12 +1020,13 @@ def _packed_trial(ensemble, channel, m: int, seed: int, t: int):
 
 
 # ---------------------------------------------------------------------------
-# single-user sources.  A source yields groups of trials as (signs, counts,
-# earlier), all per trial: signs (trials x decoders x categories) rank each
-# category, a joint type, a decision cell or a codeword, against the sent
-# word; counts (trials x categories) are the competitors in each, and
-# earlier those indexed below the sent word, or None when ties count as
-# errors.  _experiment reads every source the same way, with _read.
+# single-user sources.  A source yields groups of trials' error indicators
+# (trials x decoders), which _experiment totals.  The bit-packed and scalar
+# sources read each trial's with _read off its (signs, counts, earlier):
+# signs rank each category, a joint type or a codeword, against the sent
+# word, per decoder; counts are the competitors in each, and earlier those
+# indexed below the sent word, or None when ties count as errors.  The
+# type-domain source draws them from exact conditional errors.
 # ---------------------------------------------------------------------------
 
 
@@ -1107,52 +1049,35 @@ def _packed_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types
         others[true_type] -= 1
         earlier = None if ties_as_errors else np.bincount(types[:true_idx], minlength=bins)[None]
         scores = types_of(ny).scores
-        yield _signs(scores, scores[:, true_type, None])[None], others[None], earlier
+        yield _read(_signs(scores, scores[:, true_type, None])[None], others[None], earlier)
 
 
-def _drawn_histograms(ensemble, channel, m, seed, trials, ties_as_errors, types_of, also=(), visit=None):
-    """The trials' cell counts drawn in the type domain (M - 1 < 2^63), from
-    one generator: every sent pair's joint type first (_by_weight), then
-    one output weight at a time, in increasing order, _weight_cells' groups.
-    Each weight's table is built once, by ``types_of``, and dropped before
-    the next one is built.  The output weights ``also`` join the same
+def _drawn_errors(ensemble, channel, m, seed, trials, ties_as_errors, types_of, also=(), visit=None):
+    """The trials' error indicators drawn in the type domain, from one
+    generator: every sent pair's joint type first (_by_weight), then one
+    output weight at a time, in increasing order, a group of its trials in
+    increasing sent type, not in trial order.  Each trial draws
+    one uniform u, shared by every decoder, and a decoder errs iff u is
+    below its exact conditional error at the trial's sent type
+    (_conditional_errors).  Given the sent types, each decoder's errors are
+    independent with the law of M - 1 uniform competitors and a uniform
+    sent index, and decoders whose errors are equal decide alike.  Each
+    weight's table is built once, by ``types_of``, and dropped before the
+    next one is built.  The output weights ``also`` join the same
     ascending walk: ``visit`` is called with each one's table, after its
-    groups if the trials drew it too.  With no trials the walk only makes
+    group if the trials drew it too.  With no trials the walk only makes
     those visits."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, _DRAWN_TAG)))
     drawn = _by_weight(rng, channel, ensemble.n, trials)
     for ny in sorted(drawn.keys() | set(also)):
         types = types_of(ny)
         if ny in drawn:
-            yield from _weight_cells(types, *drawn[ny], m, ties_as_errors, rng)
+            sents, counts = drawn[ny]
+            errors = _conditional_errors(types, sents, m, ties_as_errors)
+            yield rng.random(int(counts.sum()))[:, None] < np.repeat(errors, counts, axis=1).T
         if ny in also:
             visit(types)
         del types
-
-
-def _weight_cells(types, sents, counts, m, ties_as_errors, rng):
-    """The groups of one output weight's trials, whose distinct sent types
-    ``sents`` (increasing) ``counts`` trials drew, against its _Types
-    ``types``: per chunk of at most _CELL_PAIRS (sent type, joint type)
-    pairs, or one sent type, one batch of decision cells and the counts of
-    the chunk's trials, in slices of at most _CELL_PAIRS (trial, cell)
-    entries, in increasing sent type, not in trial order.  Given the sent
-    pair, the M - 1 independent uniform competitors' joint types with y are
-    iid, so their counts in the sent type's decision cells are one
-    multinomial draw per trial; the sent index i is uniform, and the i
-    competitors below it are a multinomial of their own."""
-    chunk = max(1, _CELL_PAIRS // types.scores.shape[1])
-    for a in range(0, len(sents), chunk):
-        signs, pmf = types.cell_rows(sents[a : a + chunk])
-        rows = np.repeat(np.arange(len(pmf)), counts[a : a + chunk])
-        step = max(1, _CELL_PAIRS // pmf.shape[1])
-        for part in (rows[b : b + step] for b in range(0, len(rows), step)):
-            if ties_as_errors:
-                yield signs[part], rng.multinomial(m - 1, pmf[part]), None
-            else:
-                i = rng.integers(m, size=len(part))
-                earlier = rng.multinomial(i, pmf[part])
-                yield signs[part], earlier + rng.multinomial(m - 1 - i, pmf[part]), earlier
 
 
 def _scorers(decoder_specs, family, ensemble, channel) -> list:
@@ -1189,7 +1114,7 @@ def _scalar_histograms(ensemble, channel, m, seed, trials, ties_as_errors, score
         scores = np.array([[_score(scorer, w, y) for w in book.codewords] for scorer in scorers])
         index = np.arange(m)[None]
         earlier = None if ties_as_errors else index < true_idx
-        yield _signs(scores, scores[:, true_idx, None])[None], index != true_idx, earlier
+        yield _read(_signs(scores, scores[:, true_idx, None])[None], index != true_idx, earlier)
 
 
 def default_theta_grid(size: int = 25, channel=None, seed: int = 0) -> list:
@@ -1219,7 +1144,7 @@ def default_theta_grid(size: int = 25, channel=None, seed: int = 0) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonteCarloAuditReport:
     """Estimates plus both competitive inequalities at CI separation.
 
@@ -1295,7 +1220,7 @@ def monte_carlo_audit(
     types_of = _type_tables(specs, ensemble, channel)
     estimates = _experiment(ensemble, channel, family, specs, rate, trials, seed, True, path, m, types_of, drawn, visit)
     if path == "scalar":  # its main arm builds no table: the shifted arm walks alone, with no trials
-        for _ in _drawn_histograms(ensemble, channel, m, seed, 0, True, types_of, drawn, visit):
+        for _ in _drawn_errors(ensemble, channel, m, seed, 0, True, types_of, drawn, visit):
             pass
     shifted = _shifted_estimates(specs[1:], sums, n, shifted_rate, shifted_trials, seed + 1)
 
@@ -1337,19 +1262,13 @@ def _verdict(est_u, sides) -> str:
 def _shifted_sums(types, decoders: int, sents, counts, m: int) -> tuple[list, list]:
     """One output weight's part of the audit's shifted arm, for the last
     ``decoders`` rows of its _Types ``types``: each decoder's error
-    probability is exact over the codebook randomness, since given a
-    sampled sent pair, the probability q that one uniform codeword scores
-    at least as high is the exact tail mass of its joint type, and the
-    conditional error is 1 - (1 - q)^(M - 1).  _tail_masses reads the tails
-    of the weight's distinct sent types ``sents`` off the decoders' rank
-    rows, with no sort, and keeps only theirs.  Weighted by the ``counts``
-    of trials that drew each, their conditional errors and squares are
-    summed per decoder with math.fsum: (sums, squares)."""
-    rows, which = np.unique(types._rank_of[-decoders:], return_inverse=True)
-    ranks = [types._ranks[r] for r in rows.tolist()]  # views, not a copy
-    tails = types._masses(_tail_masses(ranks, types._limbs, sents)[:, which])
-    with np.errstate(divide="ignore"):  # q = 1: log1p(-1) = -inf, error 1
-        cond = -np.expm1(float(m - 1) * np.log1p(-tails))
+    probability is exact over the codebook randomness, its conditional
+    error with ties as errors at each of the weight's distinct sent types
+    ``sents`` (_conditional_errors), read off the rank rows with no sort.
+    Weighted by the ``counts`` of trials that drew each, the conditional
+    errors and their squares are summed per decoder with math.fsum: (sums,
+    squares)."""
+    cond = _conditional_errors(types, sents, m, True)[-decoders:]
     sums = [math.fsum(row) for row in (cond * counts).tolist()]
     return sums, [math.fsum(row) for row in (cond * cond * counts).tolist()]
 
@@ -1376,7 +1295,7 @@ def _shifted_estimates(specs, sums, n, rate, trials, seed) -> list[ErrorEstimate
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MacPairwiseReport:
     """The three exact pairwise error masses against their class-mass lower
     bounds for one (x1, x2, y) instance."""
@@ -1425,7 +1344,7 @@ def mac_pairwise_error_exact(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MacErrorEstimate:
     decoder: str
     n: int
@@ -1536,7 +1455,7 @@ def _mac_trials(channel, decoder_specs, rate1, rate2, n, trials, seed) -> np.nda
     return kinds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MacEnvelopeReport:
     """The composite decoder's estimate against ``constant`` times the best
     grid metric's, with ``verdict`` ``holds``, ``violated`` or

@@ -1,9 +1,14 @@
 import collections
+import copy
+import dataclasses
+import decimal
 import itertools
 import math
+import pickle
 import sys
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,15 +81,14 @@ def _unpack(word, n):
 
 
 def _fast(ens, ch, specs, m, trials, seed, ties_as_errors, source, fam=FAM):
-    """Per-trial error indicators (trials x decoders) read off the groups
-    that ``source`` yields, with fresh type tables for these decoders, or
-    their scorers for the scalar source."""
+    """Per-trial error indicators (trials x decoders), the groups that
+    ``source`` yields, with fresh type tables for these decoders, or their
+    scorers for the scalar source."""
     if source is simulator._scalar_histograms:
         scores = simulator._scorers(specs, fam, ens, ch)
     else:
         scores = simulator._type_tables(specs, ens, ch)
-    groups = source(ens, ch, m, seed, trials, ties_as_errors, scores)
-    return np.concatenate([simulator._read(*group) for group in groups])
+    return np.concatenate(list(source(ens, ch, m, seed, trials, ties_as_errors, scores)))
 
 
 def _type_word(n: int, ny: int, flat: int):
@@ -116,6 +120,20 @@ def _fisher_p(a: int, b: int, trials: int) -> float:
     return math.fsum(math.exp(v - top) for v in logs if v <= seen + 1e-7) / math.fsum(
         math.exp(v - top) for v in logs
     )
+
+
+def _conditional(above: int, equal: int, n: int, m: int, ties_as_errors: bool) -> float:
+    """The error of M uniform codewords given the sent pair, from how many
+    of the 2^n words score above and equal to it: 1 - q<^(M - 1) with ties
+    as errors; else (lowest index wins, over a uniform sent index) one
+    less P(correct) = (q<=^M - q<^M) / (M q=), taken as
+    q<=^M (-expm1(M log1p(-q= / q<=))) / (M q=), which does not cancel."""
+    if ties_as_errors:
+        q = (above + equal) / 2**n
+        return 1.0 if q == 1 else -math.expm1((m - 1) * math.log1p(-q))
+    le, eq = (2**n - above) / 2**n, equal / 2**n
+    below = math.log1p(-eq / le) if eq < le else -math.inf  # log(q< / q<=)
+    return 1.0 - math.exp(m * math.log(le)) * -math.expm1(m * below) / (m * eq)
 
 
 def _scalar_scorer(spec, ens, ch, fam=FAM):
@@ -297,11 +315,12 @@ TAIL_SCORES = st.sampled_from([-math.inf, -1.5, -0.25, 0.0, 0.1, 0.25, 3.0, math
 def test_tail_masses_equal_brute_force(data, rows, cols):
     """_tail_masses, read off the dense ranks of the rows (_dense_ranks), is
     the per-row `>=` broadcast that the exact audit held in O(N^2) memory,
-    ties included.  The float masses are dyadic, so every order of
-    summation is exact.  Masses with a leading limb axis (limbs x cols),
-    here the 32-bit limbs of integers up to 2^100, give each limb row its
-    own broadcast.  The rank rows are the distinct rankings, in order of
-    first occurrence, and each score row's index picks its own ranking."""
+    ties included, and its equal masses the `==` broadcast.  The float
+    masses are dyadic, so every order of summation is exact.  Masses with a
+    leading limb axis (limbs x cols), here the 32-bit limbs of integers up
+    to 2^100, give each limb row its own broadcast.  The rank rows are the
+    distinct rankings, in order of first occurrence, and each score row's
+    index picks its own ranking."""
     row = st.lists(TAIL_SCORES, min_size=cols, max_size=cols)
     scores = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
     ranks, rank_of = simulator._dense_ranks(scores)
@@ -312,16 +331,19 @@ def test_tail_masses_equal_brute_force(data, rows, cols):
         assert ((ranks[k][None, :] >= ranks[k][:, None]) == (r[None, :] >= r[:, None])).all()
     ints = data.draw(st.lists(st.integers(0, 2**100), min_size=cols, max_size=cols))
     masses = np.array([i % 2**20 for i in ints]) * 2.0**-10
-    got = simulator._tail_masses(ranks, masses)[rank_of]
+    got, equal = (g[rank_of] for g in simulator._tail_masses(ranks, masses))
     assert got.tolist() == [((r[None, :] >= r[:, None]) @ masses).tolist() for r in scores]
+    assert equal.tolist() == [((r[None, :] == r[:, None]) @ masses).tolist() for r in scores]
     limbs = np.array([[(i >> (32 * k)) % 2**32 for i in ints] for k in range(4)], dtype=float)
-    got = simulator._tail_masses(ranks, limbs)[:, rank_of]
-    assert got.shape == (len(limbs),) + scores.shape
-    for limb, tails in zip(limbs, got):
+    got, equal = (g[:, rank_of] for g in simulator._tail_masses(ranks, limbs))
+    assert got.shape == equal.shape == (len(limbs),) + scores.shape
+    for limb, tails, ties in zip(limbs, got, equal):
         assert tails.tolist() == [((r[None, :] >= r[:, None]) @ limb).tolist() for r in scores]
+        assert ties.tolist() == [((r[None, :] == r[:, None]) @ limb).tolist() for r in scores]
     # read at some entries only, the same floats
     at = np.array(sorted(data.draw(st.sets(st.integers(0, cols - 1), min_size=1))))
-    assert simulator._tail_masses(ranks, limbs, at).tolist() == simulator._tail_masses(ranks, limbs)[..., at].tolist()
+    for part, whole in zip(simulator._tail_masses(ranks, limbs, at), simulator._tail_masses(ranks, limbs)):
+        assert part.tolist() == whole[..., at].tolist()
 
 
 @pytest.mark.parametrize("n", [1, 31, 32, 33, 63, 64])
@@ -682,7 +704,7 @@ class TestRunExperiment:
         def boom(*args):
             raise AssertionError("a source was reached")
 
-        for name in ("_drawn_histograms", "_packed_histograms", "_scalar_histograms"):
+        for name in ("_drawn_errors", "_packed_histograms", "_scalar_histograms"):
             monkeypatch.setattr(simulator, name, boom)
         ch = mod_additive_fixed([1, 0, 1])
         cases = [
@@ -696,9 +718,10 @@ class TestRunExperiment:
                 run_experiment(ens, ch, FAM, specs, 0.25, 5, 0)
 
     def test_type_domain_matches_packed_oracle(self):
-        # the multinomial histograms and the materialized uniform codebooks
-        # give each decoder the same error probability: Fisher's exact test,
-        # at a false-alarm rate of at most 1e-6 over all comparisons
+        # the errors drawn from the sent types' conditional errors and the
+        # materialized uniform codebooks give each decoder the same error
+        # probability: Fisher's exact test, at a false-alarm rate of at most
+        # 1e-6 over all comparisons
         cases = [c for c in JOINT_TYPE_CASES if c[0].kind != "linear_dithered"]
         alpha = 1e-6 / sum(2 * len(specs) for *_, specs in cases)
         trials = 3000
@@ -706,7 +729,7 @@ class TestRunExperiment:
             m = simulator.ensembles.message_count(ens.n, rate)
             assert simulator._select_path(ens, ch, FAM, specs) == "types"
             for ties in (True, False):
-                drawn = _fast(ens, ch, specs, m, trials, 8, ties, simulator._drawn_histograms)
+                drawn = _fast(ens, ch, specs, m, trials, 8, ties, simulator._drawn_errors)
                 packed = _fast(ens, ch, specs, m, trials, 9, ties, simulator._packed_histograms)
                 for a, b in zip(drawn.sum(axis=0).tolist(), packed.sum(axis=0).tolist()):
                     assert _fisher_p(a, b, trials) > alpha, (ens, ch, ties, a, b)
@@ -719,7 +742,7 @@ class TestRunExperiment:
             ens = uniform_ensemble(2, n)
             m = simulator.ensembles.message_count(n, rate)
             for ties in (True, False):
-                errors = _fast(ens, bsc(0.15), specs, m, 1500, 3, ties, simulator._drawn_histograms)
+                errors = _fast(ens, bsc(0.15), specs, m, 1500, 3, ties, simulator._drawn_errors)
                 assert errors[:, 0].sum() > 20
                 assert (errors[:, 0] == errors[:, 1]).all()
 
@@ -755,20 +778,20 @@ class TestRunExperiment:
     def test_type_domain_past_64_bits_against_exact_averages(self):
         """Past n = 64, where no bit-packed oracle runs, the type-domain
         error counts of U and the identity metric over 200000 trials (n = 96,
-        R = 0.25, BSC(0.1), ties as errors) lie in their z = 5.3 Wilson
-        intervals (false alarm below 1e-6 for both) around the exact
-        ensemble averages P(type) (1 - (1 - q)^(M - 1)), summed over the
-        joint types.  q totals the math.comb class sizes of the types that
-        score at least the sent type: for U a class at most as large, for
-        the identity metric a scalar metric_score at least as high on one
-        word of the type."""
+        R = 0.25, BSC(0.1)) lie in their z = 5.3 Wilson intervals (false
+        alarm below 1e-6 for all four) around the exact ensemble averages
+        P(type) e(type), summed over the joint types, under both tie rules
+        (_conditional).  The tails total the math.comb class sizes of the
+        types that score above and equal to the sent type: for U a class
+        smaller or as large, for the identity metric a scalar metric_score
+        higher or equal on one word of the type."""
         n, rate, p, trials = 96, 0.25, 0.1, 200000
         ens = uniform_ensemble(2, n)
         specs = [DecoderSpec("universal"), DecoderSpec("metric", theta=((1.0, 0.0), (0.0, 1.0)))]
         assert simulator._select_path(ens, bsc(p), FAM, specs) == "types"
         m = simulator.ensembles.message_count(n, rate)
         identity = _scalar_scorer(specs[1], ens, None)
-        exact = [0.0, 0.0]
+        exact = {True: [0.0, 0.0], False: [0.0, 0.0]}
         for ny in range(n + 1):
             types = [(a11, a10) for a11 in range(ny + 1) for a10 in range(n - ny + 1)]
             sizes = [math.comb(ny, a11) * math.comb(n - ny, a10) for a11, a10 in types]
@@ -780,20 +803,22 @@ class TestRunExperiment:
                 for (a11, a10), size in zip(types, sizes)
             ]
             for d, scores in enumerate(([-size for size in sizes], agreements)):
-                tails = {}
+                equal = {}
                 for score, size in zip(scores, sizes):
-                    tails[score] = tails.get(score, 0) + size
-                above = 0
-                for score in sorted(tails, reverse=True):
-                    above += tails[score]
-                    tails[score] = above / 2**n
-                exact[d] += math.fsum(
-                    prob * (1.0 if tails[score] == 1 else -math.expm1((m - 1) * math.log1p(-tails[score])))
-                    for prob, score in zip(probs, scores)
-                )
-        for est, want in zip(run_experiment(ens, bsc(p), FAM, specs, rate, trials, 96), exact):
-            lo, hi = wilson_interval(est.errors, trials, z=5.3)
-            assert lo <= want <= hi, (est.decoder, est.errors, want * trials)
+                    equal[score] = equal.get(score, 0) + size
+                above, tails = 0, {}  # score -> words scoring above it, and equal
+                for score in sorted(equal, reverse=True):
+                    tails[score] = above, equal[score]
+                    above += equal[score]
+                for ties in exact:
+                    exact[ties][d] += math.fsum(
+                        prob * _conditional(*tails[score], n, m, ties) for prob, score in zip(probs, scores)
+                    )
+        for ties, want in exact.items():
+            estimates = run_experiment(ens, bsc(p), FAM, specs, rate, trials, 96, ties_as_errors=ties)
+            for est, mean in zip(estimates, want):
+                lo, hi = wilson_interval(est.errors, trials, z=5.3)
+                assert lo <= mean <= hi, (est.decoder, ties, est.errors, mean * trials)
 
     def test_calibration_against_exhaustive_truth(self):
         # M=2, n=2: enumerate codebooks, sent messages and outputs for the
@@ -1211,7 +1236,7 @@ class TestMonteCarloAudit:
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(simulator, "_scalar_histograms", boom)
-        monkeypatch.setattr(simulator, "_drawn_histograms", boom)
+        monkeypatch.setattr(simulator, "_drawn_errors", boom)
         fixed = mod_additive_fixed([1, 0, 0, 0] * 4)
         state = channels.finite_state_channel(2, 2, 2, lambda x, y, s: y, [[[0.9, 0.1], [0.1, 0.9]], [[0.6, 0.4], [0.4, 0.6]]])
         for ch in (fixed, state):
@@ -1220,10 +1245,10 @@ class TestMonteCarloAudit:
 
 
 def _tails(types, sents):
-    """(sent types x decoders) tail masses of ``sents``, as the arms read
-    them: one _tail_masses table over the limbs per distinct rank row, read
-    at each decoder's row, as exact floats."""
-    tails = simulator._tail_masses(types._ranks, types._limbs)[:, types._rank_of]
+    """(sent types x decoders) tail masses of ``sents``: one _tail_masses
+    table over the limbs per distinct rank row, read at each decoder's row,
+    as exact floats."""
+    tails = simulator._tail_masses(types._ranks, types._limbs)[0][:, types._rank_of]
     return types._masses(tails[..., sents]).T
 
 
@@ -1268,42 +1293,39 @@ def _shifted_arm(ch, types_of, specs, n, m, rate, trials, seed):
     return simulator._shifted_estimates(specs, sums, n, rate, trials, seed)
 
 
-def _batched_cells(types, sent):
-    """The sent type's (signs, pmf, tails), read from a batch of it alone
-    and from its row of a batch of every fifth type besides, each row's
-    zero-mass padding (first, with signs -1) removed."""
-    out = []
-    for sents in (np.array([sent]), np.union1d(np.arange(0, types.scores.shape[1], 5), [sent])):
-        row = int(np.searchsorted(sents, sent))
-        signs, pmf = types.cell_rows(sents)
-        assert signs.dtype == np.int8
-        assert signs.shape == (len(sents), len(types.scores), pmf.shape[1])
-        pad = int(np.count_nonzero(pmf[row] == 0))
-        assert (pmf[row, :pad] == 0).all() and (signs[row, :, :pad] == -1).all()
-        out.append((signs[row, :, pad:], pmf[row, pad:], _tails(types, sents)[row]))
-    return out
-
-
-def _row_by_row_cells(scores, sizes, sents, n):
-    """cell_rows' (signs, pmf) built type by type from every row of
-    ``scores``, with no rank rows: each sent type's cells are the joint
-    types with equal comparisons (base-3 digits) against it on every row,
-    in increasing mass, equal masses by their digits, padded in front to
-    the widest row with zero mass and signs -1."""
-    rows = []
-    for s in sents:
-        cells = {}
-        for t, size in enumerate(sizes):
-            key = tuple(int(r[t] > r[s]) + int(r[t] >= r[s]) for r in scores)
-            cells[key] = cells.get(key, 0) + size
-        rows.append(sorted((mass / 2**n, key) for key, mass in cells.items()))
-    width = max(map(len, rows))
-    signs, pmf = [], []
-    for row in rows:
-        pad = width - len(row)
-        pmf.append([0.0] * pad + [mass for mass, _ in row])
-        signs.append([[-1] * pad + [key[d] - 1 for _, key in row] for d in range(len(scores))])
-    return signs, pmf
+def test_frozen_results_are_slotted_and_round_trip():
+    """Every frozen dataclass of udec.simulator has slots, so its instances
+    carry no per-instance dict, and each kind of report comes back equal,
+    field for field, from pickle and from copy.deepcopy."""
+    frozen = [
+        cls for cls in vars(simulator).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == simulator.__name__
+        and cls.__dataclass_params__.frozen
+    ]
+    assert len(frozen) == 10 and all("__slots__" in vars(cls) for cls in frozen)
+    grid = default_theta_grid(3, bsc(0.1))
+    mac = mac_run_experiment(mac_xor(bsc(0.1)), mac_xor_additive_family(2, 2), SPECS[:2], 0.25, 0.25, 8, 20, 1)
+    spec = EventFamilySpec(4, ((True, False, True, False), (True, True, False, False)))
+    reports = [
+        SPECS[2],
+        run_experiment(uniform_ensemble(2, 16), bsc(0.1), FAM, SPECS, 0.25, 50, 1)[0],
+        monte_carlo_audit(bsc(0.1), FAM, grid, 0.25, 16, 50, 1, shifted_trials=50),
+        exact_bound_audit(uniform_ensemble(2, 3), bsc(0.1), FAM, [MATCH], 0.25, 3, collect_cases=True),
+        pairwise_error_exact(uniform_ensemble(2, 3), decoders.ml_scorer(bsc(0.1)), seq([0, 1, 1]), seq([0, 1, 0]), FAM),
+        shulman_check(spec),
+        surrogate_condition_check(lambda n: uniform_ensemble(2, n), [2, 3], samples_per_y=2),
+        mac[0],
+        mac_envelope_audit(mac_xor(bsc(0.1)), mac_xor_additive_family(2, 2), grid, 0.25, 0.25, 8, 20, 1),
+        mac_pairwise_error_exact(
+            mac_xor_additive_family(2, 2), uniform_ensemble(2, 3), uniform_ensemble(2, 3), MATCH,
+            seq([0, 1, 1]), seq([1, 1, 0]), seq([1, 0, 1]),
+        ),
+    ]
+    assert sorted(type(r).__name__ for r in reports) == sorted(cls.__name__ for cls in frozen)
+    for report in reports:
+        assert not hasattr(report, "__dict__")
+        for twin in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+            assert type(twin) is type(report) and twin == report and repr(twin) == repr(report)
 
 
 class TestTypeDomain:
@@ -1335,53 +1357,141 @@ class TestTypeDomain:
 
     def test_drawn_groups_cover_every_trial_once(self):
         """The type-domain source draws all sent types first, from its own
-        generator, then yields one group per chunk of distinct sent types,
-        its rows in increasing sent type: the rows are the trials, each
-        once; a row's signs are the decision cells of its sent type (a batch
-        of that type alone) after padding that holds no competitor; its
-        counts hold the M - 1 competitors, and the ones indexed below the
-        sent word are among them."""
+        generator, then yields one group per output weight drawn, in
+        increasing weight, its rows that weight's trials in increasing sent
+        type: the rows are the trials, each once.  A row's errors are the
+        generator's next uniform, one per trial, below each decoder's
+        conditional error at the row's sent type, so in every trial a
+        decoder errs whenever one with a conditional error at most its own
+        does, and decoders with equal conditional errors decide alike."""
         trials, seed = 300, 6
         for ens, ch, rate, specs in JOINT_TYPE_CASES:
             if ens.kind == "linear_dithered":
                 continue
             n, m = ens.n, simulator.ensembles.message_count(ens.n, rate)
             types_of = simulator._type_tables(specs, ens, ch)
-            rng = np.random.default_rng(np.random.SeedSequence((seed, simulator._DRAWN_TAG)))
-            keys = sorted(zip(*(a.tolist() for a in simulator._sent_types(rng, ch, n, trials))))
-            cells = {}
             for ties in (True, False):
-                seen = 0
-                for signs, others, earlier in simulator._drawn_histograms(ens, ch, m, seed, trials, ties, types_of):
-                    assert signs.shape == (len(others), len(specs), others.shape[1])
-                    for key, trial_signs, counts in zip(keys[seen:], signs, others):
-                        if key not in cells:
-                            cells[key] = types_of(key[0]).cell_rows(np.array([key[1]]))[0][0]
-                        width = cells[key].shape[1]
-                        assert (trial_signs[:, -width:] == cells[key]).all()
-                        assert (counts[:-width] == 0).all()
-                    seen += len(others)
-                    assert (others.sum(axis=1) == m - 1).all()
-                    assert (earlier is None) if ties else (earlier <= others).all()
-                assert seen == trials
+                rng = np.random.default_rng(np.random.SeedSequence((seed, simulator._DRAWN_TAG)))
+                walk = simulator._by_weight(rng, ch, n, trials)
+                groups = list(simulator._drawn_errors(ens, ch, m, seed, trials, ties, types_of))
+                assert len(groups) == len(walk)
+                for group, (ny, (sents, counts)) in zip(groups, walk.items()):
+                    p = np.repeat(simulator._conditional_errors(types_of(ny), sents, m, ties), counts, axis=1).T
+                    assert group.shape == p.shape == (counts.sum(), len(specs))
+                    assert (group == (rng.random(len(p))[:, None] < p)).all()
+                    assert ((p[:, :, None] <= p[:, None, :]) <= (group[:, :, None] <= group[:, None, :])).all()
+                assert sum(len(g) for g in groups) == trials
+                assert 0 < np.concatenate(groups).sum() < trials * len(specs)
+
+    def test_conditional_errors_equal_enumeration(self):
+        """At n <= 10, every sent type's conditional error is the exact
+        rational one, as a correctly rounded float up to a few ulps of 1:
+        with q>, q= and q< the numbers of the 2^n words scoring above, equal
+        to and below a word of the sent type (scalar scorers on one word per
+        joint type, math.comb class sizes) over 2^n, a sent word is decoded
+        with probability q<^(M - 1) with ties as errors, and with ties to the
+        lowest index the mean over its uniform index i of q<^i q<=^(M-1-i).
+        U, ML, several metrics and a constant metric (every word ties), over
+        a BSC and a Z channel, and over the noiseless channel, whose ML
+        letters are -inf where x != y; M from 2 up, past 2^n at n = 6."""
+        thetas = [((1.0, 0.0), (0.0, 1.0)), ((0.3, -0.7), (0.1, 0.9)), ((0.5, 0.5), (0.5, 0.5)), ((0.0, 1.0), (1.0, 0.0))]
+        specs = SPECS[:2] + [DecoderSpec("metric", theta=th) for th in thetas]
+        cases = [(6, bsc(0.1)), (9, dmc(((1.0, 0.0), (0.3, 0.7)))), (10, dmc(((1.0, 0.0), (0.0, 1.0))))]
+        for n, ch in cases:
+            ens = uniform_ensemble(2, n)
+            types_of = simulator._type_tables(specs, ens, ch)
+            scorers = [_scalar_scorer(spec, ens, ch) for spec in specs]
+            for ny in sorted({0, 1, n // 2, n}):
+                flats = range((ny + 1) * (n - ny + 1))
+                sizes = _class_sizes(n, ny)
+                scores = [[s(*_type_word(n, ny, f)).value for f in flats] for s in scorers]
+                types = types_of(ny)
+                sents = np.array(flats)
+                for m in (2, 3, 17, 2**n + 5 if n < 8 else 100):
+                    for ties in (True, False):
+                        got = simulator._conditional_errors(types, sents, m, ties)
+                        assert got.shape == (len(specs), len(sents))
+                        for d, row in enumerate(scores):
+                            for s, score in enumerate(row):
+                                # word counts: 2^(n (M - 1)) q<^i q<=^(M-1-i) = lt^i le^(M-1-i)
+                                le = sum(z for z, v in zip(sizes, row) if v <= score)
+                                lt = le - sum(z for z, v in zip(sizes, row) if v == score)
+                                if ties:
+                                    correct = Fraction(lt ** (m - 1), 2 ** (n * (m - 1)))
+                                else:
+                                    total = sum(lt**i * le ** (m - 1 - i) for i in range(m))
+                                    correct = Fraction(total, m * 2 ** (n * (m - 1)))
+                                want = float(1 - correct)
+                                assert got[d, s] == pytest.approx(want, rel=1e-12, abs=1e-15), (n, ny, s, d, m, ties)
+
+    @pytest.mark.parametrize("n", [24, 64, 96, 130])
+    def test_tail_sums_equal_python_ints(self, n):
+        """The five tails of _tail_sums, at 1, 2, 3 and 5 limbs of class
+        size, are per limb the exact sums whose limbs, carried, are the
+        Python-int totals of the class sizes of the types that score at
+        least, above, below, at most and equal to the sent type; each
+        decoder's row is its rank row's."""
+        specs = SPECS + [DecoderSpec("metric", theta=((0.5, 0.5), (0.5, 0.5)))]
+        types_of = simulator._type_tables(specs, uniform_ensemble(2, n), bsc(0.1))
+        for ny in (n // 2, n // 3, n):
+            types = types_of(ny)
+            count = types.scores.shape[1]
+            sents = np.array(sorted({0, count // 3, count // 2, count - 1}))
+            sizes = _class_sizes(n, ny)
+            sums = simulator._tail_sums(types, sents)
+            assert len(types._limbs) == (n + 31) // 32
+            for d, row in enumerate(types.scores.tolist()):
+                for k, s in enumerate(sents.tolist()):
+                    got = [sum(int(v) << (32 * i) for i, v in enumerate(part[:, types._rank_of[d], k])) for part in sums]
+                    want = [
+                        sum(z for z, v in zip(sizes, row) if test(v, row[s]))
+                        for test in (float.__ge__, float.__gt__, float.__lt__, float.__le__, float.__eq__)
+                    ]
+                    assert got == want
+
+    def test_lowest_index_errors_without_cancellation(self):
+        """With ties to the lowest index at n = 64 (M = 2^16), a sent class
+        of a few words has q= below 1e-16 of q<=, where q<=^M - q<^M in
+        floats cancels to 0 and gave an error of 1: every type's conditional
+        error at ny = 32 for U, ML and the identity is within 1e-15 of
+        1 - (q<=^M - q<^M) / (M q=) taken with 50-digit decimals from the
+        Python-int tails."""
+        n, ny, m = 64, 32, 2**16
+        types = simulator._type_tables(SPECS[:3], uniform_ensemble(2, n), bsc(0.1))(ny)
+        count = types.scores.shape[1]
+        sizes = _class_sizes(n, ny)
+        got = simulator._conditional_errors(types, np.arange(count), m, False)
+        small = 0
+        with decimal.localcontext(decimal.Context(prec=50)):
+            for d, row in enumerate(types.scores.tolist()):
+                for s in range(count):
+                    gt = sum(z for z, v in zip(sizes, row) if v > row[s])
+                    eq = sum(z for z, v in zip(sizes, row) if v == row[s])
+                    le, lt = (decimal.Decimal(2**n - gt) / 2**n, decimal.Decimal(2**n - gt - eq) / 2**n)
+                    q_eq = decimal.Decimal(eq) / 2**n
+                    want = 1 - (le**m - lt**m) / (m * q_eq)
+                    assert abs(got[d, s] - float(want)) < 1e-15, (d, s, got[d, s], want)
+                    small += q_eq < le * decimal.Decimal("1e-16")
+        assert small >= 16
 
     def test_type_domain_realizations_are_pinned(self):
         """The type-domain source's draws are fixed by the seed: uniform
         codewords over BSC(0.1) at R = 0.25, 400 trials, seed 11, with U, ML
-        and a 25-metric grid (more rank rows than one uint8 code holds),
-        give these per-decoder error counts under both tie rules, at n = 24
-        and at n = 70 (class sizes of 3 limbs)."""
+        and a 25-metric grid, give these per-decoder error counts under both
+        tie rules, at n = 24 and at n = 70 (class sizes of 3 limbs).  Both
+        rules draw the same sent types and uniforms, so a decoder's counts
+        differ between them only through its conditional errors."""
         ch = bsc(0.1)
         specs = SPECS[:2] + [DecoderSpec("metric", theta=th) for th in default_theta_grid(25, ch, seed=3)]
         pinned = {
-            (24, True): [43, 13, 13, 13, 305, 400, 390, 206, 400, 12, 398, 400, 338, 149,
-                         48, 357, 43, 400, 338, 26, 357, 380, 400, 400, 390, 400, 43],
-            (24, False): [28, 5, 5, 5, 307, 400, 391, 208, 400, 6, 395, 400, 331, 151,
-                          45, 352, 37, 400, 331, 18, 352, 376, 400, 400, 391, 400, 37],
-            (70, True): [2, 1, 1, 1, 389, 400, 400, 299, 400, 1, 400, 400, 395, 134,
-                         21, 396, 17, 400, 395, 3, 397, 400, 400, 400, 400, 400, 17],
-            (70, False): [4, 0, 0, 0, 388, 400, 400, 312, 400, 0, 400, 400, 397, 141,
-                          18, 399, 16, 400, 397, 7, 399, 399, 400, 400, 400, 400, 16],
+            (24, True): [34, 17, 17, 17, 316, 400, 393, 205, 400, 10, 394, 400, 339, 144,
+                         39, 355, 32, 400, 339, 22, 355, 382, 400, 400, 393, 400, 32],
+            (24, False): [32, 8, 8, 8, 316, 400, 393, 205, 400, 10, 394, 400, 339, 143,
+                          39, 355, 31, 400, 339, 19, 355, 382, 400, 400, 393, 400, 31],
+            (70, True): [2, 0, 0, 0, 391, 400, 400, 314, 400, 0, 400, 400, 395, 148,
+                         19, 398, 19, 400, 395, 5, 398, 399, 400, 400, 400, 400, 19],
+            (70, False): [2, 0, 0, 0, 391, 400, 400, 314, 400, 0, 400, 400, 395, 148,
+                          19, 398, 19, 400, 395, 5, 398, 399, 400, 400, 400, 400, 19],
         }
         for (n, ties), want in pinned.items():
             ens = uniform_ensemble(2, n)
@@ -1389,186 +1499,11 @@ class TestTypeDomain:
             estimates = run_experiment(ens, ch, FAM, specs, 0.25, 400, 11, ties_as_errors=ties)
             assert [e.errors for e in estimates] == want
 
-    def test_cells_equal_exhaustive_decision_patterns(self):
-        """Every cell's mass is the number of the 2^n words whose decisions
-        against the sent word (above, equal, below, per decoder) are the
-        cell's, over 2^n, exactly; every pattern is one cell; cells come in
-        increasing mass; and each decoder's cells at or above the sent type
-        sum to its tail mass; read from a batch of the sent type alone and
-        from its row of a batch of several."""
-        specs = SPECS + [DecoderSpec("metric", theta=((0.5, 0.5), (0.5, 0.5)))]
-        for n, ch in ((7, dmc(((1.0, 0.0), (0.3, 0.7)))), (10, bsc(0.1))):
-            ens = uniform_ensemble(2, n)
-            types_of = simulator._type_tables(specs, ens, ch)
-            scorers = [_scalar_scorer(spec, ens, ch) for spec in specs]
-            words = list(all_sequences(2, n))
-            rng = np.random.default_rng(23)
-            for ny, sent in zip(*(a.tolist() for a in simulator._sent_types(rng, ch, n, 6))):
-                x, y = _type_word(n, ny, sent)
-                sent_scores = [scorer(x, y).value for scorer in scorers]
-                patterns = {}
-                for w in words:
-                    scores = [scorer(w, y).value for scorer in scorers]
-                    key = tuple((v > s0) - (v < s0) for v, s0 in zip(scores, sent_scores))
-                    patterns[key] = patterns.get(key, 0) + 1
-                for signs, pmf, tails in _batched_cells(types_of(ny), sent):
-                    got = {tuple(col.tolist()): p for col, p in zip(signs.T, pmf)}
-                    assert len(got) == signs.shape[1]
-                    assert got == {key: count / 2**n for key, count in patterns.items()}
-                    assert (np.diff(pmf) >= 0).all()
-                    for d in range(len(specs)):
-                        assert math.fsum(pmf[signs[d] >= 0]) == tails[d]
-
-    def test_cell_masses_are_exact_at_64_bits(self):
-        """At n = 64 the class sizes reach 2^59 and a cell can hold all
-        2^64 words, and past 64 bits a class size takes 3 (n = 96) or 5
-        (n = 130) 32-bit limbs, an odd count summed in pairs with a zero
-        limb: each cell's mass is the correctly rounded Python-int sum of
-        its types' class sizes over 2^n, and the one cell of a constant
-        metric holds mass exactly 1."""
-        constant = [DecoderSpec("metric", theta=((0.5, 0.5), (0.5, 0.5)))]
-        for n in (64, 96, 130):
-            ens = uniform_ensemble(2, n)
-            half = n // 2
-            last = (half + 1) * (n - half + 1) - 1
-            for sents in ([500], [0, 500, last]):
-                pmf = simulator._type_tables(constant, ens, bsc(0.1))(half).cell_rows(np.array(sents))[1]
-                assert pmf.tolist() == [[1.0]] * len(sents)
-            types_of = simulator._type_tables(SPECS, ens, bsc(0.1))
-            for ny, sent in ((half, 520), (half - 2, 17), (n, 40), (0, 0)):
-                types = types_of(ny)
-                per_type = simulator._signs(types.scores, types.scores[:, sent, None]).T.tolist()
-                sizes = _class_sizes(n, ny)
-                for signs, pmf, _ in _batched_cells(types, sent):
-                    for col, p in zip(signs.T.tolist(), pmf):
-                        assert p == sum(size for size, key in zip(sizes, per_type) if key == col) / 2**n
-
-    def test_rank_dedupe_equals_row_by_row_cells(self):
-        """Decoders that rank every joint type alike share one rank row, and
-        the cells built over the distinct rank rows equal, in value and in
-        order, a row-by-row reference over every decoder's scores.  On a
-        BSC: U, ML, the ML metric and the identity, of which the last three
-        rank alike; another metric and the same metric with y's letters
-        swapped, whose rows at ny = n / 2 hold the same scores at transposed
-        types, so they sort alike there; and a metric that ranks like the
-        identity only where a11 = 0.  On the noiseless channel, ML is -inf
-        on every type but x = y, so it ranks like a constant metric on all
-        types but that one, wherever it falls in the flat order."""
-        other = SPECS[3].theta
-        thetas = [
-            default_theta_grid(2, bsc(0.1))[1],
-            ((1.0, 0.0), (0.0, 1.0)),
-            other,
-            tuple(row[::-1] for row in other),
-            ((1.0, 0.0), (0.0, 2.0)),
-        ]
-        cases = [
-            (10, bsc(0.1), thetas, 2),
-            (9, dmc(((1.0, 0.0), (0.0, 1.0))), [((0.5, 0.5), (0.5, 0.5)), ((1.0, 0.0), (0.0, 1.0))], 0),
-        ]
-        for n, ch, grid, merged in cases:
-            specs = SPECS[:2] + [DecoderSpec("metric", theta=th) for th in grid]
-            types_of = simulator._type_tables(specs, uniform_ensemble(2, n), ch)
-            assert len(types_of(n // 2)._ranks) == len(specs) - merged
-            for ny in range(n + 1):
-                types = types_of(ny)
-                count = types.scores.shape[1]
-                for sents in ([0], [count // 2], [count - 1], list(range(count))):
-                    signs, pmf = types.cell_rows(np.array(sents))
-                    want_signs, want_pmf = _row_by_row_cells(types.scores, _class_sizes(n, ny), sents, n)
-                    assert signs.tolist() == want_signs and pmf.tolist() == want_pmf
-
-    def test_cells_for_many_decoders(self):
-        """A grid of any size is grouped exactly: 60 metrics, past what a
-        base-3 code in 64 bits could tell apart."""
-        n, ny = 12, 5
-        grid = default_theta_grid(60, bsc(0.1), seed=4)
-        specs = [DecoderSpec("metric", theta=th) for th in grid]
-        types = simulator._type_tables(specs, uniform_ensemble(2, n), bsc(0.1))(ny)
-        for sent in (0, 9, 40):
-            per_type = simulator._signs(types.scores, types.scores[:, sent, None]).T.tolist()
-            sizes = _class_sizes(n, ny)
-            want = {}
-            for size, key in zip(sizes, per_type):
-                want[tuple(key)] = want.get(tuple(key), 0) + size
-            for signs, pmf, _ in _batched_cells(types, sent):
-                got = {tuple(c): p for c, p in zip(signs.T.tolist(), pmf)}
-                assert got == {key: size / 2**n for key, size in want.items()}
-
-    def test_chunked_batches_equal_per_type_cells(self, monkeypatch):
-        """With a pair budget below one output weight's joint types, an
-        output weight's sent types span several chunks, and the 61-decoder
-        grid is folded in several passes: every chunk that the type-domain
-        source builds still equals each sent type's per-type decision
-        patterns and tails, exactly; the chunks cut each weight that
-        _by_weight returns, in order, all from one table per weight; and the
-        trials read off each chunk are its sent types' trials, so every
-        trial is read once.  Zero-mass
-        padding draws no random numbers, so with ties as errors the chunking
-        does not change a run's counts."""
-        n, budget, trials, seed = 12, 100, 300, 2
-        ch = bsc(0.1)
-        specs = [DecoderSpec("universal")] + [DecoderSpec("metric", theta=th) for th in default_theta_grid(60, ch, seed=4)]
-        ens = uniform_ensemble(2, n)
-        m = simulator.ensembles.message_count(n, 0.25)
-        unchunked = _fast(ens, ch, specs, m, trials, seed, True, simulator._drawn_histograms)
-        monkeypatch.setattr(simulator, "_CELL_PAIRS", budget)
-        relabel, relabels = simulator._relabel, []
-        monkeypatch.setattr(simulator, "_relabel", lambda ids, count: relabels.append(count) or relabel(ids, count))
-        by_weight, walk, chunks = simulator._by_weight, {}, []
-
-        def recorded_walk(*args):
-            walk.update(by_weight(*args))
-            return walk
-
-        monkeypatch.setattr(simulator, "_by_weight", recorded_walk)
-        cell_rows = simulator._Types.cell_rows
-
-        def recorded(types, sents):
-            chunks.append([types, sents, cell_rows(types, sents), 0])
-            return chunks[-1][2]
-
-        monkeypatch.setattr(simulator._Types, "cell_rows", recorded)
-        types_of = simulator._type_tables(specs, ens, ch)
-        chunked = []
-        for signs, others, earlier in simulator._drawn_histograms(ens, ch, m, seed, trials, True, types_of):
-            chunks[-1][3] += len(others)  # a group holds trials of the chunk built last
-            chunked.append(simulator._read(signs, others, earlier))
-        assert (np.concatenate(chunked) == unchunked).all()
-        assert len(relabels) > 2 * len(chunks)
-        counts = {(ny, s): c for ny, (sents, cs) in walk.items() for s, c in zip(sents.tolist(), cs.tolist())}
-        for ny, (sents, _) in walk.items():
-            assert len({id(c[0]) for c in chunks if c[0].ny == ny}) == 1
-            assert np.concatenate([c[1] for c in chunks if c[0].ny == ny]).tolist() == sents.tolist()
-        seen = []
-        for types, sents, (signs, pmf), read in chunks:
-            assert len(sents) * types.scores.shape[1] <= budget or len(sents) == 1
-            drew = [counts[types.ny, s] for s in sents.tolist()]
-            assert read == sum(drew)
-            seen += [(types.ny, s) for s, c in zip(sents.tolist(), drew) for _ in range(c)]
-            tails = _tails(types, sents)
-            sizes = _class_sizes(n, types.ny)
-            for k, s in enumerate(sents.tolist()):
-                per_type = simulator._signs(types.scores, types.scores[:, s, None]).T.tolist()
-                want = {}
-                for size, key in zip(sizes, per_type):
-                    want[tuple(key)] = want.get(tuple(key), 0) + size
-                got = {tuple(c): p for c, p in zip(signs[k].T.tolist(), pmf[k]) if p > 0}
-                assert got == {key: size / 2**n for key, size in want.items()}
-                assert tails[k].tolist() == [
-                    sum(size for size, key in zip(sizes, per_type) if key[d] >= 0) / 2**n for d in range(len(specs))
-                ]
-        rng = np.random.default_rng(np.random.SeedSequence((seed, simulator._DRAWN_TAG)))
-        ny, sent = simulator._sent_types(rng, ch, n, trials)
-        assert seen == sorted(zip(ny.tolist(), sent.tolist()))
-        weights = [c[0].ny for c in chunks]
-        assert max(weights.count(w) for w in weights) > 1
-
     def test_main_arm_memory_does_not_grow_with_trials(self):
-        """The type-domain source gathers its cells for at most _CELL_PAIRS
-        (trial, cell) entries at once: the traced heap peak grows by under
-        200 bytes per extra trial (n = 16, U, ML and the 25-metric default
-        grid), where one copy of the cells per trial of a chunk took 834."""
+        """The type-domain source holds one output weight's trials at a
+        time: the traced heap peak grows by under 200 bytes per extra trial
+        (n = 16, U, ML and the 25-metric default grid), where one copy of
+        the decision cells per trial of a chunk once took 834."""
         ch = bsc(0.1)
         specs = SPECS[:2] + [DecoderSpec("metric", theta=th) for th in default_theta_grid(25, ch)]
         peaks = []
@@ -1650,9 +1585,8 @@ class TestTypeDomain:
         its build, or a short run that reads such tables, takes (traced
         heap peaks), at int16 and (n = 362) int32 ranks.  What it holds
         may exceed that by the few KB of floats that the interpreter keeps
-        on its free list.  With two decoders, the cells of one sent type
-        and the universal rule's class-size logs were what outgrew the
-        build."""
+        on its free list.  With two decoders, the universal rule's
+        class-size logs once outgrew the build."""
         ch = bsc(0.1)
         specs = [DecoderSpec("universal"), DecoderSpec("ml")] + [
             DecoderSpec("metric", label=f"m{i}", theta=tuple(map(tuple, th)))
