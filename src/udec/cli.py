@@ -29,7 +29,7 @@ beside its "kind"; any other key is refused, not dropped (``_READS``):
                 theta_grid (list of 2x2 matrices) or theta_grid_size
                 (default 25), not both; ensemble (exact only); trials and
                 shifted_trials (default 4000) (mc only)
-  count-classes family, n_values (list of int), strategy (optional)
+  count-classes family, n_values (list of int)
   shulman       random_families (int) and/or families (list of event
                 family descriptors)
   surrogate-check  n_values, samples_per_y (default 20), ensemble (optional,
@@ -472,13 +472,12 @@ def _audit_mc(config, config_hash, seed, out):
 def _cmd_count_classes(config, config_hash, seed, out):
     family = _build_family(_require(config, "family"))
     n_values = _n_values(config)
-    strategy = config.get("strategy", "auto")
-    reports = [typeclasses.count_classes(family, n, strategy=strategy) for n in n_values]
+    reports = [typeclasses.count_classes(family, n) for n in n_values]
     rows = [
-        (n, r.max_classes, r.log_growth, r.strategy, config_hash, seed)
+        (n, r.max_classes, r.log_growth, config_hash, seed)
         for n, r in zip(n_values, reports)
     ]
-    return ("n", "max_classes", "log_growth", "strategy") + PROVENANCE_COLUMNS, rows, 0
+    return ("n", "max_classes", "log_growth") + PROVENANCE_COLUMNS, rows, 0
 
 
 def _cmd_shulman(config, config_hash, seed, out):
@@ -543,7 +542,7 @@ _READS = {
                                        "theta_grid", "theta_grid_size"}),
         "audit mc": (_audit_mc, {"audit_mode", "n", "rate", "trials", "shifted_trials", "channel",
                                  "family", "theta_grid", "theta_grid_size"}),
-        "count-classes": (_cmd_count_classes, {"family", "n_values", "strategy"}),
+        "count-classes": (_cmd_count_classes, {"family", "n_values"}),
         "shulman": (_cmd_shulman, {"random_families", "families"}),
         "surrogate-check": (_cmd_surrogate, {"n_values", "samples_per_y", "ensemble"}),
     },

@@ -163,10 +163,10 @@ def class_probability(
 ) -> float:
     """Exact log2 mass the ensemble puts on an equivalence class.
 
-    Closed forms are used when the ensemble is invariant within the class
-    (additive-style keys with iid / uniform / uniform-over-type / dithered
-    linear ensembles: mass = member probability times cardinality); otherwise
-    the class is summed exhaustively, which is guarded by size.
+    Additive-style keys under iid / uniform / uniform-over-type / dithered
+    linear ensembles take the closed form; other keys and feedback
+    ensembles read y's class table (typeclasses.class_table): the mass the
+    walk carries, or else the class size times one member's probability.
     """
     family = key.family
     additive_like = family.kind in (families.ADDITIVE, families.MAC_XOR_ADDITIVE)
@@ -174,18 +174,15 @@ def class_probability(
         d, ya = key.discriminant, family.y_alphabet_size
         row_sums = tuple(sum(d[i : i + ya]) for i in range(0, len(d), ya))
         return _type_class_log_mass(ensemble, row_sums, typeclasses.key_class_size(key))
-    # exhaustive fallback (finite-state keys, feedback ensembles)
-    total = 0.0
-    found = False
-    for x in typeclasses.all_sequences(family.x_alphabet_size, len(y)):
-        if typeclasses.class_key(family, x, y) == key:
-            found = True
-            lp = log_prob(ensemble, x, y)
-            if lp != -math.inf:
-                total += 2.0**lp
-    if not found or total == 0.0:
+    feedback = ensemble.kind == FEEDBACK_TREE
+    weight = typeclasses.class_table(family, y, ensemble.feedback if feedback else None).get(key.discriminant, 0)
+    if weight == 0:
         return -math.inf
-    return math.log2(total)
+    if feedback:
+        return math.log2(weight)
+    d, width = key.discriminant, family.y_alphabet_size * family.num_states
+    row_sums = tuple(sum(d[i : i + width]) for i in range(0, len(d), width))
+    return _type_class_log_mass(ensemble, row_sums, weight)
 
 
 def _type_class_log_mass(
@@ -232,7 +229,7 @@ def check_rate(rate: float) -> None:
         raise InputError(f"rate must be non-negative and finite, got {rate!r}")
 
 
-#: the most bits n*rate a message count may have: far past the 2^63
+#: the most bits n*rate a message count may have: far past the 2^1024
 #: codewords any path can run, yet the count is built in microseconds
 _MAX_MESSAGE_BITS = 1 << 16
 

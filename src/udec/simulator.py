@@ -518,11 +518,17 @@ def _checked_path(ensemble, channel, family, decoder_specs, rate, trials) -> tup
     if channel.kind == channels.MOD_ADDITIVE and channel.noise_word and len(channel.noise_word) != n:
         raise InputError(f"the fixed noise word has {len(channel.noise_word)} symbols, the block length is {n}")
     path = _select_path(ensemble, channel, family, decoder_specs)
-    if path == "types" and m - 1 >= 1 << 63:
-        raise InstanceTooLargeError(f"type-domain draws need M - 1 < 2^63 codewords, not M = 2^{math.log2(m):.2f}")
+    if path == "types":
+        _check_float_count(m)
     if path != "scalar":
         _check_tables(n, len(decoder_specs), kept=path == "packed")
     return path, m
+
+
+def _check_float_count(m: int) -> None:
+    """Refuse M >= 2^1024 (n * R >= 1024): _conditional_errors takes M as a float."""
+    if m >= 1 << 1024:
+        raise InstanceTooLargeError(f"type-domain draws need M < 2^1024 codewords, not M = 2^{math.log2(m):.2f}")
 
 
 def _experiment(
@@ -1207,6 +1213,7 @@ def monte_carlo_audit(
     delta_n = typeclasses.count_classes(family, n).log_growth
     shifted_rate = rate + delta_n
     shifted_m = ensembles.message_count(n, shifted_rate)
+    _check_float_count(shifted_m)
     # the shifted arm draws its sent types first, from a generator of its
     # own; each of its output weights is then visited once with the table
     # the main arm builds for it, in the main arm's ascending walk.  The

@@ -1,9 +1,10 @@
 """Method-of-types primitives.
 
 Empirical joint types, exact conditional type-class cardinalities, empirical
-information measures, the per-family equivalence-class key, and exact
-equivalence-class counting.  All cardinalities use arbitrary-precision
-integers; logs are base 2 and taken only at the boundary.
+information measures, the per-family equivalence-class key, y's class table
+from one forward walk over y, and exact equivalence-class counting.  All
+cardinalities use arbitrary-precision integers; logs are base 2 and taken
+only at the boundary.
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ EXHAUSTIVE_BITS = 24
 #: slot, key tuple and count) takes about 200 bytes traced and up to about
 #: 310 resident, so 2^20 of them take about 256 MiB, the simulator's limit
 _MAX_COMPOSITIONS = 1 << 20
+
+#: class_table grows a walk step to at most _FRONTIER_BYTES // (_ENTRY_BYTES
+#: + 8 per key count) prefixes: traced, a walk peaked at 400 to 510 bytes per
+#: prefix of its last step, under that divisor, with 4 to 27 key counts
+_FRONTIER_BYTES = 256 << 20
+_ENTRY_BYTES = 400
 
 
 @dataclass(frozen=True)
@@ -244,12 +251,45 @@ def key_class_size(key: EquivalenceClassKey) -> int | None:
     """Exact class cardinality when it is recoverable from the key alone.
 
     Available for additive-style keys (the key *is* the joint type).  For
-    finite-state keys the cardinality depends on the output sequence, so
-    callers must enumerate; returns None in that case.
+    finite-state keys the cardinality depends on the output sequence, and
+    y's class table (class_table) holds it; returns None in that case.
     """
     if key.family.kind not in (families.ADDITIVE, families.MAC_XOR_ADDITIVE):
         return None
     return _class_size(key.discriminant, key.family.y_alphabet_size)
+
+
+def class_table(
+    family: families.MetricFamily, y: Sequence, machine=None
+) -> dict[tuple[int, ...], int | float]:
+    """Every class of x given y, from one forward walk over y's symbols:
+    key discriminant -> its number of words or, given a feedback
+    ``machine`` (``initial_state``, ``step(t, x, y)``, ``emit``), their
+    probability under it, leaving out classes it never emits.  The walk
+    carries (family state, machine state, key counts) -> weight; each
+    symbol adds every input letter a, one more count (a * |Y| + y) * S + s,
+    and only a finite-state family steps its state s."""
+    xa, ya, ns = family.x_alphabet_size, family.y_alphabet_size, family.num_states
+    after = family.next_state or (0,) * (xa * ya)  # one state, s = 0, for other kinds
+    emit, t0 = (((1,) * xa,), 0) if machine is None else (machine.emit, machine.initial_state)
+    limit = _FRONTIER_BYTES // (_ENTRY_BYTES + 8 * xa * ya * ns)
+    frontier = {(family.initial_state, t0, (0,) * (xa * ya * ns)): 1}
+    for b in y:
+        grown = {}
+        for (s, t, counts), weight in frontier.items():
+            for a, p in enumerate(emit[t]):
+                if p:
+                    i = (a * ya + b) * ns + s
+                    counts_a = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
+                    key = (after[i], 0 if machine is None else machine.step(t, a, b), counts_a)
+                    grown[key] = grown.get(key, 0) + weight * p
+            if len(grown) > limit:
+                raise InstanceTooLargeError(f"the class walk at n = {len(y)} holds over {limit} prefixes (about 256 MiB)")
+        frontier = grown
+    table = {}
+    for (_, _, counts), weight in frontier.items():
+        table[counts] = table.get(counts, 0) + weight
+    return table
 
 
 @dataclass(frozen=True)
@@ -266,7 +306,6 @@ class ClassCountReport:
     counts_by_composition: dict[tuple[int, ...], int]
     max_classes: int
     log_growth: float
-    strategy: str
 
 
 def check_block_length(n) -> None:
@@ -280,64 +319,45 @@ def check_block_length(n) -> None:
         raise InputError(f"block length must be an integer of at least 1, got {n!r}")
 
 
-def count_classes(
-    family: families.MetricFamily, n: int, strategy: str = "auto"
-) -> ClassCountReport:
+def count_classes(family: families.MetricFamily, n: int) -> ClassCountReport:
     """Count equivalence classes per output composition, exactly.
 
-    ``strategy`` is one of ``auto``, ``combinatorial`` (additive-style
-    families only; closed-form count of realizable joint count matrices) or
-    ``exhaustive`` (enumerates inputs, and for finite-state families outputs
-    as well; guarded by size).
+    Additive-style families are counted in closed form, as the realizable
+    joint count matrices; finite-state families by y's class table
+    (class_table) for every output y, guarded by size.
     """
     check_block_length(n)
-    # one table entry per output composition, for every strategy
-    entries = math.comb(n + family.y_alphabet_size - 1, family.y_alphabet_size - 1)
+    xa, ya = family.x_alphabet_size, family.y_alphabet_size
+    # one table entry per output composition
+    entries = math.comb(n + ya - 1, ya - 1)
     if entries > _MAX_COMPOSITIONS:
         raise InstanceTooLargeError(
             f"{entries} output compositions at n = {n} are over the limit of "
             f"{_MAX_COMPOSITIONS} (about 256 MiB)"
         )
-    additive_like = family.kind in (families.ADDITIVE, families.MAC_XOR_ADDITIVE)
-    if strategy == "auto":
-        strategy = "combinatorial" if additive_like else "exhaustive"
-    if strategy == "combinatorial":
-        if not additive_like:
-            raise UnsupportedCombinationError(
-                "combinatorial counting requires an additive-style family"
-            )
-        counts = {
-            comp: _combinatorial_count(family.x_alphabet_size, comp)
-            for comp in _compositions(n, family.y_alphabet_size)
-        }
-    elif strategy == "exhaustive":
-        counts = _exhaustive_counts(family, n)
+    if family.kind in (families.ADDITIVE, families.MAC_XOR_ADDITIVE):
+        counts = {comp: _combinatorial_count(xa, comp) for comp in _compositions(n, ya)}
     else:
-        raise InputError(f"unknown counting strategy: {strategy!r}")
-
+        if n * (math.log2(xa) + math.log2(ya)) > EXHAUSTIVE_BITS:
+            raise InstanceTooLargeError(f"finite-state class count over {xa}^{n} x {ya}^{n} refused")
+        counts = {}
+        for y in all_sequences(ya, n):
+            comp = tuple(map(y.symbols.count, range(ya)))
+            counts[comp] = max(counts.get(comp, 0), classes_for_output(family, y))
     max_classes = max(counts.values())
     return ClassCountReport(
         n=n,
         counts_by_composition=counts,
         max_classes=max_classes,
         log_growth=math.log2(max_classes) / n,
-        strategy=strategy,
     )
 
 
 def classes_for_output(family: families.MetricFamily, y: Sequence) -> int:
     """Exact class count for one concrete output sequence."""
     if family.kind in (families.ADDITIVE, families.MAC_XOR_ADDITIVE):
-        comp = tuple(
-            sum(1 for v in y if v == b) for b in range(family.y_alphabet_size)
-        )
-        return _combinatorial_count(family.x_alphabet_size, comp)
-    n = len(y)
-    keys = {
-        class_key(family, x, y)
-        for x in all_sequences(family.x_alphabet_size, n)
-    }
-    return len(keys)
+        return _combinatorial_count(family.x_alphabet_size, tuple(map(y.symbols.count, range(family.y_alphabet_size))))
+    return len(class_table(family, y))
 
 
 def _combinatorial_count(x_alphabet_size: int, composition: tuple[int, ...]) -> int:
@@ -356,29 +376,3 @@ def _compositions(n: int, parts: int):
     for head in range(n + 1):
         for tail in _compositions(n - head, parts - 1):
             yield (head,) + tail
-
-
-def _exhaustive_counts(family, n):
-    xa, ya = family.x_alphabet_size, family.y_alphabet_size
-    if family.kind in (families.ADDITIVE, families.MAC_XOR_ADDITIVE):
-        # class keys depend on y only through its composition
-        counts = {}
-        for comp in _compositions(n, ya):
-            y_symbols = tuple(
-                b for b in range(ya) for _ in range(comp[b])
-            )
-            y = Sequence(y_symbols, ya)
-            counts[comp] = len(
-                {class_key(family, x, y) for x in all_sequences(xa, n)}
-            )
-        return counts
-    if n * (math.log2(xa) + math.log2(ya)) > EXHAUSTIVE_BITS:
-        raise InstanceTooLargeError(
-            f"exhaustive class count over {xa}^{n} x {ya}^{n} refused"
-        )
-    counts: dict[tuple[int, ...], int] = {}
-    for y in all_sequences(ya, n):
-        comp = tuple(sum(1 for v in y if v == b) for b in range(ya))
-        k = len({class_key(family, x, y) for x in all_sequences(xa, n)})
-        counts[comp] = max(counts.get(comp, 0), k)
-    return counts

@@ -244,6 +244,7 @@ class TestOtherSubcommands:
         out = str(tmp_path / "c.csv")
         assert main(["count-classes", "--config", cfg, "--out", out]) == 0
         rows = (tmp_path / "c.csv").read_text().splitlines()
+        assert rows[0] == "n,max_classes,log_growth,config_hash,seed"
         assert rows[1].split(",")[1] == "4"  # K_2
 
     def test_shulman(self, tmp_path):
@@ -315,7 +316,8 @@ class TestErrorHandling:
             ("simulate", dict(SIMULATE, channel={"kind": "bsc", "p": True}), []),
             ("simulate", dict(SIMULATE, ties_as_errors="false"), []),
             ("audit", dict(AUDIT_MC, rate=NAN), []),
-            ("simulate", dict(SIMULATE, n=64, rate=1.0), []),
+            ("simulate", dict(SIMULATE, n=1024, rate=1.0), []),
+            ("audit", dict(AUDIT_MC, n=1024, rate=0.995, theta_grid_size=1), []),
             ("simulate", dict(SIMULATE, n=2000, rate=0.6), []),
             ("simulate", dict(SIMULATE, rate=1e9), []),
             ("simulate", dict(SIMULATE, ensemble={"kind": "uniform", "alphabet_size": 2.7}), []),
@@ -332,6 +334,7 @@ class TestErrorHandling:
             ("shulman", {"families": [{"kind": "projective_lines", "q": 5, "label": 3}]}, []),
             ("count-classes", {"family": {"kind": "additive"}, "n_values": [30000000]}, []),
             ("count-classes", {"family": {"kind": "additive"}, "n_values": [2, 0]}, []),
+            ("count-classes", {"family": {"kind": "additive"}, "n_values": [2], "strategy": "exhaustive"}, []),
             ("surrogate-check", {"n_values": "4"}, []),
             ("simulate", dict(MAC_SIMULATE, ensemble={"kind": "iid", "probs": [0.9, 0.1]}, ties_as_errors=False), []),
             ("simulate", dict(MAC_SIMULATE, rate=0.25), []),
@@ -352,12 +355,12 @@ class TestErrorHandling:
         ids=["bool-trials", "negative-seed", "parity-no-num_bits", "lines-no-q", "unknown-key",
              "non-numeric-theta", "non-numeric-theta_grid", "unwritable-out", "nan-theta",
              "2x3-theta_grid-mc", "2x3-theta_grid-exact", "bool-rate", "bool-p",
-             "string-ties_as_errors", "nan-rate", "over-2^63-codewords", "2^1200-codewords", "rate-1e9",
+             "string-ties_as_errors", "nan-rate", "2^1024-codewords", "mc-shifted-2^1036-codewords", "2^1200-codewords", "rate-1e9",
              "float-alphabet_size", "float-message_bits", "float-x_alphabet_size",
              "parity-2^40-outcomes", "lines-q100003", "string-subsets", "list-label",
              "parity-short-targets", "parity-negative-subset", "lines-short-shifts",
              "string-num_events", "int-family-label", "count-classes-30000001-compositions",
-             "count-classes-zero-n", "surrogate-string-n_values", "mac-ensemble-ties_as_errors", "mac-rate",
+             "count-classes-zero-n", "count-classes-strategy", "surrogate-string-n_values", "mac-ensemble-ties_as_errors", "mac-rate",
              "single-user-rate1-rate2", "mc-ensemble", "exact-trials", "exact-shifted_trials",
              "uniform-probs", "bsc-matrix", "mac-inner-noise_probs", "additive-num_states",
              "universal-theta", "misspelt-lable", "parity-subset", "exact-both-theta_grid_keys",

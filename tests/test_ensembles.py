@@ -14,6 +14,7 @@ from udec import (
     class_key,
     count_classes,
     feedback_tree_ensemble,
+    finite_state_family,
     iid_ensemble,
     linear_dithered_ensemble,
     sample_codebook,
@@ -135,6 +136,34 @@ class TestClassProbability:
                     assert got == -math.inf
                 else:
                     assert 2.0**got == pytest.approx(direct, abs=1e-9)
+
+    def test_finite_state_masses_match_enumeration(self):
+        """On finite-state keys the mass, y's class size times one member's
+        probability, is within 1e-12 in log2 of the enumerated fsum of its
+        members' probabilities, under every static codeword law."""
+        fam = finite_state_family(2, 2, 2, lambda x, y, s: x ^ y ^ s)
+        rng = np.random.default_rng(11)
+        gap = 0.0
+        for n in (4, 6, 8):
+            for ens in (
+                uniform_ensemble(2, n),
+                iid_ensemble((0.2, 0.8), n),
+                uniform_over_type_ensemble((n // 2, n - n // 2), n),
+                linear_dithered_ensemble(n, 2),
+            ):
+                for _ in range(10):
+                    x, y = seq(rng.integers(0, 2, n)), seq(rng.integers(0, 2, n))
+                    key = class_key(fam, x, y)
+                    direct = math.fsum(
+                        2.0 ** log_prob(ens, c) for c in all_sequences(2, n) if class_key(fam, c, y) == key
+                    )
+                    got = class_probability(ens, key, y)
+                    if direct == 0.0:
+                        assert got == -math.inf
+                    else:
+                        gap = max(gap, abs(got - math.log2(direct)))
+        assert gap <= 1e-12
+        print(f"largest log2 gap {gap:.3g}")
 
     def test_feedback_class_mass_exhaustive(self):
         fam = additive_family(2, 2)

@@ -127,13 +127,17 @@ def _conditional(above: int, equal: int, n: int, m: int, ties_as_errors: bool) -
     of the 2^n words score above and equal to it: 1 - q<^(M - 1) with ties
     as errors; else (lowest index wins, over a uniform sent index) one
     less P(correct) = (q<=^M - q<^M) / (M q=), taken as
-    q<=^M (-expm1(M log1p(-q= / q<=))) / (M q=), which does not cancel."""
+    q<=^M (-expm1(M log1p(-q= / q<=))) / (M q=), which does not cancel;
+    log q<= is log1p(-q>) while q> < 1/2, which keeps a q> below 2^-53
+    that M amplifies."""
     if ties_as_errors:
         q = (above + equal) / 2**n
         return 1.0 if q == 1 else -math.expm1((m - 1) * math.log1p(-q))
     le, eq = (2**n - above) / 2**n, equal / 2**n
     below = math.log1p(-eq / le) if eq < le else -math.inf  # log(q< / q<=)
-    return 1.0 - math.exp(m * math.log(le)) * -math.expm1(m * below) / (m * eq)
+    gt = above / 2**n
+    log_le = math.log1p(-gt) if gt < 0.5 else math.log(le)
+    return 1.0 - math.exp(m * log_le) * -math.expm1(m * below) / (m * eq)
 
 
 def _scalar_scorer(spec, ens, ch, fam=FAM):
@@ -778,14 +782,20 @@ class TestRunExperiment:
     def test_type_domain_past_64_bits_against_exact_averages(self):
         """Past n = 64, where no bit-packed oracle runs, the type-domain
         error counts of U and the identity metric over 200000 trials (n = 96,
-        R = 0.25, BSC(0.1)) lie in their z = 5.3 Wilson intervals (false
-        alarm below 1e-6 for all four) around the exact ensemble averages
-        P(type) e(type), summed over the joint types, under both tie rules
-        (_conditional).  The tails total the math.comb class sizes of the
-        types that score above and equal to the sent type: for U a class
-        smaller or as large, for the identity metric a scalar metric_score
-        higher or equal on one word of the type."""
-        n, rate, p, trials = 96, 0.25, 0.1, 200000
+        R = 0.25, and n = 128, R = 0.5, where M = 2^64; BSC(0.1)) lie in
+        their z = 5.3 Wilson intervals (false alarm below 1e-6 for all
+        eight) around the exact ensemble averages P(type) e(type), summed
+        over the joint types, under both tie rules (_conditional).  The
+        tails total the math.comb class sizes of the types that score above
+        and equal to the sent type: for U a class smaller or as large, for
+        the identity metric a scalar metric_score higher or equal on one
+        word of the type."""
+        for n, rate in ((96, 0.25), (128, 0.5)):
+            self._check_exact_averages(n, rate)
+
+    @staticmethod
+    def _check_exact_averages(n, rate):
+        p, trials = 0.1, 200000
         ens = uniform_ensemble(2, n)
         specs = [DecoderSpec("universal"), DecoderSpec("metric", theta=((1.0, 0.0), (0.0, 1.0)))]
         assert simulator._select_path(ens, bsc(p), FAM, specs) == "types"
@@ -897,9 +907,8 @@ class TestRunExperiment:
             mac_run_experiment(mac_xor(bsc(0.1)), mac_xor_additive_family(2, 2), SPECS, 0.3, 0.3, 64, 1, 0)
         with pytest.raises(InstanceTooLargeError, match="codebook"):
             run_experiment(iid_ensemble((0.4, 0.6), 80), bsc(0.1), FAM, SPECS[1:2], 0.25, 1, 0)
-        # the type-domain draws hold M - 1 in 63 bits
-        with pytest.raises(InstanceTooLargeError, match="2\\^63"):
-            run_experiment(uniform_ensemble(2, 64), bsc(0.1), FAM, SPECS, 1.0, 1, 0)
+        # the type-domain draws take M as a float: M = 2^64 runs
+        assert [e.trials for e in run_experiment(uniform_ensemble(2, 64), bsc(0.1), FAM, SPECS, 1.0, 1, 0)] == [1] * len(SPECS)
         # the type domain refuses, before any draw, a run or an audit whose
         # largest output weight's table (ny = n // 2) could pass the limit
         # while it is built, and names that weight and its bytes: at n = 400
@@ -910,6 +919,12 @@ class TestRunExperiment:
         size = simulator._table_bytes(400, 200, len(SPECS))[1]
         monkeypatch.setattr(simulator, "_sent_types", boom)
         monkeypatch.setattr(simulator, "_Types", boom)
+        # and refuse, before any draw, M >= 2^1024 (n * R >= 1024) for a run
+        # and for an audit's shifted arm, at n * (R + delta_n) = 1018.88 + 18.01
+        with pytest.raises(InstanceTooLargeError, match="M < 2\\^1024 codewords, not M = 2\\^1024.00"):
+            run_experiment(uniform_ensemble(2, 1024), bsc(0.1), FAM, SPECS, 1.0, 1, 0)
+        with pytest.raises(InstanceTooLargeError, match="M < 2\\^1024 codewords, not M = 2\\^1036.89"):
+            monte_carlo_audit(bsc(0.1), FAM, [], 0.995, 1024, 1, 0, shifted_trials=1)
         monkeypatch.setattr(simulator, "_TABLE_BYTES", size - 1)
         with pytest.raises(InstanceTooLargeError, match=f"output weight 200 .* 2\\^{math.log2(size):.2f} bytes"):
             run_experiment(uniform_ensemble(2, 400), bsc(0.1), FAM, SPECS, 0.05, 1, 0)
@@ -1003,20 +1018,18 @@ class TestRunExperiment:
                                     0.2, 0.2, 8, 10, 0), "unsupported decoder kind"),
         (lambda: shulman_check(EventFamilySpec(4, ())), "nonempty"),
         (lambda: shulman_check(EventFamilySpec(4, ((True, False, True, False), (True, False)))), "wrong length"),
-        (lambda: count_classes(FAM, 4, strategy="bogus"), "strategy"),
     ],
     ids=["count_classes-n0", "count_classes-n-3", "ensemble-n0", "exact-no-metrics", "mac-envelope-no-metrics",
          "run-no-decoders", "mac-run-no-decoders", "run-negative-rate", "run-nan-rate", "run-infinite-rate",
          "mc-audit-negative-rate", "exact-negative-rate", "ensemble-n-float", "ensemble-n-bool",
          "count_classes-n-float", "surrogate-no-samples", "mac-run-bsc", "mac-run-lz", "shulman-empty",
-         "shulman-short-mask", "count_classes-bogus-strategy"],
+         "shulman-short-mask"],
 )
 def test_degenerate_inputs_raise_input_error(call, match):
     """A zero, negative, fractional or bool block length, a negative or
     non-finite rate, no samples, an empty metric, decoder or event list, a
-    channel or decoder the two-user path cannot run, an event mask of the
-    wrong length and an unknown counting strategy are refused as input
-    errors, before any work."""
+    channel or decoder the two-user path cannot run and an event mask of
+    the wrong length are refused as input errors, before any work."""
     with pytest.raises(InputError, match=match):
         call()
 
@@ -1062,17 +1075,13 @@ def test_cached_tables_are_bounded_over_all_weights(path, monkeypatch):
         (lambda: surrogate_condition_check(lambda n: linear_dithered_ensemble(n, 2), [4]),
          UnsupportedCombinationError, "invariant ensemble"),
         (lambda: surrogate_condition_check(lambda n: uniform_ensemble(3, n), [11]), InstanceTooLargeError, "too large"),
-        (lambda: count_classes(families.finite_state_family(2, 2, 2, lambda x, y, s: x ^ s), 4,
-                               strategy="combinatorial"), UnsupportedCombinationError, "additive-style"),
     ],
-    ids=["mac-run-n65", "exact-past-24-bits", "surrogate-linear", "surrogate-past-16-bits",
-         "count_classes-combinatorial-finite-state"],
+    ids=["mac-run-n65", "exact-past-24-bits", "surrogate-linear", "surrogate-past-16-bits"],
 )
 def test_oversized_or_unsupported_inputs_are_refused(call, error, match):
-    """A two-user run past 64 bits, an exact audit past 24 bits, a
-    surrogate check of a non-invariant ensemble or past 16 bits, and a
-    combinatorial class count of a finite-state family are refused, each
-    with its own error, before any work."""
+    """A two-user run past 64 bits, an exact audit past 24 bits, and a
+    surrogate check of a non-invariant ensemble or past 16 bits are
+    refused, each with its own error, before any work."""
     with pytest.raises(error, match=match):
         call()
 

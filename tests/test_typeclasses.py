@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +18,57 @@ from udec import (
     finite_state_family,
     seq,
 )
+from udec import typeclasses
+from udec.ensembles import FeedbackStateMachine, feedback_tree_ensemble, log_prob
 from udec.typeclasses import (
     Sequence,
     all_sequences,
+    class_table,
     classes_for_output,
     key_class_size,
     type_class_size,
 )
+
+
+def enumerated_table(family, y, ensemble=None):
+    """Oracle for class_table: y's classes by listing every input, each
+    key's number of words or, given a feedback ensemble, the fsum of its
+    words' probabilities, with zero-mass classes left out."""
+    members = {}
+    for x in all_sequences(family.x_alphabet_size, len(y)):
+        p = 1 if ensemble is None else 2.0 ** log_prob(ensemble, x, y)
+        members.setdefault(class_key(family, x, y).discriminant, []).append(p)
+    if ensemble is None:
+        return {key: len(ps) for key, ps in members.items()}
+    return {key: math.fsum(ps) for key, ps in members.items() if math.fsum(ps)}
+
+
+def enumerated_counts(family, n):
+    """Oracle for count_classes: per output composition, the most classes
+    any output with it has, by enumeration."""
+    most = {}
+    for y in all_sequences(family.y_alphabet_size, n):
+        comp = tuple(y.symbols.count(b) for b in range(family.y_alphabet_size))
+        most[comp] = max(most.get(comp, 0), len(enumerated_table(family, y)))
+    return most
+
+
+def random_finite_state_family(rng):
+    xa, ya, ns = rng.choice((2, 3)), rng.choice((2, 3)), rng.randint(1, 3)
+    table = [rng.randrange(ns) for _ in range(xa * ya * ns)]
+    return finite_state_family(xa, ya, ns, table, initial_state=rng.randrange(ns))
+
+
+def random_dyadic_machine(rng, xa, ya):
+    """A feedback machine whose emits are 0 or powers of 1/2, so each
+    word's probability (log_prob's 2^fsum of exact logs) and each class
+    mass is an exact float."""
+    # one state in four, on average, never emits some letter
+    shapes = {2: ((0.5, 0.5),) * 3 + ((1.0, 0.0),), 3: ((0.5, 0.25, 0.25),) * 3 + ((0.5, 0.5, 0.0),)}[xa]
+    ns = rng.randint(1, 3)
+    emit = [tuple(rng.sample(rng.choice(shapes), xa)) for _ in range(ns)]
+    table = tuple(rng.randrange(ns) for _ in range(ns * xa * ya))
+    return FeedbackStateMachine(ns, rng.randrange(ns), xa, ya, table, tuple(emit))
 
 
 class TestSequence:
@@ -218,10 +263,10 @@ class TestCountClasses:
     def test_combinatorial_agrees_with_exhaustive(self):
         fam = additive_family(2, 2)
         for n in (2, 4, 6):
-            comb = count_classes(fam, n, strategy="combinatorial")
-            exact = count_classes(fam, n, strategy="exhaustive")
-            assert comb.counts_by_composition == exact.counts_by_composition
-            assert comb.max_classes == exact.max_classes
+            comb = count_classes(fam, n)
+            exact = enumerated_counts(fam, n)
+            assert comb.counts_by_composition == exact
+            assert comb.max_classes == max(exact.values())
 
     def test_log_growth(self):
         fam = additive_family(2, 2)
@@ -232,12 +277,13 @@ class TestCountClasses:
     def test_finite_state_counting(self):
         fam = finite_state_family(2, 2, 2, lambda x, y, s: x ^ y)
         report = count_classes(fam, 4)
-        assert report.max_classes >= 1
-        assert report.strategy == "exhaustive"
+        assert report.counts_by_composition == enumerated_counts(fam, 4)
+        assert report.max_classes == max(report.counts_by_composition.values())
 
     def test_finite_state_classes_for_output_match_exhaustive_counts(self):
-        # per output composition, the most classes any one output has is
-        # the exhaustive count; at n = 1 each input letter is its own class
+        # per output, the class count is the enumerated one, and per output
+        # composition count_classes holds the most of them; at n = 1 each
+        # input letter is its own class
         for fam in (
             finite_state_family(2, 2, 2, lambda x, y, s: x ^ y),
             finite_state_family(2, 3, 3, lambda x, y, s: (s + x + y) % 3, initial_state=1),
@@ -247,12 +293,57 @@ class TestCountClasses:
                 most = {}
                 for y in all_sequences(fam.y_alphabet_size, n):
                     comp = tuple(y.symbols.count(b) for b in range(fam.y_alphabet_size))
-                    most[comp] = max(most.get(comp, 0), classes_for_output(fam, y))
-                assert most == count_classes(fam, n, strategy="exhaustive").counts_by_composition
+                    k = classes_for_output(fam, y)
+                    assert k == len(enumerated_table(fam, y))
+                    most[comp] = max(most.get(comp, 0), k)
+                assert most == count_classes(fam, n).counts_by_composition
 
     def test_size_guard(self):
-        fam = additive_family(2, 2)
+        # a finite-state count walks all 2^13 outputs, over the 2^24 bound
+        # on inputs times outputs
+        fam = finite_state_family(2, 2, 2, lambda x, y, s: x ^ y)
         with pytest.raises(InstanceTooLargeError):
             list(all_sequences(2, 60))
-        with pytest.raises(InstanceTooLargeError):
-            count_classes(fam, 60, strategy="exhaustive")
+        with pytest.raises(InstanceTooLargeError, match="finite-state class count"):
+            count_classes(fam, 13)
+
+
+class TestClassTable:
+    def test_sizes_equal_enumeration(self):
+        # random finite-state families (|X|, |Y| in {2, 3}, 1 to 3 states,
+        # random next-state tables and initial states) and random outputs
+        rng = random.Random(27)
+        for _ in range(40):
+            fam = random_finite_state_family(rng)
+            n = rng.randint(1, 8 if fam.x_alphabet_size == 2 else 6)
+            y = seq([rng.randrange(fam.y_alphabet_size) for _ in range(n)], fam.y_alphabet_size)
+            assert class_table(fam, y) == enumerated_table(fam, y)
+
+    def test_feedback_masses_equal_enumeration(self):
+        # with emits 0 or powers of 1/2 every product and sum is exact, so the
+        # carried masses equal the enumerated fsums, for finite-state and
+        # additive families; classes the machine never emits are absent
+        rng = random.Random(12)
+        for i in range(40):
+            fam = random_finite_state_family(rng)
+            if i % 2:
+                fam = additive_family(fam.x_alphabet_size, fam.y_alphabet_size)
+            machine = random_dyadic_machine(rng, fam.x_alphabet_size, fam.y_alphabet_size)
+            n = rng.randint(1, 8 if fam.x_alphabet_size == 2 else 6)
+            y = seq([rng.randrange(fam.y_alphabet_size) for _ in range(n)], fam.y_alphabet_size)
+            assert class_table(fam, y, machine) == enumerated_table(fam, y, feedback_tree_ensemble(machine, n))
+
+    def test_walk_guard(self, monkeypatch):
+        # the last step holds the most prefixes of an additive family, one
+        # per class: a budget of exactly that many runs, one byte less is
+        # refused with one line
+        fam = additive_family(3, 2)
+        y = seq([0, 1, 1, 0, 1, 0, 0, 1, 1])
+        table = class_table(fam, y)
+        budget = len(table) * (typeclasses._ENTRY_BYTES + 8 * 6)
+        monkeypatch.setattr(typeclasses, "_FRONTIER_BYTES", budget)
+        assert class_table(fam, y) == table
+        monkeypatch.setattr(typeclasses, "_FRONTIER_BYTES", budget - 1)
+        with pytest.raises(InstanceTooLargeError, match=f"walk at n = 9 holds over {len(table) - 1} prefixes") as err:
+            class_table(fam, y)
+        assert len(str(err.value).splitlines()) == 1
