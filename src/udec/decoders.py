@@ -11,7 +11,7 @@ use the >= convention, so the simulator must not be luckier than it).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import channels, ensembles, families, lz, typeclasses
 from .errors import InputError, InstanceTooLargeError, UnsupportedCombinationError
@@ -102,11 +102,13 @@ def universal_score(
     of x given y.  Feedback ensembles condition the mass on y.  A zero-mass
     class yields +inf."""
     key = typeclasses.class_key(family, x, y)
-    lp = ensembles.class_probability(ensemble, key, y)
-    n = len(x)
-    if lp == -math.inf:
-        return ScoreValue(math.inf, "universal_exact")
-    return ScoreValue(-lp / n, "universal_exact")
+    return _universal_value(ensembles.class_probability(ensemble, key, y), len(x))
+
+
+def _universal_value(lp: float, n: int) -> ScoreValue:
+    """The universal score of a class of log2 mass lp: -lp / n, or +inf
+    for a zero-mass class."""
+    return ScoreValue(math.inf if lp == -math.inf else -lp / n, "universal_exact")
 
 
 _LZ_KINDS = (ensembles.IID, ensembles.UNIFORM, ensembles.UNIFORM_OVER_TYPE)
@@ -268,7 +270,21 @@ def metric_scorer(family, theta):
 
 
 def universal_scorer(family, ensemble):
-    return lambda x, y: universal_score(family, ensemble, x, y)
+    """universal_score as a scorer.  A finite-state family's class masses
+    read y's class table (ensembles.class_table), one walk over y: the
+    scorer keeps the last y's table, so the words of a codebook scored
+    against one y walk it once, and the table lives as long as the scorer."""
+    if family.kind != families.FINITE_STATE:
+        return lambda x, y: universal_score(family, ensemble, x, y)
+    last = {}
+
+    def score(x, y):
+        if last.get("y") != y:
+            last.update(y=y, table=ensembles.class_table(ensemble, family, y))
+        key = typeclasses.class_key(family, x, y)
+        return _universal_value(ensembles.table_log_mass(ensemble, key, last["table"]), len(x))
+
+    return score
 
 
 def lz_scorer(ensemble):

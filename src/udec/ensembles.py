@@ -8,7 +8,7 @@ reproducible within this implementation, not across RNG algorithms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,24 +165,39 @@ def class_probability(
 
     Additive-style keys under iid / uniform / uniform-over-type / dithered
     linear ensembles take the closed form; other keys and feedback
-    ensembles read y's class table (typeclasses.class_table): the mass the
-    walk carries, or else the class size times one member's probability.
+    ensembles read y's class table (class_table): the mass the walk
+    carries, or else the class size times one member's probability
+    (table_log_mass).
     """
     family = key.family
     additive_like = family.kind in (families.ADDITIVE, families.MAC_XOR_ADDITIVE)
     if additive_like and ensemble.kind in (IID, UNIFORM, UNIFORM_OVER_TYPE, LINEAR_DITHERED):
-        d, ya = key.discriminant, family.y_alphabet_size
-        row_sums = tuple(sum(d[i : i + ya]) for i in range(0, len(d), ya))
-        return _type_class_log_mass(ensemble, row_sums, typeclasses.key_class_size(key))
-    feedback = ensemble.kind == FEEDBACK_TREE
-    weight = typeclasses.class_table(family, y, ensemble.feedback if feedback else None).get(key.discriminant, 0)
+        return _type_class_log_mass(ensemble, _x_counts(key), typeclasses.key_class_size(key))
+    return table_log_mass(ensemble, key, class_table(ensemble, family, y))
+
+
+def class_table(ensemble: CodingEnsemble, family, y: Sequence) -> dict:
+    """y's class table (typeclasses.class_table) for this ensemble: a
+    feedback ensemble's walk carries its masses, any other's class sizes."""
+    return typeclasses.class_table(family, y, ensemble.feedback if ensemble.kind == FEEDBACK_TREE else None)
+
+
+def table_log_mass(ensemble: CodingEnsemble, key: EquivalenceClassKey, table: dict) -> float:
+    """class_probability of ``key`` read off y's class table ``table``."""
+    weight = table.get(key.discriminant, 0)
     if weight == 0:
         return -math.inf
-    if feedback:
+    if ensemble.kind == FEEDBACK_TREE:
         return math.log2(weight)
-    d, width = key.discriminant, family.y_alphabet_size * family.num_states
-    row_sums = tuple(sum(d[i : i + width]) for i in range(0, len(d), width))
-    return _type_class_log_mass(ensemble, row_sums, weight)
+    return _type_class_log_mass(ensemble, _x_counts(key), weight)
+
+
+def _x_counts(key: EquivalenceClassKey) -> tuple[int, ...]:
+    """How often each x letter occurs in the key's class: the sums of its
+    counts over y and the family state, |Y| * S of them per letter (S = 1
+    but for finite-state families)."""
+    d, width = key.discriminant, key.family.y_alphabet_size * key.family.num_states
+    return tuple(sum(d[i : i + width]) for i in range(0, len(d), width))
 
 
 def _type_class_log_mass(
@@ -217,7 +232,6 @@ class Codebook:
     codewords: tuple[Sequence, ...]
     rate: float
     seed: int
-    ensemble: CodingEnsemble = field(repr=False, compare=False, default=None)
 
     def __len__(self) -> int:
         return len(self.codewords)
@@ -297,4 +311,4 @@ def sample_codebook(ensemble: CodingEnsemble, m: int, seed: int) -> Codebook:
             bits = (msgs >> np.arange(len(gen_rows)) & 1).astype(np.uint8)
             block = dither ^ (bits @ gen_rows & 1)
         words.extend(Sequence(tuple(w), a) for w in block.tolist())
-    return Codebook(tuple(words), rate=math.log2(m) / n, seed=seed, ensemble=ensemble)
+    return Codebook(tuple(words), rate=math.log2(m) / n, seed=seed)

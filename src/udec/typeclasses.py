@@ -235,6 +235,8 @@ def class_key(
         raise InputError(f"length mismatch: {len(x)} vs {len(y)}")
     if x.alphabet_size != family.x_alphabet_size and family.kind != families.MAC_XOR_ADDITIVE:
         raise InputError("x alphabet does not match family")
+    if y.alphabet_size != family.y_alphabet_size:
+        raise InputError(f"y alphabet has {y.alphabet_size} symbols, the family's {family.y_alphabet_size}")
     if family.kind in (families.ADDITIVE, families.MAC_XOR_ADDITIVE):
         return EquivalenceClassKey(family, tuple(_joint_counts(x, y)))
     if family.kind == families.FINITE_STATE:
@@ -270,6 +272,8 @@ def class_table(
     symbol adds every input letter a, one more count (a * |Y| + y) * S + s,
     and only a finite-state family steps its state s."""
     xa, ya, ns = family.x_alphabet_size, family.y_alphabet_size, family.num_states
+    if y.alphabet_size != ya:
+        raise InputError(f"y alphabet has {y.alphabet_size} symbols, the family's {ya}")
     after = family.next_state or (0,) * (xa * ya)  # one state, s = 0, for other kinds
     emit, t0 = (((1,) * xa,), 0) if machine is None else (machine.emit, machine.initial_state)
     limit = _FRONTIER_BYTES // (_ENTRY_BYTES + 8 * xa * ya * ns)

@@ -33,7 +33,7 @@ from udec import (
     seq,
     uniform_ensemble,
 )
-from udec import channels, decoders, ensembles, families, simulator
+from udec import channels, decoders, ensembles, families, jointtypes, simulator, typeclasses
 from udec.ensembles import FeedbackStateMachine, feedback_tree_ensemble
 from udec.typeclasses import Sequence, all_sequences, class_key
 from udec.simulator import (
@@ -87,7 +87,7 @@ def _fast(ens, ch, specs, m, trials, seed, ties_as_errors, source, fam=FAM):
     if source is simulator._scalar_histograms:
         scores = simulator._scorers(specs, fam, ens, ch)
     else:
-        scores = simulator._type_tables(specs, ens, ch)
+        scores = jointtypes.tables(specs, ens, ch, kept=source is simulator._packed_histograms)
     return np.concatenate(list(source(ens, ch, m, seed, trials, ties_as_errors, scores)))
 
 
@@ -228,8 +228,8 @@ def test_type_tables_equal_scalar_scores(bits, theta, p0, p1):
     th = (theta[:2], theta[2:])
     specs.append((DecoderSpec("metric", theta=th), None, None))
     want.append(decoders.metric_score(FAM, MetricIndex.additive(th), x, y).value)
-    rules = [simulator._type_rule(spec, ens, ch) for spec, ens, ch in specs]
-    got = [table[k] for table in simulator._Types(rules, n, ny).scores]
+    rules = [jointtypes._type_rule(spec, ens, ch) for spec, ens, ch in specs]
+    got = [table[k] for table in jointtypes._Types(rules, n, ny).scores]
     assert got == want
 
 
@@ -261,10 +261,10 @@ def test_integer_metric_rows_at_their_edges(theta):
     coefficient that only ny = 0 or ny = n leaves unused, and on
     round-half-even ties decided in the low 32 bits."""
     th = (theta[:2], theta[2:])
-    rule = simulator._type_rule(DecoderSpec("metric", theta=th), None, None)
+    rule = jointtypes._type_rule(DecoderSpec("metric", theta=th), None, None)
     for n in (2, 5):
         for ny in range(n + 1):
-            table = simulator._Types([rule], n, ny).scores[0]
+            table = jointtypes._Types([rule], n, ny).scores[0]
             want = []
             for flat in range(len(table)):
                 x, y = _type_word(n, ny, flat)
@@ -283,7 +283,7 @@ def test_universal_rows_equal_per_type_scores(n):
     weights = range(n + 1) if n < 100 else sorted({0, 1, n // 2, n})
     for ens in (uniform_ensemble(2, n), iid_ensemble((0.5, 0.5), n), linear_dithered_ensemble(n, 3)):
         for ny in weights:
-            table = simulator._Types([ens], n, ny).scores[0]
+            table = jointtypes._Types([ens], n, ny).scores[0]
             want = [
                 -ensembles._type_class_log_mass(ens, (n - a11 - a10, a11 + a10), math.comb(ny, a11) * math.comb(n - ny, a10)) / n
                 for a11 in range(ny + 1)
@@ -302,12 +302,12 @@ def test_class_limbs_equal_python_ints(n):
     Pascal rows with one carry pass, are the Python-int products, limb for
     limb, and the float limbs of a _Types are those limbs."""
     for ny in sorted({0, 1, n // 3, n // 2, n - 1, n}):
-        limbs = simulator._class_limbs(n, ny)
+        limbs = jointtypes._class_limbs(n, ny)
         assert limbs.dtype == np.uint64 and limbs.shape == ((n + 31) // 32, (ny + 1) * (n - ny + 1))
         got = [sum(int(v) << (32 * k) for k, v in enumerate(col)) for col in limbs.T.tolist()]
         assert got == _class_sizes(n, ny)
         assert (limbs < 2**32).all()
-        assert (simulator._Types([uniform_ensemble(2, n)], n, ny)._limbs == limbs).all()
+        assert (jointtypes._Types([uniform_ensemble(2, n)], n, ny)._limbs == limbs).all()
 
 
 #: few distinct scores, so that rows are full of ties, and both infinities
@@ -317,7 +317,7 @@ TAIL_SCORES = st.sampled_from([-math.inf, -1.5, -0.25, 0.0, 0.1, 0.25, 3.0, math
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.integers(1, 4), st.integers(1, 12))
 def test_tail_masses_equal_brute_force(data, rows, cols):
-    """_tail_masses, read off the dense ranks of the rows (_dense_ranks), is
+    """tail_masses, read off the dense ranks of the rows (dense_ranks), is
     the per-row `>=` broadcast that the exact audit held in O(N^2) memory,
     ties included, and its equal masses the `==` broadcast.  The float
     masses are dyadic, so every order of summation is exact.  Masses with a
@@ -327,7 +327,7 @@ def test_tail_masses_equal_brute_force(data, rows, cols):
     index picks its own ranking."""
     row = st.lists(TAIL_SCORES, min_size=cols, max_size=cols)
     scores = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
-    ranks, rank_of = simulator._dense_ranks(scores)
+    ranks, rank_of = jointtypes.dense_ranks(scores)
     assert len({r.tobytes() for r in ranks}) == len(ranks)
     assert list(dict.fromkeys(rank_of.tolist())) == list(range(len(ranks)))
     for r, k in zip(scores, rank_of.tolist()):
@@ -335,18 +335,18 @@ def test_tail_masses_equal_brute_force(data, rows, cols):
         assert ((ranks[k][None, :] >= ranks[k][:, None]) == (r[None, :] >= r[:, None])).all()
     ints = data.draw(st.lists(st.integers(0, 2**100), min_size=cols, max_size=cols))
     masses = np.array([i % 2**20 for i in ints]) * 2.0**-10
-    got, equal = (g[rank_of] for g in simulator._tail_masses(ranks, masses))
+    got, equal = (g[rank_of] for g in jointtypes.tail_masses(ranks, masses))
     assert got.tolist() == [((r[None, :] >= r[:, None]) @ masses).tolist() for r in scores]
     assert equal.tolist() == [((r[None, :] == r[:, None]) @ masses).tolist() for r in scores]
     limbs = np.array([[(i >> (32 * k)) % 2**32 for i in ints] for k in range(4)], dtype=float)
-    got, equal = (g[:, rank_of] for g in simulator._tail_masses(ranks, limbs))
+    got, equal = (g[:, rank_of] for g in jointtypes.tail_masses(ranks, limbs))
     assert got.shape == equal.shape == (len(limbs),) + scores.shape
     for limb, tails, ties in zip(limbs, got, equal):
         assert tails.tolist() == [((r[None, :] >= r[:, None]) @ limb).tolist() for r in scores]
         assert ties.tolist() == [((r[None, :] == r[:, None]) @ limb).tolist() for r in scores]
     # read at some entries only, the same floats
     at = np.array(sorted(data.draw(st.sets(st.integers(0, cols - 1), min_size=1))))
-    for part, whole in zip(simulator._tail_masses(ranks, limbs, at), simulator._tail_masses(ranks, limbs)):
+    for part, whole in zip(jointtypes.tail_masses(ranks, limbs, at), jointtypes.tail_masses(ranks, limbs)):
         assert part.tolist() == whole[..., at].tolist()
 
 
@@ -674,6 +674,45 @@ class TestRunExperiment:
             assert [e.errors for e in est] == slow.sum(axis=0).tolist()
             assert slow[:, -1].any()
 
+    def test_finite_state_universal_walks_each_output_once(self, monkeypatch):
+        """The scalar source scores a finite-state universal decoder off one
+        class table per trial, not a walk of y per codeword: at n = 16, R =
+        1/4 (16 codewords, s' = x XOR y) 5 trials walk 5 times, not 80, and
+        no table outlives the run.  Every score, also under a feedback
+        ensemble, equals decoders.universal_score bit for bit."""
+        fam = families.finite_state_family(2, 2, 2, lambda x, y, s: x ^ y)
+        ens, ch = uniform_ensemble(2, 16), bsc(0.1)
+        walk, walked = typeclasses.class_table, []
+
+        class Table(dict):  # a dict that a weak reference can follow
+            pass
+
+        def counted(*args):
+            walked.append(weakref.ref(table := Table(walk(*args))))
+            return table
+
+        monkeypatch.setattr(typeclasses, "class_table", counted)
+        run_experiment(ens, ch, fam, [DecoderSpec("universal"), DecoderSpec("ml")], 0.25, 5, 3)
+        assert len(walked) == 5
+        assert [ref() for ref in walked] == [None] * 5
+        monkeypatch.undo()
+        realize = _sampled_realization(ens, ch, 16, 3)
+        scorer = simulator._scorers([DecoderSpec("universal")], fam, ens, ch)[0]
+        for t in range(5):
+            words, _, y = realize(t)
+            want = [decoders.universal_score(fam, ens, w, y).value.hex() for w in words]
+            assert [scorer(w, y).value.hex() for w in words] == want
+        machine = FeedbackStateMachine(
+            num_states=2, initial_state=0, x_alphabet_size=2, y_alphabet_size=2,
+            next_state=tuple(x ^ y for t in range(2) for x in range(2) for y in range(2)),
+            emit=((0.7, 0.3), (0.4, 0.6)),
+        )
+        feedback = feedback_tree_ensemble(machine, 6)
+        scorer = decoders.universal_scorer(fam, feedback)
+        for y in itertools.islice(all_sequences(2, 6), 0, 64, 7):
+            want = [decoders.universal_score(fam, feedback, x, y).value.hex() for x in all_sequences(2, 6)]
+            assert [scorer(x, y).value.hex() for x in all_sequences(2, 6)] == want
+
     def test_decode_matches_scalar_reader_under_both_tie_rules(self):
         # decoders.decode on each ternary n = 8 trial's codebook, where ties
         # are common, errs exactly where _read over _scalar_histograms does:
@@ -720,6 +759,21 @@ class TestRunExperiment:
             assert simulator._select_path(ens, ch, FAM, specs) == path
             with pytest.raises(InputError, match="3 symbols.*16"):
                 run_experiment(ens, ch, FAM, specs, 0.25, 5, 0)
+
+    def test_message_and_kind_refusals_come_before_any_draw(self, monkeypatch):
+        # more codewords than a linear code has messages (M = 2^8 > 2^2) and
+        # an unknown decoder kind are each refused with an InputError, before
+        # any codebook, channel output or sent type is drawn
+        def boom(*args):
+            raise AssertionError("drew before refusing")
+
+        draws = ((simulator, "_packed_words"), (simulator.ensembles, "sample_codebook"), (jointtypes, "_sent_types"))
+        for module, name in draws:
+            monkeypatch.setattr(module, name, boom)
+        with pytest.raises(InputError, match="more codewords than linear messages available"):
+            run_experiment(linear_dithered_ensemble(16, 2), bsc(0.1), FAM, SPECS, 0.5, 1, 0)
+        with pytest.raises(InputError, match="unknown decoder kind: 'bogus'"):
+            run_experiment(uniform_ensemble(2, 8), bsc(0.1), FAM, [SPECS[0], DecoderSpec("bogus")], 0.25, 1, 0)
 
     def test_type_domain_matches_packed_oracle(self):
         # the errors drawn from the sent types' conditional errors and the
@@ -916,26 +970,26 @@ class TestRunExperiment:
         # takes the scalar path (a one-state finite-state family) is refused
         # the same way, for its shifted arm's tables
         assert 201 * 201 >= 1 << 15
-        size = simulator._table_bytes(400, 200, len(SPECS))[1]
-        monkeypatch.setattr(simulator, "_sent_types", boom)
-        monkeypatch.setattr(simulator, "_Types", boom)
+        size = jointtypes._table_bytes(400, 200, len(SPECS))[1]
+        monkeypatch.setattr(jointtypes, "_sent_types", boom)
+        monkeypatch.setattr(jointtypes, "_Types", boom)
         # and refuse, before any draw, M >= 2^1024 (n * R >= 1024) for a run
         # and for an audit's shifted arm, at n * (R + delta_n) = 1018.88 + 18.01
         with pytest.raises(InstanceTooLargeError, match="M < 2\\^1024 codewords, not M = 2\\^1024.00"):
             run_experiment(uniform_ensemble(2, 1024), bsc(0.1), FAM, SPECS, 1.0, 1, 0)
         with pytest.raises(InstanceTooLargeError, match="M < 2\\^1024 codewords, not M = 2\\^1036.89"):
             monte_carlo_audit(bsc(0.1), FAM, [], 0.995, 1024, 1, 0, shifted_trials=1)
-        monkeypatch.setattr(simulator, "_TABLE_BYTES", size - 1)
+        monkeypatch.setattr(jointtypes, "_TABLE_BYTES", size - 1)
         with pytest.raises(InstanceTooLargeError, match=f"output weight 200 .* 2\\^{math.log2(size):.2f} bytes"):
             run_experiment(uniform_ensemble(2, 400), bsc(0.1), FAM, SPECS, 0.05, 1, 0)
-        monkeypatch.setattr(simulator, "_TABLE_BYTES", simulator._table_bytes(400, 200, 2)[1] - 1)
+        monkeypatch.setattr(jointtypes, "_TABLE_BYTES", jointtypes._table_bytes(400, 200, 2)[1] - 1)
         one_state = families.finite_state_family(2, 2, 1, lambda x, y, s: 0)
         for family in (FAM, one_state):
             with pytest.raises(InstanceTooLargeError, match="output weight 200 "):
                 monte_carlo_audit(bsc(0.1), family, [], 0.05, 400, 1, 0, shifted_trials=1)
         # and builds it at exactly its bytes: one trial runs
         monkeypatch.undo()
-        monkeypatch.setattr(simulator, "_TABLE_BYTES", size)
+        monkeypatch.setattr(jointtypes, "_TABLE_BYTES", size)
         est = run_experiment(uniform_ensemble(2, 400), bsc(0.1), FAM, SPECS, 0.05, 1, 0)
         assert [e.trials for e in est] == [1] * len(SPECS)
         # the limit is bytes: 8 per packed word, 8 per symbol plus 400 per
@@ -1051,17 +1105,17 @@ def test_cached_tables_are_bounded_over_all_weights(path, monkeypatch):
         return mac_run_experiment(mac_xor(bsc(0.1)), mac_xor_additive_family(2, 2), specs, 0.05, 0.05, n, 1, 0)
 
     grid = [DecoderSpec("metric", label=f"m{i}", theta=((1.0, 0.0), (i / 600, 1.0))) for i in range(600)]
-    for name in ("_packed_words", "_mac_trial", "_Types"):
-        monkeypatch.setattr(simulator, name, boom)
+    for module, name in ((simulator, "_packed_words"), (simulator, "_mac_trial"), (jointtypes, "_Types")):
+        monkeypatch.setattr(module, name, boom)
     with pytest.raises(InstanceTooLargeError, match="all output weights at n = 64 could take 2\\^28.18"):
         run(64, grid)
-    sizes = [simulator._table_bytes(16, ny, len(SPECS)) for ny in range(17)]
+    sizes = [jointtypes._table_bytes(16, ny, len(SPECS)) for ny in range(17)]
     size = sum(held for held, _ in sizes) + max(built - held for held, built in sizes)
-    monkeypatch.setattr(simulator, "_TABLE_BYTES", size - 1)
+    monkeypatch.setattr(jointtypes, "_TABLE_BYTES", size - 1)
     with pytest.raises(InstanceTooLargeError, match="all output weights at n = 16"):
         run(16, SPECS)
     monkeypatch.undo()
-    monkeypatch.setattr(simulator, "_TABLE_BYTES", size)
+    monkeypatch.setattr(jointtypes, "_TABLE_BYTES", size)
     assert [e.trials for e in run(16, SPECS)] == [1] * len(SPECS)
 
 
@@ -1108,7 +1162,7 @@ class TestMonteCarloAudit:
         ]
         trials, m = 12, 5
         for n, ch in ((10, bsc(0.1)), (7, dmc(((1.0, 0.0), (0.3, 0.7))))):
-            types_of = simulator._type_tables(specs, uniform_ensemble(2, n), ch)
+            types_of = jointtypes.tables(specs, uniform_ensemble(2, n), ch, kept=False)
             keys, tails = _shifted_arm_tails(ch, types_of, n, trials, 5)
             words = list(all_sequences(2, n))
             cond = []
@@ -1138,13 +1192,13 @@ class TestMonteCarloAudit:
         ch, n, grid = bsc(0.1), 16, default_theta_grid(4, bsc(0.1), seed=2)
         report = monte_carlo_audit(ch, FAM, grid, 0.25, n, 50, 17, shifted_trials=300)
         specs = [DecoderSpec("ml")] + [DecoderSpec("metric", f"metric{i}", th) for i, th in enumerate(grid)]
-        types_of = simulator._type_tables(specs, uniform_ensemble(2, n), ch)
+        types_of = jointtypes.tables(specs, uniform_ensemble(2, n), ch, kept=False)
         m = simulator.ensembles.message_count(n, report.shifted_rate)
         alone = _shifted_arm(ch, types_of, specs, n, m, report.shifted_rate, 300, 18)
         assert report.shifted_estimates == tuple(alone)
 
     def test_each_score_row_is_sorted_once(self, monkeypatch):
-        """Only _dense_ranks sorts a score row, once per table built: the
+        """Only dense_ranks sorts a score row, once per table built: the
         shifted arm reads its tails off the rank rows of the tables it
         shares with the main arm, and the exact audit ranks its rows once
         per output word."""
@@ -1152,31 +1206,31 @@ class TestMonteCarloAudit:
 
         def counted(*args, **kwargs):
             caller = sys._getframe(1)
-            if caller.f_globals["__name__"] == simulator.__name__:
+            if caller.f_globals["__name__"] in (simulator.__name__, jointtypes.__name__):
                 sorted_in.append(caller.f_code.co_name)
             return argsort(*args, **kwargs)
 
-        init = simulator._Types.__init__
-        monkeypatch.setattr(simulator._Types, "__init__", lambda types, *args: built.append(args) or init(types, *args))
+        init = jointtypes._Types.__init__
+        monkeypatch.setattr(jointtypes._Types, "__init__", lambda types, *args: built.append(args) or init(types, *args))
         monkeypatch.setattr(np, "argsort", counted)
         grid = default_theta_grid(4, bsc(0.1), seed=2)
         monte_carlo_audit(bsc(0.1), FAM, grid, 0.25, 16, 200, 3, shifted_trials=300)
-        assert built and sorted_in == ["_dense_ranks"] * len(built)
+        assert built and sorted_in == ["dense_ranks"] * len(built)
         sorted_in.clear()
         thetas = [MetricIndex.additive(th) for th in grid]
         exact_bound_audit(uniform_ensemble(2, 3), bsc(0.1), FAM, thetas, 0.25, 3)
-        assert sorted_in == ["_dense_ranks"] * 2**3
+        assert sorted_in == ["dense_ranks"] * 2**3
 
     def test_reported_sums_do_not_depend_on_memory_layout(self, monkeypatch):
         """The shifted estimates and the exact audit's lhs and rhs are the
         same floats whether the arrays they sum are C- or Fortran-ordered:
         a BLAS product of equal values rounded differently by layout."""
-        from_limbs, clipped = simulator._from_limbs, simulator._clipped_union
+        from_limbs, clipped = jointtypes._from_limbs, simulator._clipped_union
         grid = default_theta_grid(6, bsc(0.1), seed=2)
         thetas = [MetricIndex.additive(th) for th in grid]
         reports = {}
         for order in "CF":
-            monkeypatch.setattr(simulator, "_from_limbs", lambda *a: np.asarray(from_limbs(*a), order=order))
+            monkeypatch.setattr(jointtypes, "_from_limbs", lambda *a: np.asarray(from_limbs(*a), order=order))
             monkeypatch.setattr(simulator, "_clipped_union", lambda *a: np.asarray(clipped(*a), order=order))
             shifted = [monte_carlo_audit(bsc(0.1), FAM, grid[:4], 0.25, 32, 50, s, shifted_trials=1000).shifted_estimates for s in range(3)]
             exact = exact_bound_audit(iid_ensemble([0.3, 0.7], 6), bsc(0.1), FAM, thetas, 0.25, 6)
@@ -1187,8 +1241,8 @@ class TestMonteCarloAudit:
         """A monte_carlo_audit resolves each decoder's table rule once, for
         all the output weights both arms build tables for; a scalar run
         resolves none."""
-        rule, resolved = simulator._type_rule, []
-        monkeypatch.setattr(simulator, "_type_rule", lambda spec, *args: resolved.append(spec.name) or rule(spec, *args))
+        rule, resolved = jointtypes._type_rule, []
+        monkeypatch.setattr(jointtypes, "_type_rule", lambda spec, *args: resolved.append(spec.name) or rule(spec, *args))
         grid = default_theta_grid(4, bsc(0.1), seed=2)
         report = monte_carlo_audit(bsc(0.1), FAM, grid, 0.25, 16, 200, 3, shifted_trials=300)
         assert resolved == [e.decoder for e in report.estimates]
@@ -1205,7 +1259,7 @@ class TestMonteCarloAudit:
         ch = bsc(0.1)
         specs = SPECS[1:]
         for n in (65, 70, 96):
-            types_of = simulator._type_tables(specs, uniform_ensemble(2, n), ch)
+            types_of = jointtypes.tables(specs, uniform_ensemble(2, n), ch, kept=False)
             keys, tails = _shifted_arm_tails(ch, types_of, n, 2, 11)
             for ny, sent in keys:
                 x, y = _type_word(n, ny, sent)
@@ -1254,11 +1308,11 @@ class TestMonteCarloAudit:
 
 
 def _tails(types, sents):
-    """(sent types x decoders) tail masses of ``sents``: one _tail_masses
+    """(sent types x decoders) tail masses of ``sents``: one tail_masses
     table over the limbs per distinct rank row, read at each decoder's row,
     as exact floats."""
-    tails = simulator._tail_masses(types._ranks, types._limbs)[0][:, types._rank_of]
-    return types._masses(tails[..., sents]).T
+    tails = jointtypes.tail_masses(types._ranks, types._limbs)[0][:, types._rank_of]
+    return jointtypes._from_limbs(tails[..., sents], -types.n).T
 
 
 def _shifted_arm_tails(ch, types_of, n, trials, seed):
@@ -1269,8 +1323,8 @@ def _shifted_arm_tails(ch, types_of, n, trials, seed):
     types strictly increase, and the counts count every trial's sent type
     once."""
     tag = (seed, simulator._SHIFTED_TAG)
-    ny, sent = simulator._sent_types(np.random.default_rng(np.random.SeedSequence(tag)), ch, n, trials)
-    walk = simulator._by_weight(np.random.default_rng(np.random.SeedSequence(tag)), ch, n, trials)
+    ny, sent = jointtypes._sent_types(np.random.default_rng(np.random.SeedSequence(tag)), ch, n, trials)
+    walk = jointtypes.by_weight(np.random.default_rng(np.random.SeedSequence(tag)), ch, n, trials)
     tails, drawn, weights = {}, collections.Counter(), []
     for w, (sents, counts) in walk.items():
         types = types_of(w)
@@ -1289,7 +1343,7 @@ def _arm_weights(ch, n, key, trials):
     """The output weights that a type-domain arm whose generator is keyed
     ``key`` draws for ``trials`` trials (_sent_types)."""
     rng = np.random.default_rng(np.random.SeedSequence(key))
-    return set(simulator._sent_types(rng, ch, n, trials)[0].tolist())
+    return set(jointtypes._sent_types(rng, ch, n, trials)[0].tolist())
 
 
 def _shifted_arm(ch, types_of, specs, n, m, rate, trials, seed):
@@ -1297,7 +1351,7 @@ def _shifted_arm(ch, types_of, specs, n, m, rate, trials, seed):
     last rows of ``types_of``'s tables: its sent types drawn by output
     weight, each weight's _shifted_sums, and the estimates from them."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, simulator._SHIFTED_TAG)))
-    drawn = simulator._by_weight(rng, ch, n, trials)
+    drawn = jointtypes.by_weight(rng, ch, n, trials)
     sums = [simulator._shifted_sums(types_of(ny), len(specs), *drawn[ny], m) for ny in drawn]
     return simulator._shifted_estimates(specs, sums, n, rate, trials, seed)
 
@@ -1357,7 +1411,7 @@ class TestTypeDomain:
                     exact[ny, flat] = exact.get((ny, flat), 0.0) + p
             rng = np.random.default_rng(17)
             counts = {}
-            for key in zip(*(a.tolist() for a in simulator._sent_types(rng, ch, n, draws))):
+            for key in zip(*(a.tolist() for a in jointtypes._sent_types(rng, ch, n, draws))):
                 counts[key] = counts.get(key, 0) + 1
             assert set(counts) <= {k for k, p in exact.items() if p > 0}
             for key, p in exact.items():
@@ -1378,14 +1432,14 @@ class TestTypeDomain:
             if ens.kind == "linear_dithered":
                 continue
             n, m = ens.n, simulator.ensembles.message_count(ens.n, rate)
-            types_of = simulator._type_tables(specs, ens, ch)
+            types_of = jointtypes.tables(specs, ens, ch, kept=False)
             for ties in (True, False):
                 rng = np.random.default_rng(np.random.SeedSequence((seed, simulator._DRAWN_TAG)))
-                walk = simulator._by_weight(rng, ch, n, trials)
+                walk = jointtypes.by_weight(rng, ch, n, trials)
                 groups = list(simulator._drawn_errors(ens, ch, m, seed, trials, ties, types_of))
                 assert len(groups) == len(walk)
                 for group, (ny, (sents, counts)) in zip(groups, walk.items()):
-                    p = np.repeat(simulator._conditional_errors(types_of(ny), sents, m, ties), counts, axis=1).T
+                    p = np.repeat(jointtypes.conditional_errors(types_of(ny), sents, m, ties), counts, axis=1).T
                     assert group.shape == p.shape == (counts.sum(), len(specs))
                     assert (group == (rng.random(len(p))[:, None] < p)).all()
                     assert ((p[:, :, None] <= p[:, None, :]) <= (group[:, :, None] <= group[:, None, :])).all()
@@ -1408,7 +1462,7 @@ class TestTypeDomain:
         cases = [(6, bsc(0.1)), (9, dmc(((1.0, 0.0), (0.3, 0.7)))), (10, dmc(((1.0, 0.0), (0.0, 1.0))))]
         for n, ch in cases:
             ens = uniform_ensemble(2, n)
-            types_of = simulator._type_tables(specs, ens, ch)
+            types_of = jointtypes.tables(specs, ens, ch, kept=False)
             scorers = [_scalar_scorer(spec, ens, ch) for spec in specs]
             for ny in sorted({0, 1, n // 2, n}):
                 flats = range((ny + 1) * (n - ny + 1))
@@ -1418,7 +1472,7 @@ class TestTypeDomain:
                 sents = np.array(flats)
                 for m in (2, 3, 17, 2**n + 5 if n < 8 else 100):
                     for ties in (True, False):
-                        got = simulator._conditional_errors(types, sents, m, ties)
+                        got = jointtypes.conditional_errors(types, sents, m, ties)
                         assert got.shape == (len(specs), len(sents))
                         for d, row in enumerate(scores):
                             for s, score in enumerate(row):
@@ -1441,13 +1495,13 @@ class TestTypeDomain:
         least, above, below, at most and equal to the sent type; each
         decoder's row is its rank row's."""
         specs = SPECS + [DecoderSpec("metric", theta=((0.5, 0.5), (0.5, 0.5)))]
-        types_of = simulator._type_tables(specs, uniform_ensemble(2, n), bsc(0.1))
+        types_of = jointtypes.tables(specs, uniform_ensemble(2, n), bsc(0.1), kept=False)
         for ny in (n // 2, n // 3, n):
             types = types_of(ny)
             count = types.scores.shape[1]
             sents = np.array(sorted({0, count // 3, count // 2, count - 1}))
             sizes = _class_sizes(n, ny)
-            sums = simulator._tail_sums(types, sents)
+            sums = jointtypes._tail_sums(types, sents)
             assert len(types._limbs) == (n + 31) // 32
             for d, row in enumerate(types.scores.tolist()):
                 for k, s in enumerate(sents.tolist()):
@@ -1466,10 +1520,10 @@ class TestTypeDomain:
         1 - (q<=^M - q<^M) / (M q=) taken with 50-digit decimals from the
         Python-int tails."""
         n, ny, m = 64, 32, 2**16
-        types = simulator._type_tables(SPECS[:3], uniform_ensemble(2, n), bsc(0.1))(ny)
+        types = jointtypes.tables(SPECS[:3], uniform_ensemble(2, n), bsc(0.1), kept=False)(ny)
         count = types.scores.shape[1]
         sizes = _class_sizes(n, ny)
-        got = simulator._conditional_errors(types, np.arange(count), m, False)
+        got = jointtypes.conditional_errors(types, np.arange(count), m, False)
         small = 0
         with decimal.localcontext(decimal.Context(prec=50)):
             for d, row in enumerate(types.scores.tolist()):
@@ -1533,7 +1587,7 @@ class TestTypeDomain:
         its scores, and reads every trial."""
         wide = []
 
-        class Checked(simulator._Types):
+        class Checked(jointtypes._Types):
             def __init__(self, *args):
                 super().__init__(*args)
                 if self.scores.shape[1] >= 1 << 15:
@@ -1542,7 +1596,7 @@ class TestTypeDomain:
                     for row, k in zip(self.scores, self._rank_of):
                         assert (self._ranks[k] == np.unique(row, return_inverse=True)[1]).all()
 
-        monkeypatch.setattr(simulator, "_Types", Checked)
+        monkeypatch.setattr(jointtypes, "_Types", Checked)
         for ties in (True, False):
             est = run_experiment(uniform_ensemble(2, 362), bsc(0.1), FAM, SPECS, 0.1, 3, 5, ties_as_errors=ties)
             assert [e.trials for e in est] == [3] * len(SPECS)
@@ -1557,14 +1611,14 @@ class TestTypeDomain:
         while every weight's table lived for the call."""
         alive, built = [], []
 
-        class Tracked(simulator._Types):
+        class Tracked(jointtypes._Types):
             def __init__(self, *args):
                 assert [ref() for ref in alive] == [None] * len(alive)
                 super().__init__(*args)
                 alive.append(weakref.ref(self))
                 built.append(self.ny)
 
-        monkeypatch.setattr(simulator, "_Types", Tracked)
+        monkeypatch.setattr(jointtypes, "_Types", Tracked)
         ch, seed = bsc(0.1), 5
         monte_carlo_audit(ch, FAM, default_theta_grid(4, ch, seed=2), 0.25, 32, 400, seed, shifted_trials=300)
         main = _arm_weights(ch, 32, (seed, simulator._DRAWN_TAG), 400)
@@ -1601,9 +1655,9 @@ class TestTypeDomain:
             DecoderSpec("metric", label=f"m{i}", theta=tuple(map(tuple, th)))
             for i, th in enumerate(default_theta_grid(metrics, ch) if metrics else [])
         ]
-        types_of = simulator._type_tables(specs, uniform_ensemble(2, n), ch)
-        types_of(0)  # resolves the rules
-        held, peak = simulator._table_bytes(n, n // 2, len(specs))
+        types_of = jointtypes.tables(specs, uniform_ensemble(2, n), ch, kept=False)
+        types_of(0)  # a first table, outside the trace
+        held, peak = jointtypes._table_bytes(n, n // 2, len(specs))
         tracemalloc.start()
         try:
             types = types_of(n // 2)
@@ -1629,8 +1683,8 @@ class TestTypeDomain:
             for i, th in enumerate(default_theta_grid(25, ch))
         ]
         rng = np.random.default_rng(np.random.SeedSequence((3, simulator._SHIFTED_TAG)))
-        ny, (sents, counts) = max(simulator._by_weight(rng, ch, n, 2000).items(), key=lambda w: len(w[1][0]))
-        types = simulator._type_tables(specs, uniform_ensemble(2, n), ch)(ny)
+        ny, (sents, counts) = max(jointtypes.by_weight(rng, ch, n, 2000).items(), key=lambda w: len(w[1][0]))
+        types = jointtypes.tables(specs, uniform_ensemble(2, n), ch, kept=False)(ny)
         assert len(types._ranks) > 20
         tracemalloc.start()
         try:
@@ -1638,19 +1692,19 @@ class TestTypeDomain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < simulator._table_bytes(n, ny, len(specs))[0]
+        assert peak < jointtypes._table_bytes(n, ny, len(specs))[0]
 
     def test_no_type_tables_outlive_a_call(self, monkeypatch):
         """Every table lives on its call's _Types objects, which are freed
         when the call returns."""
         alive = []
 
-        class Tracked(simulator._Types):
+        class Tracked(jointtypes._Types):
             def __init__(self, *args):
                 super().__init__(*args)
                 alive.append(weakref.ref(self))
 
-        monkeypatch.setattr(simulator, "_Types", Tracked)
+        monkeypatch.setattr(jointtypes, "_Types", Tracked)
         run_experiment(uniform_ensemble(2, 16), bsc(0.1), FAM, SPECS, 0.25, 40, 1)
         run_experiment(linear_dithered_ensemble(16, 5), bsc(0.1), FAM, SPECS, 0.25, 10, 1)
         monte_carlo_audit(bsc(0.1), FAM, default_theta_grid(3, bsc(0.1)), 0.25, 16, 40, 1, shifted_trials=20)

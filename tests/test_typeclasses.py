@@ -189,6 +189,16 @@ class TestClassKey:
         key = class_key(fam, seq([0, 1]), seq([0, 0]))
         assert key.discriminant == (1, 0, 1, 0)
 
+    def test_y_alphabet_must_match_family(self):
+        # a ternary y against a binary-output family is refused with one
+        # line by both the key and the walk, not keyed with 6 counts for a
+        # 4-count family, nor left to an IndexError
+        fam, y = additive_family(2, 2), seq([2, 0], 3)
+        for call in (lambda: class_key(fam, seq([0, 1]), y), lambda: class_table(fam, y)):
+            with pytest.raises(InputError, match="y alphabet has 3 symbols, the family's 2") as err:
+                call()
+            assert len(str(err.value).splitlines()) == 1
+
     def test_single_state_reduces_to_additive(self):
         fam_fs = finite_state_family(2, 2, 1, lambda x, y, s: 0)
         fam_add = additive_family(2, 2)
@@ -288,7 +298,7 @@ class TestCountClasses:
             finite_state_family(2, 2, 2, lambda x, y, s: x ^ y),
             finite_state_family(2, 3, 3, lambda x, y, s: (s + x + y) % 3, initial_state=1),
         ):
-            assert classes_for_output(fam, seq([0])) == 2
+            assert classes_for_output(fam, seq([0], fam.y_alphabet_size)) == 2
             for n in range(1, 5):
                 most = {}
                 for y in all_sequences(fam.y_alphabet_size, n):
